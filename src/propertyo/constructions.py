@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 from .core import (
     PROPERTY_O,
     STRUCTURED,
+    InternalError,
     OrientedHypergraph,
     VerificationCertificate,
     unrank_permutation,
@@ -266,7 +267,7 @@ def min_edges_upper_bound(k: int) -> int:
     value = (half + 1) * math.factorial(k) - half * math.factorial(k - 1)
     alternative = ((k - 1) * (half + 1) + 1) * math.factorial(k - 1)
     if value != alternative:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: closed forms disagree at k={k}: {value} != {alternative}"
         )
     return value

@@ -11,20 +11,26 @@ least one edge.  An order consistent with no edge is a violating order;
 exhibiting one refutes Property O.
 
 The module provides the data model, the consistency predicate, two
-independent deciders (an exhaustive lexicographic scan and a backtracking
-search over order prefixes), the order-coverage histogram, and a counting
-audit that classifies each edge by how many permutations of a chosen base
-edge leave it consistent.  The two deciders are deliberately separate code
-paths so that the test suite can cross-check them against each other.
+independent deciders (an exhaustive order cover and a backtracking search
+over order prefixes), the order-coverage histogram, and a counting audit
+that classifies each edge by how many permutations of a chosen base edge
+leave it consistent.  The two deciders are deliberately separate code paths
+so that the test suite can cross-check them against each other.
+
+The exhaustive decider and the histogram rest on one order-coverage kernel
+(:func:`_edge_mask`): bit p of an edge's mask is the order of lex rank p.
+Above 9 vertices the top lex blocks are walked in rank order, so no mask is
+wider than 9! bits and the decider stops at the first uncovered block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import multiprocessing
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 OrientedEdge = tuple[int, ...]
 LinearOrder = tuple[int, ...]
@@ -37,17 +43,27 @@ BACKTRACKING = "backtracking"
 STRUCTURED = "structured"
 AUTO = "auto"
 
-# n! enumeration is refused above this vertex count unless the caller
-# explicitly raises the limit; 12! is the edge of what a desk run tolerates.
+# Exhaustive verify and the histogram refuse graphs above this vertex count
+# unless the caller raises the limit.  Memory does not set it, since no mask
+# is wider than 9! bits; time does, since a graph with Property O on n > 9
+# vertices takes n!/9! lex blocks (1320 at n = 12, 17160 at n = 13).
 DEFAULT_MAX_VERTICES = 12
 
-# check_property_o(method="auto") scans all n! orders up to this size and
+# check_property_o(method="auto") covers all n! orders up to this size and
 # switches to the backtracking search beyond it.
 AUTO_EXHAUSTIVE_MAX_VERTICES = 9
+
+# Order-coverage masks are built on at most this many vertices (9! bits,
+# 45 KB); larger vertex sets are walked one lex block at a time.
+_BLOCK_VERTICES = 9
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when an operation would enumerate more than its configured budget."""
+
+
+class InternalError(RuntimeError):
+    """Raised when a self-check fails: a bug, never a verdict about the input."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +105,8 @@ class VerificationCertificate:
     """Outcome of a Property O check.
 
     ``orders_examined`` counts complete linear orders the decider looked at:
-    for the exhaustive method it is the number of permutations scanned (all
-    n! when Property O holds); for the backtracking method it is the number
+    for the exhaustive method it is the first violating order's rank + 1
+    (n! when Property O holds); for the backtracking method it is the number
     of complete violating-order candidates produced (0 or 1), with the real
     work metric recorded in ``nodes_expanded`` (vertex placements tried).
     """
@@ -186,25 +202,6 @@ def rank_permutation(sequence: Sequence[int]) -> int:
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colexicographic order."""
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
-
-
-def next_permutation(seq: list[int]) -> bool:
-    """Advance ``seq`` in place to its lexicographic successor.
-
-    Returns False (leaving ``seq`` unchanged) when ``seq`` is already the
-    last permutation.
-    """
-    i = len(seq) - 2
-    while i >= 0 and seq[i] >= seq[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(seq) - 1
-    while seq[j] <= seq[i]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1 :] = reversed(seq[i + 1 :])
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -318,111 +315,91 @@ def count_consistent_orders(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_block(
-    edges: tuple[OrientedEdge, ...], n: int, k: int, start: int, stop: int
-) -> tuple[int, LinearOrder] | None:
-    """Scan permutation ranks [start, stop) for the first violating order."""
-    perm = list(unrank_permutation(start, range(n)))
-    indices = tuple(range(n))
-    if k == 2:
-        pairs = [(e[0], e[1]) for e in edges]
-        for r in range(start, stop):
-            position = dict(zip(perm, indices))
-            for a, b in pairs:
-                if position[a] < position[b]:
-                    break
-            else:
-                return r, tuple(perm)
-            if not next_permutation(perm):
-                break
+def _descend(ranks: tuple[int, ...], i: int) -> tuple[int, ...] | None:
+    """An edge's ranks inside lex block i, or None if the block kills it.
+
+    Block i holds the orders whose smallest element has rank i: that vertex
+    advances the edge if it is the head, kills it if it is a later vertex,
+    and leaves it whole otherwise.  The ranks returned are among the rest.
+    """
+    if ranks and ranks[0] == i:
+        ranks = ranks[1:]
+    elif i in ranks:
         return None
-    if k == 3:
-        triples = [(e[0], e[1], e[2]) for e in edges]
-        for r in range(start, stop):
-            position = dict(zip(perm, indices))
-            for a, b, c in triples:
-                if position[a] < position[b] < position[c]:
-                    break
-            else:
-                return r, tuple(perm)
-            if not next_permutation(perm):
-                break
-        return None
-    for r in range(start, stop):
-        position = dict(zip(perm, indices))
-        for e in edges:
-            previous = -1
-            for v in e:
-                p = position[v]
-                if p < previous:
-                    break
-                previous = p
-            else:
-                break
-        else:
-            return r, tuple(perm)
-        if not next_permutation(perm):
-            break
-    return None
+    return tuple(r - (r > i) for r in ranks)
 
 
-def _scan_block_worker(args):
-    edges, n, k, start, stop = args
-    return _scan_block(edges, n, k, start, stop)
+def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
+    """Bitmask of the orders of j vertices consistent with an edge.
+
+    Bit p stands for the order of lex rank p; ``ranks`` are the ranks of the
+    edge's remaining vertices among the j.  Block i of the mask, (j-1)! bits
+    wide, is the edge's memoised mask inside lex block i on one vertex fewer.
+    """
+    if not ranks:
+        return (1 << math.factorial(j)) - 1
+    width = math.factorial(j - 1)
+    mask = 0
+    for i in range(j):
+        inner = _descend(ranks, i)
+        if inner is not None:
+            mask |= _memo_edge_mask(j - 1, inner) << (i * width)
+    return mask
+
+
+# Top-level masks are not cached, so under the block walk no cached mask is
+# wider than 8! bits; there are at most j!/(j-r)! keys of r ranks on j vertices.
+_memo_edge_mask = functools.lru_cache(maxsize=None)(_edge_mask)
+
+
+def _lex_blocks(n: int, edges: Sequence[OrientedEdge]) -> Iterator[list[int]]:
+    """Masks of the edges alive in each lex block of ``_BLOCK_VERTICES``
+    vertices, block by block in rank order; together they cover all n! orders."""
+
+    def walk(j: int, alive: list[tuple[int, ...]]) -> Iterator[list[int]]:
+        if j <= _BLOCK_VERTICES:
+            yield [_edge_mask(j, ranks) for ranks in alive]
+            return
+        for i in range(j):
+            inner = (_descend(ranks, i) for ranks in alive)
+            yield from walk(j - 1, [r for r in inner if r is not None])
+
+    return walk(n, [tuple(e) for e in edges])
 
 
 def _exhaustive_search(
-    graph: OrientedHypergraph, max_vertices: int, jobs: int
+    graph: OrientedHypergraph, max_vertices: int
 ) -> tuple[LinearOrder | None, int]:
-    """Return (first violating order or None, orders examined)."""
+    """Return (lex-first violating order or None, its rank + 1 or n!)."""
     n = graph.n
     if n > max_vertices:
         raise BudgetExceededError(
             f"refusing to enumerate {n}! orders (limit n <= {max_vertices}); "
             "use the backtracking method or raise max_vertices"
         )
-    total = math.factorial(n)
-    if not graph.edges:
-        # the very first order is violating (nothing to be consistent with)
-        return tuple(range(n)), 1
-    if jobs <= 1 or total < 40320:
-        hit = _scan_block(graph.edges, n, graph.k, 0, total)
-        if hit is None:
-            return None, total
-        return hit[1], hit[0] + 1
-
-    # Deterministic parallel scan: split the rank space into contiguous
-    # blocks, process them in order and stop at the first block reporting a
-    # violation, which is therefore the lexicographically first one overall.
-    block_count = jobs * 8
-    bounds = [total * i // block_count for i in range(block_count + 1)]
-    tasks = [
-        (graph.edges, n, graph.k, lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        for hit in pool.imap(_scan_block_worker, tasks):
-            if hit is not None:
-                pool.terminate()
-                return hit[1], hit[0] + 1
-    return None, total
+    width = math.factorial(min(n, _BLOCK_VERTICES))
+    full = (1 << width) - 1
+    for block, masks in enumerate(_lex_blocks(n, graph.edges)):
+        covered = functools.reduce(operator.or_, masks, 0)
+        if covered != full:
+            rank = block * width + (~covered & (covered + 1)).bit_length() - 1
+            return unrank_permutation(rank, range(n)), rank + 1
+    return None, math.factorial(n)
 
 
 def find_violating_order_exhaustive(
     graph: OrientedHypergraph,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    jobs: int = 1,
 ) -> LinearOrder | None:
     """Lexicographically first order consistent with no edge, or None.
 
-    Scans all n! ascending sequences in lexicographic order.  Refuses with
-    :class:`BudgetExceededError` when n exceeds ``max_vertices``.
+    ORs the edges' order-coverage masks block by block and unranks the
+    lowest uncovered bit.  Refuses with :class:`BudgetExceededError` when n
+    exceeds ``max_vertices``.
     """
     require_valid(graph)
-    order, _ = _exhaustive_search(graph, max_vertices, jobs)
+    order, _ = _exhaustive_search(graph, max_vertices)
     return order
 
 
@@ -532,11 +509,10 @@ def check_property_o(
     method: str = AUTO,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    jobs: int = 1,
 ) -> VerificationCertificate:
     """Decide Property O and return a certificate.
 
-    ``method`` is one of "exhaustive", "backtracking" or "auto"; auto scans
+    ``method`` is one of "exhaustive", "backtracking" or "auto"; auto covers
     all orders up to n = 9 and backtracks beyond that.  A "violated"
     certificate is re-checked against :func:`is_consistent` for every edge
     before being returned.
@@ -545,7 +521,7 @@ def check_property_o(
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
     if method == EXHAUSTIVE:
-        order, examined = _exhaustive_search(graph, max_vertices, jobs)
+        order, examined = _exhaustive_search(graph, max_vertices)
         nodes = None
     elif method == BACKTRACKING:
         order, nodes = _backtracking_search(graph)
@@ -563,7 +539,7 @@ def check_property_o(
         )
     for e in graph.edges:
         if is_consistent(e, order):
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: edge {e} is consistent with reported "
                 f"violating order {order}"
             )
@@ -584,34 +560,45 @@ def check_property_o(
 def coverage_histogram(
     graph: OrientedHypergraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> CoverageHistogram:
-    """Histogram of consistent-edge counts over all n! linear orders."""
+    """Histogram of consistent-edge counts over all n! linear orders.
+
+    The counts are read off a bit-sliced counter that adds up the edges'
+    order-coverage masks, one lex block at a time.
+    """
     require_valid(graph)
     n = graph.n
     if n > max_vertices:
         raise BudgetExceededError(
             f"refusing to enumerate {n}! orders (limit n <= {max_vertices})"
         )
-    indices = tuple(range(n))
+    full = (1 << math.factorial(min(n, _BLOCK_VERTICES))) - 1
     counts: dict[int, int] = {}
     edges = graph.edges
-    for perm in itertools.permutations(range(n)):
-        position = dict(zip(perm, indices))
-        c = 0
-        for e in edges:
-            previous = -1
-            for v in e:
-                p = position[v]
-                if p < previous:
+    for masks in _lex_blocks(n, edges):
+        # bit-sliced counter: bit p of planes[b] is bit b of order p's count
+        planes: list[int] = []
+        for carry in masks:
+            for b, plane in enumerate(planes):
+                planes[b], carry = plane ^ carry, plane & carry
+                if not carry:
                     break
-                previous = p
             else:
-                c += 1
-        counts[c] = counts.get(c, 0) + 1
+                planes.append(carry)
+        groups = {0: full}
+        for plane in reversed(planes):
+            split: dict[int, int] = {}
+            for c, orders in groups.items():
+                for bit, part in ((1, orders & plane), (0, orders & ~plane)):
+                    if part:
+                        split[2 * c + bit] = part
+            groups = split
+        for c, orders in groups.items():
+            counts[c] = counts.get(c, 0) + orders.bit_count()
 
     total = sum(counts.values())
     expected_total = math.factorial(n)
     if total != expected_total:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: histogram covers {total} orders, expected {expected_total}"
         )
     weighted = sum(c * m for c, m in counts.items())
@@ -619,7 +606,7 @@ def coverage_histogram(
         count_consistent_orders(graph.k, n) if n >= graph.k else 0
     )
     if weighted != expected_weighted:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: weighted histogram total {weighted}, "
             f"expected {expected_weighted}"
         )
@@ -677,12 +664,12 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     for i, size in enumerate(class_sizes):
         allowed = fact_k // math.factorial(intersection_sizes[i])
         if size not in (0, allowed):
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: class size {size} for edge {i} is neither 0 "
                 f"nor {allowed}"
             )
     if class_sizes[base_edge_index] != 1:
-        raise RuntimeError("internal error: base edge class size must be 1")
+        raise InternalError("internal error: base edge class size must be 1")
 
     total = sum(class_sizes)
     return AuditReport(

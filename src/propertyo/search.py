@@ -23,7 +23,8 @@ tournament of a subtree in one sweep; a tournament has Property O exactly
 when no uncovered order remains, and any remaining bit unranks to a
 verified violating order.  Subtrees whose uncovered orders outnumber what
 the remaining subsets could possibly cover (each covers n!/k! orders) are
-discarded in bulk.
+discarded in bulk.  The masks, n! bits each, come from the order-coverage
+kernel in :mod:`propertyo.core`.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from typing import Callable
 
 from .core import (
     BudgetExceededError,
+    InternalError,
     LinearOrder,
     OrientedHypergraph,
+    _edge_mask,
     check_property_o,
     colex_subsets,
     is_consistent,
@@ -59,7 +62,8 @@ class CensusOptions:
     pruning restricts the visitor-based enumeration to assignments that are
     lexicographically minimal under vertex relabelling (one per isomorphism
     class); it costs n! relabellings per candidate and is only worthwhile
-    for small counting runs.  ``progress_interval`` > 0 emits
+    for small counting runs; the mask census refuses it, so use
+    :func:`tournament_census`.  ``progress_interval`` > 0 emits
     "examined=... found=... elapsed=..." lines to stderr roughly every that
     many tournaments (per worker).  ``max_space_bits`` bounds the admissible
     search space: C(n,k)*log2(k!) must not exceed it.
@@ -122,6 +126,11 @@ class MinimalityReport:
         return all(v.essential for v in self.verdicts)
 
 
+def _refuse_symmetry(options: CensusOptions) -> None:
+    if options.symmetry_pruning:
+        raise ValueError("symmetry pruning needs tournament_census")
+
+
 def _check_space(n: int, k: int, options: CensusOptions) -> int:
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
@@ -143,42 +152,27 @@ def oriented_subset_tables(n: int, k: int) -> tuple[list[tuple[int, ...]], list[
     return subsets, oriented
 
 
-def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int, list[tuple[int, ...]]]:
+def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
     """Per (subset, orientation) bitmask of consistent order ranks.
 
-    Returns (masks, full_mask, orders).  Order rank p is the lexicographic
+    Returns (masks, full_mask).  Order rank p is the lexicographic
     rank of the ascending sequence; each linear order is consistent with
     exactly one orientation of each subset, so each mask has n!/k! bits and
     the k! masks of one subset partition the full mask.
     """
-    subsets, _ = oriented_subset_tables(n, k)
-    m = len(subsets)
-    orders = list(itertools.permutations(range(n)))
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for t, s in enumerate(subsets):
-        for v in s:
-            by_vertex[v].append(t)
-    fact_k = math.factorial(k)
-    masks = [[0] * fact_k for _ in range(m)]
-    for p, perm in enumerate(orders):
-        sequences: list[list[int]] = [[] for _ in range(m)]
-        for v in perm:
-            for t in by_vertex[v]:
-                sequences[t].append(v)
-        bit = 1 << p
-        for t in range(m):
-            masks[t][rank_permutation(sequences[t])] |= bit
-    full = (1 << len(orders)) - 1
-    per_edge = len(orders) // fact_k
-    for t in range(m):
+    _, oriented = oriented_subset_tables(n, k)
+    masks = [[_edge_mask(n, edge) for edge in row] for row in oriented]
+    full = (1 << math.factorial(n)) - 1
+    per_edge = math.factorial(n) // math.factorial(k)
+    for row in masks:
         combined = 0
-        for o in range(fact_k):
-            if masks[t][o].bit_count() != per_edge:
-                raise RuntimeError("internal error: bad coverage mask popcount")
-            combined |= masks[t][o]
+        for mask in row:
+            if mask.bit_count() != per_edge:
+                raise InternalError("internal error: bad coverage mask popcount")
+            combined |= mask
         if combined != full:
-            raise RuntimeError("internal error: subset orientations do not cover")
-    return masks, full, orders
+            raise InternalError("internal error: subset orientations do not cover")
+    return masks, full
 
 
 def _census_unit(args) -> tuple[int, int, int | None]:
@@ -190,7 +184,7 @@ def _census_unit(args) -> tuple[int, int, int | None]:
     ``enumerated`` only covers what was decided before it.
     """
     n, k, prefix_depth, prefix_lo, prefix_hi, stop_first, progress_interval = args
-    masks, full, _ = _coverage_masks(n, k)
+    masks, full = _coverage_masks(n, k)
     m = len(masks)
     fact_k = math.factorial(k)
     not_masks = [[full ^ mask for mask in row] for row in masks]
@@ -328,6 +322,7 @@ def census_property_o(
     identical for any ``parallel_partitions``.
     """
     options = options or CensusOptions()
+    _refuse_symmetry(options)
     subset_count = _check_space(n, k, options)
     fact_k = math.factorial(k)
     space = fact_k**subset_count
@@ -376,7 +371,7 @@ def census_property_o(
             )
         total = sum(r[0] for r in results)
         if total != space:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: census decided {total} tournaments, expected {space}"
             )
         return SearchReport(
@@ -392,7 +387,7 @@ def census_property_o(
     total = sum(r[0] for r in results)
     found = sum(r[1] for r in results)
     if total != space:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: census decided {total} tournaments, expected {space}"
         )
     first = min(witness_counters) if witness_counters else None
@@ -532,6 +527,7 @@ def prove_vertex_lower_bound(
     first witness.
     """
     options = options or CensusOptions()
+    _refuse_symmetry(options)
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     if math.comb(n, k) <= min_edges_lower_bound(k) - 1:
@@ -579,6 +575,6 @@ def edge_minimality(
             order = cert.violating_order
             assert order is not None
             if any(is_consistent(e, order) for e in reduced.edges):
-                raise RuntimeError("internal error: witness order is not violating")
+                raise InternalError("internal error: witness order is not violating")
             verdicts.append(EdgeVerdict(index=i, essential=True, witness=order))
     return MinimalityReport(verdicts=tuple(verdicts))

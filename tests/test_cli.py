@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from propertyo import (
+    InternalError,
     cyclic_triangle,
     double_cycle_3graph,
     general_construction,
@@ -12,6 +13,7 @@ from propertyo import (
     serialize_hypergraph,
     ten_edge_3graph,
 )
+from propertyo import cli
 from propertyo.cli import main
 
 
@@ -105,6 +107,17 @@ class TestVerify:
         run_cli("verify", path)
         assert parallel == capsys.readouterr().out
 
+    def test_internal_error_exit_six(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalError("internal error: injected")
+
+        monkeypatch.setattr(cli, "check_property_o", broken)
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        assert run_cli("verify", path) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: injected" in captured.err
+
 
 class TestHistogram:
     def test_merged_ten_edge(self, tmp_path, capsys):
@@ -177,6 +190,17 @@ class TestCensus:
     def test_budget_refusal(self):
         assert run_cli("census", "--n", "7", "--k", "3") == 4
 
+    def test_internal_error_exit_six(self, capsys, monkeypatch):
+        # exit 1 would read as "witness found"; a crash must not
+        def broken(*args, **kwargs):
+            raise InternalError("internal error: injected")
+
+        monkeypatch.setattr(cli, "prove_vertex_lower_bound", broken)
+        assert run_cli("census", "--n", "5", "--k", "3") == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: injected" in captured.err
+
     def test_progress_lines(self, capfd):
         # the first-witness sweep on (4, 2) stops after a handful of
         # tournaments, so drive the full symmetry census at interval 1
@@ -244,3 +268,4 @@ class TestUsage:
         assert run_cli("--help") == 0
         out = capsys.readouterr().out
         assert "Exit codes" in out
+        assert "6 internal error" in " ".join(out.split())

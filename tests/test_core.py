@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,9 @@ from propertyo import (
     ten_edge_3graph,
     validate,
 )
-from propertyo.core import unrank_permutation, rank_permutation, next_permutation
+from propertyo import core
+from propertyo.core import unrank_permutation, rank_permutation
+from propertyo.search import _coverage_masks, oriented_subset_tables
 
 from conftest import fixture_graphs
 
@@ -196,18 +199,6 @@ class TestExhaustiveFinder:
         graph = OrientedHypergraph(2, 13, ((1, 0),))
         order = find_violating_order_exhaustive(graph, max_vertices=13)
         assert order == tuple(range(13))
-
-    def test_parallel_matches_serial(self):
-        graph = ten_edge_3graph()
-        reduced = OrientedHypergraph(graph.k, graph.n, graph.edges[2:])
-        serial = find_violating_order_exhaustive(reduced, jobs=1)
-        parallel = find_violating_order_exhaustive(reduced, jobs=4)
-        assert serial == parallel
-        assert (
-            find_violating_order_exhaustive(graph, jobs=4)
-            is find_violating_order_exhaustive(graph, jobs=1)
-            is None
-        )
 
 
 class TestBacktrackingFinder:
@@ -461,9 +452,77 @@ class TestPermutationUtilities:
         assert seen == sorted(seen)
         assert len(set(seen)) == 24
 
-    def test_next_permutation_walks_lexicographically(self):
-        seq = [0, 1, 2]
-        collected = [tuple(seq)]
-        while next_permutation(seq):
-            collected.append(tuple(seq))
-        assert collected == list(itertools.permutations(range(3)))
+
+def reference_mask(n, edge):
+    """Bit p set iff the order of lex rank p is consistent with the edge."""
+    return sum(
+        1 << p
+        for p, order in enumerate(itertools.permutations(range(n)))
+        if is_consistent(edge, order)
+    )
+
+
+def reference_cover(graph):
+    """(lex-first violating order, orders examined, histogram) by brute force."""
+    first, examined, counts = None, math.factorial(graph.n), {}
+    for p, order in enumerate(itertools.permutations(range(graph.n))):
+        c = sum(is_consistent(e, order) for e in graph.edges)
+        counts[c] = counts.get(c, 0) + 1
+        if c == 0 and first is None:
+            first, examined = order, p + 1
+    return first, examined, dict(sorted(counts.items()))
+
+
+class TestCoverageKernel:
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3), (6, 4)])
+    def test_masks_match_reference(self, n, k):
+        masks, full = _coverage_masks(n, k)
+        _, oriented = oriented_subset_tables(n, k)
+        assert full == (1 << math.factorial(n)) - 1
+        for row, edges in zip(masks, oriented):
+            assert row == [reference_mask(n, e) for e in edges]
+
+    def test_block_walk_matches_reference(self, monkeypatch):
+        # with 4-vertex blocks the walk runs on every graph with n > 4
+        monkeypatch.setattr(core, "_BLOCK_VERTICES", 4)
+        rng = random.Random(1703)
+        graphs = [OrientedHypergraph(2, 6, ())]
+        for _ in range(40):
+            k = rng.randint(2, 4)
+            n = rng.randint(k, 7)
+            subsets = list(itertools.combinations(range(n), k))
+            rng.shuffle(subsets)
+            edges = tuple(
+                unrank_permutation(rng.randrange(math.factorial(k)), s)
+                for s in subsets[: rng.randint(0, len(subsets))]
+            )
+            graphs.append(OrientedHypergraph(k, n, edges))
+        for graph in graphs:
+            first, examined, counts = reference_cover(graph)
+            cert = check_property_o(graph, method="exhaustive")
+            assert cert.violating_order == first, graph
+            assert cert.orders_examined == examined, graph
+            assert coverage_histogram(graph).counts == counts, graph
+
+    def test_padded_claim1_block_walk(self, monkeypatch):
+        kernel = core._edge_mask
+
+        def bounded_kernel(j, ranks):
+            assert j <= 9, "mask wider than 9! bits"
+            return kernel(j, ranks)
+
+        monkeypatch.setattr(core, "_edge_mask", bounded_kernel)
+        graph = ten_edge_3graph()
+        padded = OrientedHypergraph(graph.k, 11, graph.edges)
+        cert = check_property_o(padded, method="exhaustive")
+        assert cert.holds and cert.orders_examined == math.factorial(11)
+        assert coverage_histogram(padded).total_orders() == math.factorial(11)
+        for i in range(len(graph.edges)):
+            edges = graph.edges[:i] + graph.edges[i + 1 :]
+            witness = find_violating_order_exhaustive(
+                OrientedHypergraph(graph.k, graph.n, edges)
+            )
+            assert witness is not None
+            assert find_violating_order_exhaustive(
+                OrientedHypergraph(graph.k, 11, edges)
+            ) == witness + (8, 9, 10)

@@ -156,7 +156,7 @@ class TestCensusEngine:
         assert check_property_o(report.first_witness).holds
 
     def test_coverage_masks_popcounts(self):
-        masks, full, orders = _coverage_masks(4, 3)
+        masks, full = _coverage_masks(4, 3)
         per_edge = math.factorial(4) // math.factorial(3)
         for row in masks:
             union = 0
@@ -164,7 +164,6 @@ class TestCensusEngine:
                 assert mask.bit_count() == per_edge
                 union |= mask
             assert union == full
-        assert len(orders) == 24
 
 
 class TestVertexLowerBound:
@@ -198,6 +197,12 @@ class TestVertexLowerBound:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             prove_vertex_lower_bound(2, 3)
+
+    def test_symmetry_pruning_refused(self):
+        options = CensusOptions(symmetry_pruning=True)
+        for run in (census_property_o, prove_vertex_lower_bound):
+            with pytest.raises(ValueError, match="tournament_census"):
+                run(4, 3, options)
 
 
 class TestSymmetrySoundness:
