@@ -224,11 +224,10 @@ def _cmd_minimality(args) -> int:
 def _cmd_census(args) -> int:
     options = CensusOptions(
         parallel_partitions=max(1, args.jobs),
-        symmetry_pruning=args.symmetry,
         progress_interval=args.progress,
     )
     if args.symmetry:
-        report = tournament_census(args.n, args.k, options)
+        report = tournament_census(args.n, args.k, options, symmetry=True)
     else:
         report = prove_vertex_lower_bound(args.n, args.k, options)
     print(f"n={report.n}")
@@ -244,7 +243,7 @@ def _cmd_census(args) -> int:
         print(f"first_witness={edges}")
     print(f"elapsed_seconds={report.elapsed_seconds:.3f}")
     print(f"parallel_partitions={options.parallel_partitions}")
-    print(f"symmetry_pruning={str(options.symmetry_pruning).lower()}")
+    print(f"symmetry_pruning={str(args.symmetry).lower()}")
     return EXIT_OK if report.property_o_found == 0 else EXIT_NEGATIVE
 
 

@@ -30,6 +30,7 @@ from .core import (
     InternalError,
     OrientedHypergraph,
     VerificationCertificate,
+    is_consistent,
     unrank_permutation,
 )
 
@@ -455,9 +456,8 @@ def structured_coverage_check(k: int) -> CaseCoverageReport:
             fresh = layout.fresh_index(j, i)
             for rank, position in rank_witnesses:
                 case_order = base[:rank] + (fresh,) + base[rank:]
-                pos = {v: q for q, v in enumerate(case_order)}
                 edge = _patched_edge(layout, pi, j, i, position)
-                if not all(pos[a] < pos[b] for a, b in zip(edge, edge[1:])):
+                if not is_consistent(edge, case_order):
                     problems.append(
                         f"witness edge for (j={j}, i={i}, rank={rank}) is not "
                         "consistent with its case order"

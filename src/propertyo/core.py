@@ -28,9 +28,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import multiprocessing
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 OrientedEdge = tuple[int, ...]
 LinearOrder = tuple[int, ...]
@@ -161,7 +162,8 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# permutation utilities shared by the deciders, the census and the sampler
+# permutation and worker-pool utilities shared by the deciders, the census
+# and the sampler
 # ---------------------------------------------------------------------------
 
 
@@ -202,6 +204,36 @@ def rank_permutation(sequence: Sequence[int]) -> int:
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colexicographic order."""
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def ordered_map(
+    func: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    jobs: int,
+    until: Callable[[Any], bool] | None = None,
+) -> list:
+    """``func`` over ``tasks``, results in task order.
+
+    With ``jobs`` > 1 and several tasks the calls run in a fork pool of at
+    most ``jobs`` workers (and no more than tasks or CPUs).  The map ends
+    after the first result that ``until`` accepts; that result is the last
+    in the list, and leaving the pool terminates the workers still running.
+    Tasks and results are pickled, so keep them small.
+    """
+
+    def take(results: Iterable[Any]) -> list:
+        taken = []
+        for result in results:
+            taken.append(result)
+            if until is not None and until(result):
+                break
+        return taken
+
+    if jobs <= 1 or len(tasks) <= 1:
+        return take(map(func, tasks))
+    processes = min(jobs, len(tasks), multiprocessing.cpu_count())
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        return take(pool.imap(func, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +676,9 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     tail = tuple(range(k, n))
     for sigma in itertools.permutations(range(k)):
         order = sigma + tail
-        position = {v: i for i, v in enumerate(order)}
         per_order = 0
         for i, e in enumerate(edges):
-            previous = -1
-            for v in e:
-                p = position[v]
-                if p < previous:
-                    break
-                previous = p
-            else:
+            if is_consistent(e, order):
                 class_sizes[i] += 1
                 per_order += 1
         if min_coverage is None or per_order < min_coverage:

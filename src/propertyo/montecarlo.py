@@ -21,7 +21,6 @@ and of how they are assigned to workers.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     OrientedHypergraph,
     check_property_o,
     colex_subsets,
+    ordered_map,
     unrank_permutation,
 )
 
@@ -110,16 +110,10 @@ def estimate_property_o_rate(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if jobs <= 1:
-        successes = _count_successes((n, k, seed, 0, trials))
-    else:
-        bounds = [trials * i // jobs for i in range(jobs + 1)]
-        tasks = [
-            (n, k, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(len(tasks), multiprocessing.cpu_count())) as pool:
-            successes = sum(pool.map(_count_successes, tasks))
+    jobs = max(1, jobs)
+    bounds = [trials * i // jobs for i in range(jobs + 1)]
+    tasks = [(n, k, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    successes = sum(ordered_map(_count_successes, tasks, jobs))
     rate = successes / trials
     return TrialSummary(
         n=n,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -46,6 +45,7 @@ from .core import (
     check_property_o,
     colex_subsets,
     is_consistent,
+    ordered_map,
     rank_permutation,
     require_valid,
 )
@@ -53,38 +53,37 @@ from .constructions import min_edges_lower_bound
 
 VisitResult = bool  # a visitor returns False to stop the enumeration
 
+# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS.
+_MAX_SPACE_BITS = 64
+
 
 @dataclass(frozen=True)
 class CensusOptions:
-    """Knobs for the census operations.
+    """Knobs honoured by every census operation.
 
-    Report contents are independent of ``parallel_partitions``.  Symmetry
-    pruning restricts the visitor-based enumeration to assignments that are
-    lexicographically minimal under vertex relabelling (one per isomorphism
-    class); it costs n! relabellings per candidate and is only worthwhile
-    for small counting runs; the mask census refuses it, so use
-    :func:`tournament_census`.  ``progress_interval`` > 0 emits
-    "examined=... found=... elapsed=..." lines to stderr roughly every that
-    many tournaments (per worker).  ``max_space_bits`` bounds the admissible
-    search space: C(n,k)*log2(k!) must not exceed it.
+    Report contents are independent of ``parallel_partitions``, which is
+    both the number of contiguous counter ranges and the worker cap.
+    ``progress_interval`` > 0 emits "examined=... elapsed=..." lines to
+    stderr roughly every that many tournaments, per worker; the mask census
+    adds the worker's "found=..." count.
     """
 
     parallel_partitions: int = 1
-    symmetry_pruning: bool = False
     progress_interval: int = 0
-    max_space_bits: float = 64.0
 
 
 @dataclass(frozen=True)
 class SearchReport:
     """Result of a census run.
 
-    When no witness is found, ``total_enumerated`` is the full space size
-    (k!)**C(n,k) (or the number of canonical forms visited under symmetry
-    pruning, or 0 when the edge-count rejection applies).  When a witness is
-    found by a first-witness search, ``total_enumerated`` is the witness
-    counter plus one: the number of tournaments decided, independent of the
-    partitioning.
+    ``total_enumerated`` is the number of tournaments decided: the full
+    space size (k!)**C(n,k) when every tournament was decided, the witness
+    counter plus one when a first-witness search found one, the number of
+    canonical forms visited by a symmetry-pruned :func:`tournament_census`,
+    and 0 when the edge-count rejection applies.  None of it depends on the
+    partitioning.  ``property_o_found`` is the exact count in a full census
+    and 0 or 1 in a first-witness search, and ``first_witness`` is the
+    smallest-counter witness.
     """
 
     n: int
@@ -126,20 +125,15 @@ class MinimalityReport:
         return all(v.essential for v in self.verdicts)
 
 
-def _refuse_symmetry(options: CensusOptions) -> None:
-    if options.symmetry_pruning:
-        raise ValueError("symmetry pruning needs tournament_census")
-
-
-def _check_space(n: int, k: int, options: CensusOptions) -> int:
+def _check_space(n: int, k: int) -> int:
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     subset_count = math.comb(n, k)
     bits = subset_count * math.log2(math.factorial(k))
-    if bits > options.max_space_bits:
+    if bits > _MAX_SPACE_BITS:
         raise BudgetExceededError(
             f"census space is (k!)^C(n,k) ~ 2^{bits:.1f}, over the "
-            f"{options.max_space_bits}-bit budget"
+            f"{_MAX_SPACE_BITS}-bit budget"
         )
     return subset_count
 
@@ -178,12 +172,18 @@ def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
 def _census_unit(args) -> tuple[int, int, int | None]:
     """Walk the census counter range of one partition.
 
-    ``args`` is (n, k, prefix_depth, prefix_lo, prefix_hi, stop_first,
-    progress_interval).  Returns (enumerated, found, first_witness_counter).
-    In stop_first mode the walk ends at the partition's first witness and
-    ``enumerated`` only covers what was decided before it.
+    ``args`` is (n, k, depth, lo, hi, stop_first, progress_interval): the
+    partition is the prefixes of ranks lo..hi-1, in counter order, of the
+    first ``depth`` digits (0 <= depth < C(n,k)).  Each prefix's masks are
+    intersected up front and the recursion walks the remaining digits, so a
+    prefix that already covers every order is reported by the recursion's
+    next digit like any other witness.  The worker builds its own masks
+    from (n, k), which keeps the task small.  Returns (enumerated, found,
+    first_witness_counter).  In stop_first mode the walk ends at the
+    partition's first witness and ``enumerated`` only covers what was
+    decided before it.
     """
-    n, k, prefix_depth, prefix_lo, prefix_hi, stop_first, progress_interval = args
+    n, k, depth, lo, hi, stop_first, progress_interval = args
     masks, full = _coverage_masks(n, k)
     m = len(masks)
     fact_k = math.factorial(k)
@@ -254,41 +254,13 @@ def _census_unit(args) -> tuple[int, int, int | None]:
                     return True
         return False
 
-    depth = min(prefix_depth, m)
-    suffix_weight = pow_fk[m - depth]
-    for prefix in range(prefix_lo, prefix_hi):
-        digits = []
-        rest = prefix
-        for level in range(depth):
-            power = pow_fk[depth - 1 - level]
-            digit, rest = divmod(rest, power)
-            digits.append(digit)
-
+    prefixes = itertools.product(range(fact_k), repeat=depth)
+    for prefix in itertools.islice(prefixes, lo, hi):
         uncovered = full
-        base_counter = prefix * suffix_weight
-        witness_here = False
-        for d, o in enumerate(digits):
+        base_counter = 0
+        for d, o in enumerate(prefix):
             uncovered &= not_masks[d][o]
-            if uncovered == 0:
-                # every completion of this prefix has Property O; the
-                # smallest counter among them is the all-zero suffix
-                if stop_first:
-                    found += 1
-                    first_counter = base_counter
-                else:
-                    found += suffix_weight
-                    enumerated += suffix_weight
-                    if first_counter is None:
-                        first_counter = base_counter
-                witness_here = True
-                break
-        if witness_here:
-            if stop_first:
-                break
-            continue
-        if depth == m:
-            enumerated += 1
-            continue
+            base_counter += o * pow_fk[last - d]
         if rec(depth, uncovered, base_counter):
             break
 
@@ -322,82 +294,48 @@ def census_property_o(
     identical for any ``parallel_partitions``.
     """
     options = options or CensusOptions()
-    _refuse_symmetry(options)
-    subset_count = _check_space(n, k, options)
+    subset_count = _check_space(n, k)
     fact_k = math.factorial(k)
     space = fact_k**subset_count
     start = time.perf_counter()
 
+    # every partition keeps at least one digit for the recursion to walk
     partitions = max(1, options.parallel_partitions)
-    prefix_depth = 0
-    while fact_k**prefix_depth < partitions and prefix_depth < subset_count:
-        prefix_depth += 1
-    prefix_count = fact_k**prefix_depth
+    depth = 0
+    while fact_k**depth < partitions and depth < subset_count - 1:
+        depth += 1
+    prefix_count = fact_k**depth
     bounds = [prefix_count * i // partitions for i in range(partitions + 1)]
     tasks = [
-        (n, k, prefix_depth, lo, hi, stop_at_first, options.progress_interval)
+        (n, k, depth, lo, hi, stop_at_first, options.progress_interval)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
+    results = ordered_map(
+        _census_unit,
+        tasks,
+        partitions,
+        until=(lambda r: r[2] is not None) if stop_at_first else None,
+    )
 
-    results: list[tuple[int, int, int | None]] = []
-    if len(tasks) == 1:
-        results.append(_census_unit(tasks[0]))
+    first = min((r[2] for r in results if r[2] is not None), default=None)
+    if stop_at_first and first is not None:
+        total, found = first + 1, 1
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(len(tasks), multiprocessing.cpu_count())) as pool:
-            if stop_at_first:
-                for result in pool.imap(_census_unit, tasks):
-                    results.append(result)
-                    if result[2] is not None:
-                        pool.terminate()
-                        break
-            else:
-                results = pool.map(_census_unit, tasks)
-
-    witness_counters = [r[2] for r in results if r[2] is not None]
-    elapsed = time.perf_counter() - start
-    if stop_at_first:
-        if witness_counters:
-            counter = witness_counters[0]
-            return SearchReport(
-                n=n,
-                k=k,
-                total_enumerated=counter + 1,
-                property_o_found=1,
-                first_witness=_tournament_from_counter(n, k, counter),
-                elapsed_seconds=elapsed,
-                options=options,
-            )
         total = sum(r[0] for r in results)
+        found = sum(r[1] for r in results)
         if total != space:
             raise InternalError(
                 f"internal error: census decided {total} tournaments, expected {space}"
             )
-        return SearchReport(
-            n=n,
-            k=k,
-            total_enumerated=total,
-            property_o_found=0,
-            first_witness=None,
-            elapsed_seconds=elapsed,
-            options=options,
-        )
-
-    total = sum(r[0] for r in results)
-    found = sum(r[1] for r in results)
-    if total != space:
-        raise InternalError(
-            f"internal error: census decided {total} tournaments, expected {space}"
-        )
-    first = min(witness_counters) if witness_counters else None
+    elapsed = time.perf_counter() - start
     return SearchReport(
         n=n,
         k=k,
         total_enumerated=total,
         property_o_found=found,
         first_witness=(
-            _tournament_from_counter(n, k, first) if first is not None else None
+            None if first is None else _tournament_from_counter(n, k, first)
         ),
         elapsed_seconds=elapsed,
         options=options,
@@ -433,27 +371,31 @@ def enumerate_tournaments(
     k: int,
     visitor: Callable[[OrientedHypergraph], VisitResult],
     options: CensusOptions | None = None,
+    *,
+    symmetry: bool = False,
 ) -> SearchReport:
     """Visit every k-tournament on n vertices in counter order.
 
     The visitor receives each tournament as an :class:`OrientedHypergraph`
-    and returns False to stop.  With symmetry pruning only assignments that
+    and returns False to stop.  With ``symmetry`` only assignments that
     are lexicographically minimal under vertex relabelling are visited, one
-    per isomorphism class.  This enumeration materialises every tournament
-    and is meant for small spaces; the Property O census proper goes through
-    :func:`census_property_o`.
+    per isomorphism class, at a cost of n! relabellings per candidate.
+    This enumeration materialises every tournament and is meant for small
+    spaces; the Property O census proper goes through
+    :func:`census_property_o`.  Progress lines carry no found count, since
+    only the visitor knows it.  ``parallel_partitions`` is not used.
     """
     options = options or CensusOptions()
-    subset_count = _check_space(n, k, options)
+    subset_count = _check_space(n, k)
     _, oriented = oriented_subset_tables(n, k)
     fact_k = math.factorial(k)
-    tables = _relabel_tables(n, k) if options.symmetry_pruning else []
+    tables = _relabel_tables(n, k) if symmetry else []
 
     start = time.perf_counter()
     visited = 0
     next_report = options.progress_interval if options.progress_interval > 0 else None
     for digits in itertools.product(range(fact_k), repeat=subset_count):
-        if options.symmetry_pruning:
+        if symmetry:
             canonical = True
             for table in tables:
                 image = [0] * subset_count
@@ -472,7 +414,7 @@ def enumerate_tournaments(
         if next_report is not None and visited >= next_report:
             elapsed = time.perf_counter() - start
             print(
-                f"examined={visited} found=0 elapsed={elapsed:.1f}",
+                f"examined={visited} elapsed={elapsed:.1f}",
                 file=sys.stderr,
                 flush=True,
             )
@@ -491,10 +433,17 @@ def enumerate_tournaments(
     )
 
 
-def tournament_census(n: int, k: int, options: CensusOptions | None = None) -> SearchReport:
+def tournament_census(
+    n: int,
+    k: int,
+    options: CensusOptions | None = None,
+    *,
+    symmetry: bool = False,
+) -> SearchReport:
     """Full visitor-based census with a per-tournament Property O check.
 
-    Honours symmetry pruning; counts every (canonical) tournament with
+    With ``symmetry`` only canonical forms are visited (see
+    :func:`enumerate_tournaments`); counts every visited tournament with
     Property O and records the first one found.  Only sensible for small
     spaces; cross-checks :func:`census_property_o` in the tests.
     """
@@ -510,7 +459,7 @@ def tournament_census(n: int, k: int, options: CensusOptions | None = None) -> S
                 first = tournament
         return True
 
-    report = enumerate_tournaments(n, k, visit, options)
+    report = enumerate_tournaments(n, k, visit, options, symmetry=symmetry)
     return replace(report, property_o_found=found, first_witness=first)
 
 
@@ -527,7 +476,6 @@ def prove_vertex_lower_bound(
     first witness.
     """
     options = options or CensusOptions()
-    _refuse_symmetry(options)
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     if math.comb(n, k) <= min_edges_lower_bound(k) - 1:
@@ -551,9 +499,7 @@ def violating_order_for_counter(n: int, k: int, counter: int) -> LinearOrder | N
     return cert.violating_order
 
 
-def edge_minimality(
-    graph: OrientedHypergraph, *, max_vertices: int = 12
-) -> MinimalityReport:
+def edge_minimality(graph: OrientedHypergraph) -> MinimalityReport:
     """Classify each edge as essential or redundant for Property O.
 
     The input must have Property O.  An edge is redundant when the graph
@@ -561,14 +507,14 @@ def edge_minimality(
     carries a violating order of the reduced graph as a witness.
     """
     require_valid(graph)
-    if not check_property_o(graph, max_vertices=max_vertices).holds:
+    if not check_property_o(graph).holds:
         raise ValueError("edge minimality is only defined for Property O inputs")
     verdicts = []
     for i in range(len(graph.edges)):
         reduced = OrientedHypergraph(
             graph.k, graph.n, graph.edges[:i] + graph.edges[i + 1 :]
         )
-        cert = check_property_o(reduced, max_vertices=max_vertices)
+        cert = check_property_o(reduced)
         if cert.holds:
             verdicts.append(EdgeVerdict(index=i, essential=False, witness=None))
         else:

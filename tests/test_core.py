@@ -526,3 +526,12 @@ class TestCoverageKernel:
             assert find_violating_order_exhaustive(
                 OrientedHypergraph(graph.k, 11, edges)
             ) == witness + (8, 9, 10)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_order_up_to_first_accepted(self, jobs):
+        results = core.ordered_map(
+            math.isqrt, list(range(10)), jobs, until=lambda r: r >= 2
+        )
+        assert results == [0, 1, 1, 1, 2]

@@ -93,9 +93,12 @@ class TestRateEstimation:
         assert summary.rate == 0.0
 
     def test_worker_count_invariance(self):
-        serial = estimate_property_o_rate(3, 2, 1000, 2026, jobs=1)
-        parallel = estimate_property_o_rate(3, 2, 1000, 2026, jobs=8)
-        assert serial == parallel
+        # jobs=3 splits the trials unevenly; 8 jobs over 5 trials leaves
+        # more workers than trials
+        for trials, jobs in [(1000, 8), (1000, 3), (5, 8)]:
+            serial = estimate_property_o_rate(3, 2, trials, 2026, jobs=1)
+            parallel = estimate_property_o_rate(3, 2, trials, 2026, jobs=jobs)
+            assert serial == parallel, (trials, jobs)
 
     def test_summary_fields(self):
         summary = estimate_property_o_rate(4, 2, 200, 7)

@@ -20,6 +20,7 @@ from propertyo import (
     validate,
 )
 from propertyo.search import (
+    _census_unit,
     _coverage_masks,
     _tournament_from_counter,
     oriented_subset_tables,
@@ -82,7 +83,7 @@ class TestEnumerateTournaments:
             3,
             2,
             lambda t: pruned.append(t.edges) or True,
-            CensusOptions(symmetry_pruning=True),
+            symmetry=True,
         )
         assert len(pruned) < len(plain)
         assert set(pruned) <= set(plain)
@@ -137,10 +138,23 @@ class TestCensusEngine:
     def test_partition_determinism_full_count(self):
         for n, k in [(3, 2), (4, 2), (4, 3)]:
             base = census_property_o(n, k, stop_at_first=False)
-            for partitions in (2, 3, 7, 16):
+            for partitions in (2, 3, 7, 16, 40):
                 options = CensusOptions(parallel_partitions=partitions)
                 report = census_property_o(n, k, options, stop_at_first=False)
                 assert report.matches(base), (n, k, partitions)
+
+    def test_partition_counts_and_witness_counters(self):
+        # every partition reports its own range's counts and smallest
+        # witness counter, not only the globally first witness
+        n, k, depth = 4, 2, 3
+        suffix = 2 ** (math.comb(n, k) - depth)
+        for prefix in range(2**depth):
+            counters = range(prefix * suffix, (prefix + 1) * suffix)
+            witnesses = [
+                c for c in counters if violating_order_for_counter(n, k, c) is None
+            ]
+            result = _census_unit((n, k, depth, prefix, prefix + 1, False, 0))
+            assert result == (suffix, len(witnesses), min(witnesses, default=None))
 
     def test_first_witness_is_smallest_counter(self):
         report = census_property_o(3, 2, stop_at_first=True)
@@ -198,18 +212,12 @@ class TestVertexLowerBound:
         with pytest.raises(ValueError):
             prove_vertex_lower_bound(2, 3)
 
-    def test_symmetry_pruning_refused(self):
-        options = CensusOptions(symmetry_pruning=True)
-        for run in (census_property_o, prove_vertex_lower_bound):
-            with pytest.raises(ValueError, match="tournament_census"):
-                run(4, 3, options)
-
 
 class TestSymmetrySoundness:
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
     def test_pruned_census_agrees_on_existence(self, n, k):
         plain = tournament_census(n, k)
-        pruned = tournament_census(n, k, CensusOptions(symmetry_pruning=True))
+        pruned = tournament_census(n, k, symmetry=True)
         assert (plain.property_o_found > 0) == (pruned.property_o_found > 0)
         assert pruned.total_enumerated <= plain.total_enumerated
 
@@ -221,7 +229,7 @@ class TestSymmetrySoundness:
             3,
             2,
             lambda t: canonical.append(t) or True,
-            CensusOptions(symmetry_pruning=True),
+            symmetry=True,
         )
         for tournament in canonical:
             for rho in itertools.permutations(range(3)):
