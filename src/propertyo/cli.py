@@ -42,14 +42,9 @@ from .constructions import (
     min_edges_upper_bound,
     ten_edge_3graph,
 )
-from .fileformat import HypergraphFormatError, read_hypergraph, write_hypergraph
+from .fileformat import read_hypergraph, write_hypergraph
 from .montecarlo import estimate_property_o_rate
-from .search import (
-    CensusOptions,
-    edge_minimality,
-    prove_vertex_lower_bound,
-    tournament_census,
-)
+from .search import CensusOptions, edge_minimality, prove_vertex_lower_bound
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -114,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--symmetry",
         action="store_true",
-        help="visit one tournament per isomorphism class (small n only)",
+        help="accepted; has no effect (lex-leader pruning is always on)",
     )
     p.add_argument(
         "--progress", type=int, default=0, help="progress line interval (stderr)"
@@ -226,10 +221,7 @@ def _cmd_census(args) -> int:
         parallel_partitions=max(1, args.jobs),
         progress_interval=args.progress,
     )
-    if args.symmetry:
-        report = tournament_census(args.n, args.k, options, symmetry=True)
-    else:
-        report = prove_vertex_lower_bound(args.n, args.k, options)
+    report = prove_vertex_lower_bound(args.n, args.k, options)
     print(f"n={report.n}")
     print(f"k={report.k}")
     print(f"total_enumerated={report.total_enumerated}")
@@ -243,7 +235,8 @@ def _cmd_census(args) -> int:
         print(f"first_witness={edges}")
     print(f"elapsed_seconds={report.elapsed_seconds:.3f}")
     print(f"parallel_partitions={options.parallel_partitions}")
-    print(f"symmetry_pruning={str(args.symmetry).lower()}")
+    # every CLI census is a first-witness sweep, which skips non-leaders
+    print("symmetry_pruning=true")
     return EXIT_OK if report.property_o_found == 0 else EXIT_NEGATIVE
 
 
@@ -299,9 +292,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except HypergraphFormatError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except BudgetExceededError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -25,6 +25,7 @@ wider than 9! bits and the decider stops at the first uncovered block.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -214,11 +215,12 @@ def ordered_map(
 ) -> list:
     """``func`` over ``tasks``, results in task order.
 
-    With ``jobs`` > 1 and several tasks the calls run in a fork pool of at
-    most ``jobs`` workers (and no more than tasks or CPUs).  The map ends
-    after the first result that ``until`` accepts; that result is the last
-    in the list, and leaving the pool terminates the workers still running.
-    Tasks and results are pickled, so keep them small.
+    With ``jobs`` > 1 and several tasks each call runs in a forked process
+    of its own, at most ``jobs`` (and no more than CPUs) at a time.  The map
+    ends after the first result that ``until`` accepts; that result is the
+    last in the list, and the processes still running are killed.  A
+    worker's exception is raised again here.  Results are pickled, so keep
+    them small.
     """
 
     def take(results: Iterable[Any]) -> list:
@@ -231,9 +233,67 @@ def ordered_map(
 
     if jobs <= 1 or len(tasks) <= 1:
         return take(map(func, tasks))
-    processes = min(jobs, len(tasks), multiprocessing.cpu_count())
-    with multiprocessing.get_context("fork").Pool(processes) as pool:
-        return take(pool.imap(func, tasks))
+    processes = min(jobs, multiprocessing.cpu_count())
+    with contextlib.closing(_forked_map(func, tasks, processes)) as results:
+        return take(results)
+
+
+def _send_outcome(func: Callable[[Any], Any], task: Any, conn) -> None:
+    try:
+        outcome = (True, func(task))
+    except Exception as exc:  # raised again in the parent
+        outcome = (False, exc)
+    conn.send(outcome)
+
+
+def _forked_map(
+    func: Callable[[Any], Any], tasks: Sequence[Any], processes: int
+) -> Iterator[Any]:
+    """Yield ``func(task)`` in task order, each computed in a forked child
+    that sends its outcome down a pipe of its own.
+
+    Closing the generator kills the children still running.  With no queue
+    or lock shared between children, a killed child cannot leave one held:
+    a ``multiprocessing.Pool`` can hang in ``terminate`` when a worker dies
+    while writing its result.
+    """
+    import multiprocessing.connection  # here: it pulls in subprocess and locale
+
+    context = multiprocessing.get_context("fork")
+    waiting = iter(enumerate(tasks))
+    running: dict[Any, tuple[int, Any]] = {}  # pipe end -> (index, child)
+    outcomes: dict[int, tuple[bool, Any]] = {}
+    try:
+        for index in range(len(tasks)):
+            while index not in outcomes:
+                for i, task in itertools.islice(waiting, processes - len(running)):
+                    reader, writer = context.Pipe(duplex=False)
+                    child = context.Process(
+                        target=_send_outcome, args=(func, task, writer), daemon=True
+                    )
+                    child.start()
+                    writer.close()
+                    running[reader] = (i, child)
+                for reader in multiprocessing.connection.wait(list(running)):
+                    i, child = running.pop(reader)
+                    try:
+                        outcomes[i] = reader.recv()
+                    except EOFError:
+                        raise InternalError(
+                            f"internal error: worker of task {i} sent no result"
+                        ) from None
+                    finally:
+                        reader.close()
+                        child.join()
+            ok, value = outcomes.pop(index)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for reader, (_, child) in running.items():
+            child.kill()
+            child.join()
+            reader.close()
 
 
 # ---------------------------------------------------------------------------

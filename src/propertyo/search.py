@@ -25,6 +25,16 @@ verified violating order.  Subtrees whose uncovered orders outnumber what
 the remaining subsets could possibly cover (each covers n!/k! orders) are
 discarded in bulk.  The masks, n! bits each, come from the order-coverage
 kernel in :mod:`propertyo.core`.
+
+A first-witness sweep also skips every prefix of the first k+1 digits that
+is not a lex-leader: a prefix P is skipped when some relabelling rho of
+vertices 0..k maps it to a smaller prefix (Crawford, Ginsberg, Luks & Roy,
+KR 1996).  This is sound because rho, fixing every other vertex, maps the
+first k+1 colex subsets (the k-subsets of {0..k}) onto themselves, so the
+image prefix rhoP does not depend on the remaining digits.  Every tournament
+T under P then has the relabelling rhoT with a smaller counter, and rhoT has
+Property O exactly when T does.  So the smallest-counter witness always has
+a leader prefix and is never skipped.  Skipped tournaments count as decided.
 """
 
 from __future__ import annotations
@@ -33,8 +43,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
 
 from .core import (
     BudgetExceededError,
@@ -51,21 +60,18 @@ from .core import (
 )
 from .constructions import min_edges_lower_bound
 
-VisitResult = bool  # a visitor returns False to stop the enumeration
-
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS.
 _MAX_SPACE_BITS = 64
 
 
 @dataclass(frozen=True)
 class CensusOptions:
-    """Knobs honoured by every census operation.
+    """Knobs of :func:`census_property_o` and :func:`prove_vertex_lower_bound`.
 
     Report contents are independent of ``parallel_partitions``, which is
     both the number of contiguous counter ranges and the worker cap.
-    ``progress_interval`` > 0 emits "examined=... elapsed=..." lines to
-    stderr roughly every that many tournaments, per worker; the mask census
-    adds the worker's "found=..." count.
+    ``progress_interval`` > 0 emits "examined=... found=... elapsed=..."
+    lines to stderr roughly every that many tournaments, per worker.
     """
 
     parallel_partitions: int = 1
@@ -78,9 +84,9 @@ class SearchReport:
 
     ``total_enumerated`` is the number of tournaments decided: the full
     space size (k!)**C(n,k) when every tournament was decided, the witness
-    counter plus one when a first-witness search found one, the number of
-    canonical forms visited by a symmetry-pruned :func:`tournament_census`,
-    and 0 when the edge-count rejection applies.  None of it depends on the
+    counter plus one when a first-witness search found one, and 0 when the
+    edge-count rejection applies.  Tournaments skipped as relabellings of
+    smaller ones count as decided.  None of it depends on the
     partitioning.  ``property_o_found`` is the exact count in a full census
     and 0 or 1 in a first-witness search, and ``first_witness`` is the
     smallest-counter witness.
@@ -169,12 +175,47 @@ def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
     return masks, full
 
 
+def _leader_tables(n: int, k: int) -> list[list[list[tuple[int, int]]]]:
+    """For each non-identity permutation of vertices 0..k, the image
+    (subset, orientation) of every (subset, orientation) among the first
+    k+1 colex subsets, which are the k-subsets of {0..k}."""
+    subsets, oriented = oriented_subset_tables(n, k)
+    subset_index = {s: t for t, s in enumerate(subsets[: k + 1])}
+    tables = []
+    for rho in itertools.permutations(range(k + 1)):
+        if rho == tuple(range(k + 1)):
+            continue
+        table = []
+        for row in oriented[: k + 1]:
+            images = [tuple(rho[v] for v in edge) for edge in row]
+            table.append(
+                [(subset_index[tuple(sorted(i))], rank_permutation(i)) for i in images]
+            )
+        tables.append(table)
+    return tables
+
+
+def _is_leader(digits: tuple[int, ...], tables) -> bool:
+    """Whether no relabelling in ``tables`` maps the digits of the first
+    k+1 subsets to a lexicographically smaller digit tuple."""
+    for table in tables:
+        image = [0] * len(digits)
+        for t, o in enumerate(digits):
+            t2, o2 = table[t][o]
+            image[t2] = o2
+        if tuple(image) < digits:
+            return False
+    return True
+
+
 def _census_unit(args) -> tuple[int, int, int | None]:
     """Walk the census counter range of one partition.
 
     ``args`` is (n, k, depth, lo, hi, stop_first, progress_interval): the
     partition is the prefixes of ranks lo..hi-1, in counter order, of the
-    first ``depth`` digits (0 <= depth < C(n,k)).  Each prefix's masks are
+    first ``depth`` digits (0 <= depth < C(n,k)).  In stop_first mode with
+    depth > k, a prefix whose first k+1 digits are not a lex-leader is
+    counted as decided without a walk.  Each other prefix's masks are
     intersected up front and the recursion walks the remaining digits, so a
     prefix that already covers every order is reported by the recursion's
     next digit like any other witness.  The worker builds its own masks
@@ -204,11 +245,11 @@ def _census_unit(args) -> tuple[int, int, int | None]:
         nonlocal next_report
         if next_report is not None and enumerated >= next_report:
             elapsed = time.perf_counter() - start_time
-            print(
-                f"examined={enumerated} found={found} elapsed={elapsed:.1f}",
-                file=sys.stderr,
-                flush=True,
+            # one write per line, so lines from several workers stay whole
+            sys.stderr.write(
+                f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
             )
+            sys.stderr.flush()
             while next_report <= enumerated:
                 next_report += progress_interval
 
@@ -254,8 +295,14 @@ def _census_unit(args) -> tuple[int, int, int | None]:
                     return True
         return False
 
+    skip_non_leaders = stop_first and depth > k
+    tables = _leader_tables(n, k) if skip_non_leaders else []
     prefixes = itertools.product(range(fact_k), repeat=depth)
     for prefix in itertools.islice(prefixes, lo, hi):
+        if skip_non_leaders and not _is_leader(prefix[: k + 1], tables):
+            enumerated += pow_fk[m - depth]
+            report_progress()
+            continue
         uncovered = full
         base_counter = 0
         for d, o in enumerate(prefix):
@@ -288,9 +335,9 @@ def census_property_o(
 ) -> SearchReport:
     """Sweep every k-tournament on n vertices for Property O.
 
-    With ``stop_at_first`` the sweep ends at the smallest-counter witness;
-    otherwise every tournament is decided and ``property_o_found`` is the
-    exact count.  Partitions are contiguous counter ranges, so the report is
+    With ``stop_at_first`` the sweep skips non-leader prefixes and ends at
+    the smallest-counter witness; otherwise every tournament is walked and
+    ``property_o_found`` is the exact count.  Partitions are contiguous counter ranges, so the report is
     identical for any ``parallel_partitions``.
     """
     options = options or CensusOptions()
@@ -304,6 +351,10 @@ def census_property_o(
     depth = 0
     while fact_k**depth < partitions and depth < subset_count - 1:
         depth += 1
+    # a first-witness walk skips prefixes that are not lex-leaders on the
+    # first k+1 subsets; with only k+1 subsets there is nothing to walk
+    if stop_at_first and subset_count > k + 1:
+        depth = max(depth, k + 1)
     prefix_count = fact_k**depth
     bounds = [prefix_count * i // partitions for i in range(partitions + 1)]
     tasks = [
@@ -342,127 +393,6 @@ def census_property_o(
     )
 
 
-def _relabel_tables(
-    n: int, k: int
-) -> list[list[list[tuple[int, int]]]]:
-    """For each non-identity vertex permutation, the (subset, orientation)
-    image table used by the canonical-form check."""
-    subsets, oriented = oriented_subset_tables(n, k)
-    subset_index = {s: t for t, s in enumerate(subsets)}
-    fact_k = math.factorial(k)
-    tables = []
-    for rho in itertools.permutations(range(n)):
-        if rho == tuple(range(n)):
-            continue
-        table: list[list[tuple[int, int]]] = []
-        for t, s in enumerate(subsets):
-            row = []
-            for o in range(fact_k):
-                image = tuple(rho[v] for v in oriented[t][o])
-                t2 = subset_index[tuple(sorted(image))]
-                row.append((t2, rank_permutation(image)))
-            table.append(row)
-        tables.append(table)
-    return tables
-
-
-def enumerate_tournaments(
-    n: int,
-    k: int,
-    visitor: Callable[[OrientedHypergraph], VisitResult],
-    options: CensusOptions | None = None,
-    *,
-    symmetry: bool = False,
-) -> SearchReport:
-    """Visit every k-tournament on n vertices in counter order.
-
-    The visitor receives each tournament as an :class:`OrientedHypergraph`
-    and returns False to stop.  With ``symmetry`` only assignments that
-    are lexicographically minimal under vertex relabelling are visited, one
-    per isomorphism class, at a cost of n! relabellings per candidate.
-    This enumeration materialises every tournament and is meant for small
-    spaces; the Property O census proper goes through
-    :func:`census_property_o`.  Progress lines carry no found count, since
-    only the visitor knows it.  ``parallel_partitions`` is not used.
-    """
-    options = options or CensusOptions()
-    subset_count = _check_space(n, k)
-    _, oriented = oriented_subset_tables(n, k)
-    fact_k = math.factorial(k)
-    tables = _relabel_tables(n, k) if symmetry else []
-
-    start = time.perf_counter()
-    visited = 0
-    next_report = options.progress_interval if options.progress_interval > 0 else None
-    for digits in itertools.product(range(fact_k), repeat=subset_count):
-        if symmetry:
-            canonical = True
-            for table in tables:
-                image = [0] * subset_count
-                for t, o in enumerate(digits):
-                    t2, o2 = table[t][o]
-                    image[t2] = o2
-                if tuple(image) < digits:
-                    canonical = False
-                    break
-            if not canonical:
-                continue
-        visited += 1
-        tournament = OrientedHypergraph(
-            k, n, tuple(oriented[t][o] for t, o in enumerate(digits))
-        )
-        if next_report is not None and visited >= next_report:
-            elapsed = time.perf_counter() - start
-            print(
-                f"examined={visited} elapsed={elapsed:.1f}",
-                file=sys.stderr,
-                flush=True,
-            )
-            while next_report <= visited:
-                next_report += options.progress_interval
-        if visitor(tournament) is False:
-            break
-    return SearchReport(
-        n=n,
-        k=k,
-        total_enumerated=visited,
-        property_o_found=0,
-        first_witness=None,
-        elapsed_seconds=time.perf_counter() - start,
-        options=options,
-    )
-
-
-def tournament_census(
-    n: int,
-    k: int,
-    options: CensusOptions | None = None,
-    *,
-    symmetry: bool = False,
-) -> SearchReport:
-    """Full visitor-based census with a per-tournament Property O check.
-
-    With ``symmetry`` only canonical forms are visited (see
-    :func:`enumerate_tournaments`); counts every visited tournament with
-    Property O and records the first one found.  Only sensible for small
-    spaces; cross-checks :func:`census_property_o` in the tests.
-    """
-    options = options or CensusOptions()
-    found = 0
-    first: OrientedHypergraph | None = None
-
-    def visit(tournament: OrientedHypergraph) -> bool:
-        nonlocal found, first
-        if check_property_o(tournament, method="backtracking").holds:
-            found += 1
-            if first is None:
-                first = tournament
-        return True
-
-    report = enumerate_tournaments(n, k, visit, options, symmetry=symmetry)
-    return replace(report, property_o_found=found, first_witness=first)
-
-
 def prove_vertex_lower_bound(
     n: int, k: int, options: CensusOptions | None = None
 ) -> SearchReport:
@@ -473,7 +403,8 @@ def prove_vertex_lower_bound(
     C(n,k) <= k!, every n-vertex oriented k-graph falls below the k!+1 edge
     lower bound, so the census is skipped entirely and the report shows
     total_enumerated=0.  Otherwise the counter-ordered sweep stops at the
-    first witness.
+    first witness and skips the prefixes that are not lex-leaders (see the
+    module docstring).
     """
     options = options or CensusOptions()
     if k < 2 or n < k:

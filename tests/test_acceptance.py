@@ -90,6 +90,14 @@ def test_criterion_03_five_vertex_census():
         assert report.first_witness is None
         assert elapsed < 1800.0, f"took {elapsed:.0f}s"
 
+        # the verdict above skips non-leader prefixes; the full count
+        # decides every tournament and must agree
+        full = census_property_o(
+            5, 3, CensusOptions(parallel_partitions=2), stop_at_first=False
+        )
+        assert full.total_enumerated == 6**10
+        assert full.property_o_found == 0
+
         # determinism: identical reports with 1 and 8 workers on the n=4
         # census, both at the lower-bound wrapper and at the engine level
         wrapped_1 = prove_vertex_lower_bound(4, 3, CensusOptions(parallel_partitions=1))

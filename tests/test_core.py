@@ -1,6 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -535,3 +538,30 @@ class TestOrderedMap:
             math.isqrt, list(range(10)), jobs, until=lambda r: r >= 2
         )
         assert results == [0, 1, 1, 1, 2]
+
+    def test_worker_exception_is_raised(self):
+        def check(task):
+            if task == 3:
+                raise ValueError("task 3")
+            return task
+
+        with pytest.raises(ValueError, match="task 3"):
+            core.ordered_map(check, list(range(6)), 2)
+
+    def test_worker_without_result_is_internal_error(self):
+        def die(task):
+            os._exit(1)
+
+        with pytest.raises(core.InternalError):
+            core.ordered_map(die, [0, 1], 2)
+
+    def test_stop_kills_running_workers(self):
+        def slow_after_first(task):
+            if task > 0:
+                time.sleep(30)
+            return task
+
+        assert core.ordered_map(
+            slow_after_first, [0, 1, 2], 2, until=lambda r: True
+        ) == [0]
+        assert multiprocessing.active_children() == []

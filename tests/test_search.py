@@ -12,91 +12,42 @@ from propertyo import (
     cyclic_triangle,
     double_cycle_3graph,
     edge_minimality,
-    enumerate_tournaments,
     is_consistent,
     merged_ten_edge_3graph,
     prove_vertex_lower_bound,
-    tournament_census,
     validate,
 )
 from propertyo.search import (
     _census_unit,
     _coverage_masks,
+    _is_leader,
+    _leader_tables,
     _tournament_from_counter,
     oriented_subset_tables,
     violating_order_for_counter,
 )
 
 
-class TestEnumerateTournaments:
-    def test_counts_every_assignment(self):
-        for n, k, expected in [(3, 2, 8), (4, 3, 1296)]:
-            report = enumerate_tournaments(n, k, lambda t: True)
-            assert report.total_enumerated == expected
-            assert report.total_enumerated == math.factorial(k) ** math.comb(n, k)
-
-    def test_tournaments_are_valid_and_complete(self):
-        seen = []
-
-        def visit(tournament):
-            assert validate(tournament).ok
-            assert len(tournament.edges) == math.comb(4, 3)
-            seen.append(tournament.edges)
-            return True
-
-        enumerate_tournaments(4, 3, visit)
-        assert len(set(seen)) == 1296
-
-    def test_counter_order_first_tournament(self):
-        first = []
-
-        def visit(tournament):
-            first.append(tournament)
-            return False
-
-        report = enumerate_tournaments(4, 2, visit)
-        assert report.total_enumerated == 1
-        # all-zero digits: every edge is the ascending tuple of its subset
-        assert first[0].edges == tuple(
-            tuple(s) for s in oriented_subset_tables(4, 2)[0]
-        )
-
-    def test_visitor_stop(self):
-        count = [0]
-
-        def visit(tournament):
-            count[0] += 1
-            return count[0] < 5
-
-        report = enumerate_tournaments(3, 2, visit)
-        assert report.total_enumerated == 5
-
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_tournaments(9, 3, lambda t: True)
-
-    def test_symmetry_pruning_visits_canonical_forms_only(self):
-        plain = []
-        pruned = []
-        enumerate_tournaments(3, 2, lambda t: plain.append(t.edges) or True)
-        enumerate_tournaments(
-            3,
-            2,
-            lambda t: pruned.append(t.edges) or True,
-            symmetry=True,
-        )
-        assert len(pruned) < len(plain)
-        assert set(pruned) <= set(plain)
+def _visitor_census(n, k):
+    """Tests-only census: decide every counter with the backtracking
+    decider.  Returns (space size, witness count, first witness counter)."""
+    space = math.factorial(k) ** math.comb(n, k)
+    witnesses = [
+        c for c in range(space) if violating_order_for_counter(n, k, c) is None
+    ]
+    return space, len(witnesses), min(witnesses, default=None)
 
 
 class TestCensusEngine:
     def test_matches_visitor_census_on_small_spaces(self):
         for n, k in [(3, 2), (4, 2), (4, 3)]:
             fast = census_property_o(n, k, stop_at_first=False)
-            slow = tournament_census(n, k)
-            assert fast.total_enumerated == slow.total_enumerated
-            assert fast.property_o_found == slow.property_o_found
-            assert fast.first_witness == slow.first_witness
+            space, found, first = _visitor_census(n, k)
+            assert fast.total_enumerated == space
+            assert fast.property_o_found == found
+            assert fast.first_witness == (
+                None if first is None else _tournament_from_counter(n, k, first)
+            )
 
     def test_exact_counts(self):
         # 2-tournaments on n vertices violate Property O exactly when they
@@ -108,11 +59,40 @@ class TestCensusEngine:
             assert report.property_o_found == total - math.factorial(n)
 
     def test_first_witness_agrees_between_modes(self):
-        for n, k in [(3, 2), (4, 2), (5, 2), (4, 3)]:
-            stop = census_property_o(n, k, stop_at_first=True)
+        # the first-witness sweep skips non-leader prefixes; the full count
+        # skips nothing
+        for n, k in [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3)]:
             full = census_property_o(n, k, stop_at_first=False)
-            assert stop.first_witness == full.first_witness
             assert (full.property_o_found == 0) == (full.first_witness is None)
+            for partitions in (1, 2, 3, 7, 40):
+                options = CensusOptions(parallel_partitions=partitions)
+                stop = census_property_o(n, k, options, stop_at_first=True)
+                assert stop.first_witness == full.first_witness, (n, k, partitions)
+
+    def test_leaders_are_orbit_minima(self):
+        # brute force: relabel the first k+1 subsets' edges by every
+        # permutation of 0..k and keep the smallest digit tuple
+        for n, k, leaders in [(5, 2, 2), (5, 3, 60)]:
+            _, oriented = oriented_subset_tables(n, k)
+            head = oriented[: k + 1]
+            index = {tuple(sorted(row[0])): t for t, row in enumerate(head)}
+            tables = _leader_tables(n, k)
+            count = 0
+            for digits in itertools.product(range(math.factorial(k)), repeat=k + 1):
+                orbit = []
+                for rho in itertools.permutations(range(k + 1)):
+                    image = [0] * (k + 1)
+                    for t, o in enumerate(digits):
+                        edge = tuple(rho[v] for v in head[t][o])
+                        s = index[tuple(sorted(edge))]
+                        image[s] = head[s].index(edge)
+                    orbit.append(tuple(image))
+                minimal = digits == min(orbit)
+                assert _is_leader(digits, tables) == minimal, (n, k, digits)
+                count += minimal
+            assert count == leaders
+        # skipped prefixes count as decided: first digit 1..5 of (5, 3)
+        assert _census_unit((5, 3, 4, 216, 1296, True, 0)) == (1080 * 6**6, 0, None)
 
     def test_no_witness_on_4_3(self):
         report = census_property_o(4, 3, stop_at_first=True)
@@ -211,35 +191,6 @@ class TestVertexLowerBound:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             prove_vertex_lower_bound(2, 3)
-
-
-class TestSymmetrySoundness:
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
-    def test_pruned_census_agrees_on_existence(self, n, k):
-        plain = tournament_census(n, k)
-        pruned = tournament_census(n, k, symmetry=True)
-        assert (plain.property_o_found > 0) == (pruned.property_o_found > 0)
-        assert pruned.total_enumerated <= plain.total_enumerated
-
-    def test_canonical_forms_expand_to_full_space(self):
-        # every tournament must be a relabelling of some canonical form
-        canonical = []
-        tournament_ids = set()
-        enumerate_tournaments(
-            3,
-            2,
-            lambda t: canonical.append(t) or True,
-            symmetry=True,
-        )
-        for tournament in canonical:
-            for rho in itertools.permutations(range(3)):
-                image = OrientedHypergraph(
-                    2,
-                    3,
-                    tuple(tuple(rho[v] for v in e) for e in tournament.edges),
-                )
-                tournament_ids.add(frozenset(image.edges))
-        assert len(tournament_ids) == 8
 
 
 class TestEdgeMinimality:
