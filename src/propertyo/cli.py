@@ -1,7 +1,10 @@
 """Command-line interface.
 
 All reports go to stdout as ``key=value`` lines (plus the documented
-verify/minimality result lines); diagnostics go to stderr.  Exit codes:
+verify/minimality result lines); diagnostics go to stderr.  The search
+decider (``verify --method dfs``, and ``auto`` above 9 vertices) also
+reports its vertex placements as ``nodes=N``: at the end of the
+``PROPERTY_O`` line, or on the line after ``VIOLATION``.  Exit codes:
 
     0  success; for verify this means Property O holds, for census that no
        Property O tournament exists (so shell scripts can assert bounds)
@@ -157,10 +160,16 @@ def _cmd_verify(args) -> int:
     graph = read_hypergraph(args.file)
     cert = check_property_o(graph, method=_METHODS[args.method])
     if cert.holds:
-        print(f"PROPERTY_O method={cert.method} orders={cert.orders_examined}")
+        line = f"PROPERTY_O method={cert.method} orders={cert.orders_examined}"
+        if cert.nodes_expanded is not None:
+            line += f" nodes={cert.nodes_expanded}"
+        print(line)
         return EXIT_OK
     assert cert.violating_order is not None
     print("VIOLATION order=" + " ".join(str(v) for v in cert.violating_order))
+    if cert.nodes_expanded is not None:
+        # a line of its own: every field after "order=" is a vertex
+        print(f"nodes={cert.nodes_expanded}")
     return EXIT_NEGATIVE
 
 

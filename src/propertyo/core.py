@@ -21,6 +21,12 @@ The exhaustive decider and the histogram rest on one order-coverage kernel
 (:func:`_edge_mask`): bit p of an edge's mask is the order of lex rank p.
 Above 9 vertices the top lex blocks are walked in rank order, so no mask is
 wider than 9! bits and the decider stops at the first uncovered block.
+
+The search decider (:func:`_backtracking_search`) builds an order smallest
+element first.  Its state is k-1 bitmasks of edge indices: level i holds the
+alive edges whose first i vertices are already placed in order.  A prefix is
+rejected as soon as an edge would be left with only its last vertex to place,
+since every completion then leaves that edge consistent.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import contextlib
 import functools
 import itertools
 import math
-import multiprocessing
 import operator
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -233,7 +239,7 @@ def ordered_map(
 
     if jobs <= 1 or len(tasks) <= 1:
         return take(map(func, tasks))
-    processes = min(jobs, multiprocessing.cpu_count())
+    processes = min(jobs, os.cpu_count() or 1)
     with contextlib.closing(_forked_map(func, tasks, processes)) as results:
         return take(results)
 
@@ -257,7 +263,9 @@ def _forked_map(
     a ``multiprocessing.Pool`` can hang in ``terminate`` when a worker dies
     while writing its result.
     """
-    import multiprocessing.connection  # here: it pulls in subprocess and locale
+    # imported here, not at module level: multiprocessing and the subprocess
+    # and locale modules it pulls in would slow every CLI start
+    import multiprocessing.connection
 
     context = multiprocessing.get_context("fork")
     waiting = iter(enumerate(tasks))
@@ -500,85 +508,48 @@ def _backtracking_search(
 ) -> tuple[LinearOrder | None, int]:
     """Return (some violating order or None, placements tried).
 
-    The order is built smallest element first.  Every edge tracks the index
-    of the vertex it expects next; placing that vertex advances the edge,
-    while placing any other of its vertices kills it for the current branch
-    (the edge can no longer be consistent).  A fully advanced edge is
-    consistent with every completion of the prefix, so the prefix is
-    abandoned.  Once every edge is dead, any completion violates, and the
-    remaining vertices are appended in ascending order.
+    The order is built smallest element first, over k-1 bit levels of edge
+    indices: ``levels[i]`` holds the alive edges whose first i vertices are
+    placed in order, so they expect their i-th vertex next.  Placing v moves
+    the edges that expect v up one level and drops every other alive edge
+    containing v, which can no longer be consistent.  An edge that would be
+    left expecting only its last vertex is consistent with every completion
+    of the prefix, so the prefix is rejected at once.  Once no edge is alive,
+    any completion violates, and the remaining vertices are appended in
+    ascending order.  Vertices are tried in ascending order; every placement
+    tried counts, rejected ones included.
     """
-    n = graph.n
-    edges = graph.edges
-    m = len(edges)
-    k = graph.k
-
-    if m == 0:
-        return tuple(range(n)), 0
-
-    edges_of: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            edges_of[v].append(ei)
-
-    next_index = [0] * m
-    alive = [True] * m
-    dead_count = 0
-    used = [False] * n
-    prefix: list[int] = []
+    n, k = graph.n, graph.k
+    at = [[0] * (k - 1) for _ in range(n)]  # at[v][i]: edges with i-th vertex v
+    has = [0] * n  # has[v]: edges containing v
+    for ei, e in enumerate(graph.edges):
+        for i, v in enumerate(e):
+            has[v] |= 1 << ei
+            if i < k - 1:
+                at[v][i] |= 1 << ei
     nodes = 0
 
-    def place(v: int) -> list[tuple[str, int]] | None:
-        nonlocal dead_count
-        changes: list[tuple[str, int]] = []
-        for ei in edges_of[v]:
-            if not alive[ei]:
-                continue
-            if edges[ei][next_index[ei]] == v:
-                next_index[ei] += 1
-                changes.append(("advance", ei))
-                if next_index[ei] == k:
-                    # edge consistent with any completion: reject this prefix
-                    undo(changes)
-                    return None
-            else:
-                alive[ei] = False
-                dead_count += 1
-                changes.append(("kill", ei))
-        return changes
-
-    def undo(changes: list[tuple[str, int]]) -> None:
-        nonlocal dead_count
-        for kind, ei in reversed(changes):
-            if kind == "advance":
-                next_index[ei] -= 1
-            else:
-                alive[ei] = True
-                dead_count -= 1
-
-    def search() -> LinearOrder | None:
+    def search(levels: list[int], rest: list[int]) -> LinearOrder | None:
+        """A violating order of the ``rest`` vertices, or None."""
         nonlocal nodes
-        if dead_count == m:
-            tail = [v for v in range(n) if not used[v]]
-            return tuple(prefix) + tuple(tail)
-        for v in range(n):
-            if used[v]:
-                continue
+        if not any(levels):
+            return tuple(rest)
+        for v in rest:
             nodes += 1
-            changes = place(v)
-            if changes is None:
-                continue
-            used[v] = True
-            prefix.append(v)
-            result = search()
-            if result is not None:
-                return result
-            prefix.pop()
-            used[v] = False
-            undo(changes)
+            at_v = at[v]
+            if levels[-1] & at_v[-1]:
+                continue  # an edge would have only its last vertex left
+            keep = ~has[v]
+            moved = [levels[0] & keep]
+            for i in range(1, k - 1):
+                moved.append(levels[i] & keep | levels[i - 1] & at_v[i - 1])
+            order = search(moved, [u for u in rest if u != v])
+            if order is not None:
+                return (v,) + order
         return None
 
-    return search(), nodes
+    every_edge = (1 << len(graph.edges)) - 1
+    return search([every_edge] + [0] * (k - 2), list(range(n))), nodes
 
 
 def find_violating_order_backtracking(

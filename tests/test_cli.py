@@ -88,6 +88,16 @@ class TestVerify:
         assert run_cli("verify", path, "--method", "dfs") == 0
         assert "method=backtracking" in capsys.readouterr().out
 
+    def test_method_dfs_reports_placements(self, tmp_path, capsys):
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        assert run_cli("verify", path, "--method", "dfs") == 0
+        assert capsys.readouterr().out == (
+            "PROPERTY_O method=backtracking orders=0 nodes=8010\n"
+        )
+        path = write(tmp_path, "single.hg", "k 3\nn 3\ne 0 1 2\n")
+        assert run_cli("verify", path, "--method", "dfs") == 1
+        assert capsys.readouterr().out == "VIOLATION order=0 2 1\nnodes=3\n"
+
     def test_method_brute_budget_refusal(self, tmp_path, capsys):
         lines = ["k 2", "n 13", "e 0 1"]
         path = write(tmp_path, "big.hg", "\n".join(lines) + "\n")
@@ -265,6 +275,17 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert out.read_text() == "k 2\nn 3\ne 0 1\ne 1 2\ne 2 0\n"
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # the worker pool imports it on first use, not every CLI start
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, propertyo.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_help_documents_exit_codes(self, capsys):
         assert run_cli("--help") == 0

@@ -1,3 +1,4 @@
+import graphlib
 import itertools
 import math
 import multiprocessing
@@ -41,6 +42,18 @@ def brute_force_violating_orders(graph):
         if not any(is_consistent(e, perm) for e in graph.edges):
             out.append(perm)
     return out
+
+
+def random_graph(rng, k, n):
+    """A random oriented k-graph on n vertices: empty, partial or complete."""
+    subsets = list(itertools.combinations(range(n), k))
+    rng.shuffle(subsets)
+    size = rng.choice([0, len(subsets), rng.randint(0, len(subsets))])
+    edges = tuple(
+        unrank_permutation(rng.randrange(math.factorial(k)), s)
+        for s in subsets[:size]
+    )
+    return OrientedHypergraph(k, n, edges)
 
 
 @st.composite
@@ -228,12 +241,50 @@ class TestBacktrackingFinder:
                         not is_consistent(e, backtracked) for e in reduced.edges
                     )
 
+    def test_k2_oracle_is_topological_sort(self):
+        # a 2-graph has a violating order iff reversing every edge leaves an
+        # acyclic digraph; the violating orders are its topological orders
+        rng = random.Random(2)
+        for _ in range(300):
+            graph = random_graph(rng, 2, rng.randint(0, 8))
+            sorter = graphlib.TopologicalSorter({v: () for v in range(graph.n)})
+            for a, b in graph.edges:
+                sorter.add(a, b)  # b must come before a
+            try:
+                tuple(sorter.static_order())
+                acyclic = True
+            except graphlib.CycleError:
+                acyclic = False
+            order = find_violating_order_backtracking(graph)
+            assert (order is None) == (not acyclic), graph
+            if order is not None:
+                position = {v: i for i, v in enumerate(order)}
+                assert sorted(order) == list(range(graph.n))
+                assert all(position[b] < position[a] for a, b in graph.edges)
+
+    def test_agrees_with_exhaustive_on_random_graphs(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(1000):
+            k = rng.randint(2, 4)
+            graph = random_graph(rng, k, rng.randint(0, 7))
+            exhaustive = find_violating_order_exhaustive(graph)
+            backtracked = find_violating_order_backtracking(graph)
+            assert (exhaustive is None) == (backtracked is None), graph
+            if backtracked is not None:
+                assert sorted(backtracked) == list(range(graph.n))
+                assert not any(is_consistent(e, backtracked) for e in graph.edges)
+            verdicts.add((k, backtracked is None))
+        # both verdicts occur at k = 2 and 3 (no random 4-graph on at most
+        # 7 vertices drawn here has Property O)
+        assert verdicts == {(2, True), (2, False), (3, True), (3, False), (4, False)}
+
     def test_nodes_expanded_regression(self):
         expected = {
-            "ten_edge": 52048,
-            "double_cycle": 1020,
-            "merged_ten_edge": 1208,
-            "general_k3": 52048,
+            "ten_edge": 8010,
+            "double_cycle": 402,
+            "merged_ten_edge": 284,
+            "general_k3": 8010,
         }
         for name, graph in fixture_graphs():
             if name in expected:
