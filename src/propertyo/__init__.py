@@ -9,124 +9,57 @@ all k-tournaments on few vertices, and estimate Property O rates by seeded
 Monte Carlo, all behind the ``propertyo`` command-line tool.
 """
 
-from .core import (
-    AUTO,
-    BACKTRACKING,
-    EXHAUSTIVE,
-    PROPERTY_O,
-    STRUCTURED,
-    VIOLATED,
-    AuditReport,
-    BudgetExceededError,
-    CoverageHistogram,
-    InternalError,
-    LinearOrder,
-    OrientedEdge,
-    OrientedHypergraph,
-    ValidationResult,
-    VerificationCertificate,
-    check_property_o,
-    count_consistent_orders,
-    coverage_histogram,
-    find_violating_order_backtracking,
-    find_violating_order_exhaustive,
-    is_consistent,
-    lower_bound_audit,
-    relabel,
-    reverse,
-    support_restriction,
-    validate,
-)
-from .constructions import (
-    CaseCoverageReport,
-    CaseWitness,
-    GeneralLayout,
-    ReplacementPlan,
-    cyclic_triangle,
-    double_cycle_3graph,
-    general_construction,
-    insert_at,
-    merged_ten_edge_3graph,
-    min_edges_lower_bound,
-    min_edges_upper_bound,
-    permutation_at,
-    structured_coverage_check,
-    ten_edge_3graph,
-)
-from .fileformat import (
-    HypergraphFormatError,
-    parse_hypergraph,
-    read_hypergraph,
-    serialize_hypergraph,
-    write_hypergraph,
-)
-from .montecarlo import TrialSummary, estimate_property_o_rate, random_tournament
-from .search import (
-    CensusOptions,
-    EdgeVerdict,
-    MinimalityReport,
-    SearchReport,
-    census_property_o,
-    edge_minimality,
-    prove_vertex_lower_bound,
-)
+import importlib
+
+# Exports resolve on first access (PEP 562), so importing the package, or
+# running one CLI subcommand, loads only the modules that are used.
+_EXPORTS = {
+    "core": (
+        "AUTO", "BACKTRACKING", "EXHAUSTIVE", "PROPERTY_O", "STRUCTURED", "VIOLATED",
+        "AuditReport", "BudgetExceededError", "CoverageHistogram", "InternalError",
+        "LinearOrder", "OrientedEdge", "OrientedHypergraph", "ValidationResult",
+        "VerificationCertificate", "check_property_o", "count_consistent_orders",
+        "coverage_histogram", "find_violating_order_backtracking",
+        "find_violating_order_exhaustive", "is_consistent", "lower_bound_audit",
+        "relabel", "reverse", "support_restriction", "validate",
+    ),
+    "constructions": (
+        "CaseCoverageReport", "CaseWitness", "GeneralLayout", "ReplacementPlan",
+        "cyclic_triangle", "double_cycle_3graph", "general_construction", "insert_at",
+        "merged_ten_edge_3graph", "min_edges_lower_bound", "min_edges_upper_bound",
+        "permutation_at", "structured_coverage_check", "ten_edge_3graph",
+    ),
+    "fileformat": (
+        "HypergraphFormatError", "parse_hypergraph", "read_hypergraph",
+        "serialize_hypergraph", "write_hypergraph",
+    ),
+    "montecarlo": (
+        "TrialSummary", "estimate_property_o_rate", "random_tournament",
+    ),
+    "search": (
+        "CensusOptions", "EdgeVerdict", "MinimalityReport", "SearchReport",
+        "census_property_o", "edge_minimality", "prove_vertex_lower_bound",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTO",
-    "BACKTRACKING",
-    "EXHAUSTIVE",
-    "PROPERTY_O",
-    "STRUCTURED",
-    "VIOLATED",
-    "AuditReport",
-    "BudgetExceededError",
-    "CaseCoverageReport",
-    "CaseWitness",
-    "CensusOptions",
-    "CoverageHistogram",
-    "EdgeVerdict",
-    "GeneralLayout",
-    "HypergraphFormatError",
-    "InternalError",
-    "LinearOrder",
-    "MinimalityReport",
-    "OrientedEdge",
-    "OrientedHypergraph",
-    "ReplacementPlan",
-    "SearchReport",
-    "TrialSummary",
-    "ValidationResult",
-    "VerificationCertificate",
-    "census_property_o",
-    "check_property_o",
-    "count_consistent_orders",
-    "coverage_histogram",
-    "cyclic_triangle",
-    "double_cycle_3graph",
-    "edge_minimality",
-    "estimate_property_o_rate",
-    "find_violating_order_backtracking",
-    "find_violating_order_exhaustive",
-    "general_construction",
-    "insert_at",
-    "is_consistent",
-    "lower_bound_audit",
-    "merged_ten_edge_3graph",
-    "min_edges_lower_bound",
-    "min_edges_upper_bound",
-    "parse_hypergraph",
-    "permutation_at",
-    "prove_vertex_lower_bound",
-    "random_tournament",
-    "read_hypergraph",
-    "relabel",
-    "reverse",
-    "serialize_hypergraph",
-    "structured_coverage_check",
-    "support_restriction",
-    "ten_edge_3graph",
-    "validate",
-    "write_hypergraph",
-]
+# constants, then classes, then functions
+__all__ = sorted(
+    _MODULE_OF, key=lambda name: (not name.isupper(), not name[0].isupper(), name)
+)
+
+
+def __getattr__(name: str):
+    """Import the defining module of an export and cache the name here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,16 @@ reports its vertex placements as ``nodes=N``: at the end of the
     3  invalid input data (malformed hypergraph file, bad index, ...)
     4  enumeration budget refused
     5  I/O failure
-    6  internal error: a self-check failed, so no result was reported
+    6  internal error: a self-check failed or an unexpected exception was
+       raised, so no result was reported
+
+A process runs one subcommand, and Python start-up is most of a short
+call's time.  So the module imports ``core`` and ``fileformat`` (which
+``verify``, ``histogram`` and ``audit`` need) and nothing else of the
+package: the names taken from ``constructions``, ``search`` and
+``montecarlo`` resolve on first use.  Each handler binds the ones it calls
+with :func:`_load`, which keeps a name that is already bound, so a name
+swapped on this module (``setattr``) is the one the handler calls.
 """
 
 from __future__ import annotations
@@ -35,19 +44,43 @@ from .core import (
     count_consistent_orders,
     lower_bound_audit,
 )
-from .constructions import (
-    GeneralLayout,
-    cyclic_triangle,
-    double_cycle_3graph,
-    general_construction,
-    merged_ten_edge_3graph,
-    min_edges_lower_bound,
-    min_edges_upper_bound,
-    ten_edge_3graph,
-)
 from .fileformat import read_hypergraph, write_hypergraph
-from .montecarlo import estimate_property_o_rate
-from .search import CensusOptions, edge_minimality, prove_vertex_lower_bound
+
+# resolved through the package's lazy exports (PEP 562) on first use
+_LAZY_NAMES = frozenset(
+    {
+        # constructions
+        "GeneralLayout",
+        "cyclic_triangle",
+        "double_cycle_3graph",
+        "general_construction",
+        "merged_ten_edge_3graph",
+        "min_edges_lower_bound",
+        "min_edges_upper_bound",
+        "ten_edge_3graph",
+        # montecarlo
+        "estimate_property_o_rate",
+        # search
+        "CensusOptions",
+        "edge_minimality",
+        "prove_vertex_lower_bound",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _load(*names: str) -> None:
+    """Bind each of ``names`` that is not yet a module global."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -132,6 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
+    _load(
+        "general_construction",
+        "cyclic_triangle",
+        "ten_edge_3graph",
+        "double_cycle_3graph",
+        "merged_ten_edge_3graph",
+    )
     if args.family == "general":
         if args.k is None:
             print("construct: --family general requires --k", file=sys.stderr)
@@ -214,6 +254,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_minimality(args) -> int:
+    _load("edge_minimality")
     graph = read_hypergraph(args.file)
     report = edge_minimality(graph)
     for verdict in report.verdicts:
@@ -226,6 +267,7 @@ def _cmd_minimality(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _load("CensusOptions", "prove_vertex_lower_bound")
     options = CensusOptions(
         parallel_partitions=max(1, args.jobs),
         progress_interval=args.progress,
@@ -250,6 +292,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _load("estimate_property_o_rate")
     summary = estimate_property_o_rate(
         args.n, args.k, args.trials, args.seed, jobs=max(1, args.jobs)
     )
@@ -264,6 +307,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    _load("GeneralLayout", "min_edges_upper_bound", "min_edges_lower_bound")
     k = args.k
     if k < 3:
         print("stats: --k must be at least 3", file=sys.stderr)
@@ -312,6 +356,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
     except InternalError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: exit 1 would read as a verdict
+        import traceback
+
+        traceback.print_exc()
+        print(f"{args.command}: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

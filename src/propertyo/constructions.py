@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
@@ -29,14 +28,14 @@ from .core import (
     STRUCTURED,
     InternalError,
     OrientedHypergraph,
+    Record,
     VerificationCertificate,
     is_consistent,
     unrank_permutation,
 )
 
 
-@dataclass(frozen=True)
-class GeneralLayout:
+class GeneralLayout(Record):
     """Vertex index layout of :func:`general_construction` for uniformity k.
 
     Core vertices x_1..x_{k-1} come first, then the anchor trailing
@@ -45,6 +44,7 @@ class GeneralLayout:
     own counting.
     """
 
+    __slots__ = ("k",)
     k: int
 
     @property
@@ -74,8 +74,7 @@ class GeneralLayout:
         return (self.k - 1) + self.permutation_count + (j - 1) * (self.k - 1) + (i - 1)
 
 
-@dataclass(frozen=True)
-class ReplacementPlan:
+class ReplacementPlan(Record):
     """The slots of a k-tuple where the fresh vertex is substituted.
 
     ``positions`` is the 1-based set {odd l in 1..k-1} plus {k}.  Its rank
@@ -85,6 +84,7 @@ class ReplacementPlan:
     the plan covers every rank.
     """
 
+    __slots__ = ("k", "positions")
     k: int
     positions: tuple[int, ...]
 
@@ -281,8 +281,7 @@ def min_edges_lower_bound(k: int) -> int:
     return math.factorial(k) + 1
 
 
-@dataclass(frozen=True)
-class CaseWitness:
+class CaseWitness(Record):
     """One covered case of the general construction's analysis.
 
     For anchor j and insertion position i, ``rank`` is the position of the
@@ -291,6 +290,7 @@ class CaseWitness:
     concrete edge.
     """
 
+    __slots__ = ("j", "i", "rank", "position", "edge")
     j: int
     i: int
     rank: int
@@ -298,8 +298,7 @@ class CaseWitness:
     edge: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CaseCoverageReport:
+class CaseCoverageReport(Record):
     """Outcome of :func:`structured_coverage_check`.
 
     ``rank_witnesses`` maps each fresh-vertex rank to the replacement slot
@@ -309,6 +308,14 @@ class CaseCoverageReport:
     cases on demand.
     """
 
+    __slots__ = (
+        "k",
+        "ok",
+        "problems",
+        "replacement_positions",
+        "permutation_count",
+        "rank_witnesses",
+    )
     k: int
     ok: bool
     problems: tuple[str, ...]

@@ -37,7 +37,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 OrientedEdge = tuple[int, ...]
@@ -74,8 +73,61 @@ class InternalError(RuntimeError):
     """Raised when a self-check fails: a bug, never a verdict about the input."""
 
 
-@dataclass(frozen=True)
-class OrientedHypergraph:
+class Record:
+    """Immutable record: fields are the class's ``__slots__``, defaults come
+    from ``_defaults``.
+
+    Instances compare, hash and print by their fields, pickle and copy by
+    rebuilding through ``__init__``, and refuse assignment.  A subclass may
+    define ``__post_init__`` to normalise its fields with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _defaults: Mapping[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (
+            len(args) > len(names)
+            or values.keys() != set(names)
+            or not kwargs.keys().isdisjoint(names[: len(args)])
+        ):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class OrientedHypergraph(Record):
     """An oriented k-uniform hypergraph on vertices 0..n-1.
 
     ``edges`` is a sequence of ordered k-tuples; the tuple order is the
@@ -85,6 +137,7 @@ class OrientedHypergraph:
     inputs (e.g. from a file) can be diagnosed.
     """
 
+    __slots__ = ("k", "n", "edges")
     k: int
     n: int
     edges: tuple[OrientedEdge, ...]
@@ -102,14 +155,14 @@ class OrientedHypergraph:
         return [frozenset(e) for e in self.edges]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Record):
+    __slots__ = ("ok", "violations")
+    _defaults = {"violations": ()}
     ok: bool
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class VerificationCertificate:
+class VerificationCertificate(Record):
     """Outcome of a Property O check.
 
     ``orders_examined`` counts complete linear orders the decider looked at:
@@ -119,19 +172,22 @@ class VerificationCertificate:
     work metric recorded in ``nodes_expanded`` (vertex placements tried).
     """
 
+    __slots__ = (
+        "verdict", "method", "violating_order", "orders_examined", "nodes_expanded"
+    )
+    _defaults = {"nodes_expanded": None}
     verdict: str
     method: str
     violating_order: LinearOrder | None
     orders_examined: int
-    nodes_expanded: int | None = None
+    nodes_expanded: int | None
 
     @property
     def holds(self) -> bool:
         return self.verdict == PROPERTY_O
 
 
-@dataclass(frozen=True)
-class CoverageHistogram:
+class CoverageHistogram(Record):
     """How many linear orders are consistent with exactly c edges.
 
     ``counts[c]`` is the number of orders with exactly ``c`` consistent
@@ -140,6 +196,7 @@ class CoverageHistogram:
     oriented edge is consistent with exactly n!/k! orders.
     """
 
+    __slots__ = ("counts",)
     counts: Mapping[int, int]
 
     def total_orders(self) -> int:
@@ -149,8 +206,7 @@ class CoverageHistogram:
         return sum(c * m for c, m in self.counts.items())
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Result of :func:`lower_bound_audit`.
 
     ``class_sizes[i]`` counts the base-edge permutations sigma whose
@@ -161,6 +217,9 @@ class AuditReport:
     the k!-edge counting argument checkable.
     """
 
+    __slots__ = (
+        "class_sizes", "intersection_sizes", "total", "residue", "min_coverage"
+    )
     class_sizes: tuple[int, ...]
     intersection_sizes: tuple[int, ...]
     total: int
@@ -211,6 +270,17 @@ def rank_permutation(sequence: Sequence[int]) -> int:
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colexicographic order."""
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+@functools.lru_cache(maxsize=16)
+def oriented_subset_tables(
+    n: int, k: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Colex subsets of {0..n-1} and, per subset, its k! oriented tuples in
+    lexicographic order, so ``oriented[t][r]`` is
+    ``unrank_permutation(r, subsets[t])``.  Memoised per (n, k)."""
+    subsets = tuple(colex_subsets(n, k))
+    return subsets, tuple(tuple(itertools.permutations(s)) for s in subsets)
 
 
 def ordered_map(

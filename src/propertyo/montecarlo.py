@@ -21,15 +21,14 @@ and of how they are assigned to workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     BudgetExceededError,
     OrientedHypergraph,
+    Record,
     check_property_o,
-    colex_subsets,
     ordered_map,
-    unrank_permutation,
+    oriented_subset_tables,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -52,10 +51,10 @@ def value_at(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(Record):
     """Aggregate of a Monte Carlo run over random tournaments."""
 
+    __slots__ = ("n", "k", "trials", "successes", "rate", "standard_error", "seed")
     n: int
     k: int
     trials: int
@@ -76,16 +75,14 @@ def random_tournament(
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    subsets = colex_subsets(n, k)
-    if len(subsets) > max_subsets:
+    subset_count = math.comb(n, k)
+    if subset_count > max_subsets:
         raise BudgetExceededError(
-            f"{len(subsets)} subsets exceed the {max_subsets} budget"
+            f"{subset_count} subsets exceed the {max_subsets} budget"
         )
     fact_k = math.factorial(k)
-    edges = tuple(
-        unrank_permutation(value_at(seed, i) % fact_k, subset)
-        for i, subset in enumerate(subsets)
-    )
+    _, oriented = oriented_subset_tables(n, k)
+    edges = tuple(row[value_at(seed, i) % fact_k] for i, row in enumerate(oriented))
     return OrientedHypergraph(k, n, edges)
 
 

@@ -43,18 +43,18 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .core import (
     BudgetExceededError,
     InternalError,
     LinearOrder,
     OrientedHypergraph,
+    Record,
     _edge_mask,
     check_property_o,
-    colex_subsets,
     is_consistent,
     ordered_map,
+    oriented_subset_tables,
     rank_permutation,
     require_valid,
 )
@@ -64,8 +64,7 @@ from .constructions import min_edges_lower_bound
 _MAX_SPACE_BITS = 64
 
 
-@dataclass(frozen=True)
-class CensusOptions:
+class CensusOptions(Record):
     """Knobs of :func:`census_property_o` and :func:`prove_vertex_lower_bound`.
 
     Report contents are independent of ``parallel_partitions``, which is
@@ -74,12 +73,13 @@ class CensusOptions:
     lines to stderr roughly every that many tournaments, per worker.
     """
 
-    parallel_partitions: int = 1
-    progress_interval: int = 0
+    __slots__ = ("parallel_partitions", "progress_interval")
+    _defaults = {"parallel_partitions": 1, "progress_interval": 0}
+    parallel_partitions: int
+    progress_interval: int
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     """Result of a census run.
 
     ``total_enumerated`` is the number of tournaments decided: the full
@@ -92,13 +92,23 @@ class SearchReport:
     smallest-counter witness.
     """
 
+    __slots__ = (
+        "n",
+        "k",
+        "total_enumerated",
+        "property_o_found",
+        "first_witness",
+        "elapsed_seconds",
+        "options",
+    )
+    _defaults = {"options": CensusOptions()}
     n: int
     k: int
     total_enumerated: int
     property_o_found: int
     first_witness: OrientedHypergraph | None
     elapsed_seconds: float
-    options: CensusOptions = field(default_factory=CensusOptions)
+    options: CensusOptions
 
     def matches(self, other: "SearchReport") -> bool:
         """Equality of everything except the wall-clock time."""
@@ -111,15 +121,15 @@ class SearchReport:
         )
 
 
-@dataclass(frozen=True)
-class EdgeVerdict:
+class EdgeVerdict(Record):
+    __slots__ = ("index", "essential", "witness")
     index: int
     essential: bool
     witness: LinearOrder | None
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(Record):
+    __slots__ = ("verdicts",)
     verdicts: tuple[EdgeVerdict, ...]
 
     @property
@@ -142,14 +152,6 @@ def _check_space(n: int, k: int) -> int:
             f"{_MAX_SPACE_BITS}-bit budget"
         )
     return subset_count
-
-
-def oriented_subset_tables(n: int, k: int) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
-    """Colex subsets of {0..n-1} and, per subset, its k! oriented tuples in
-    lexicographic order."""
-    subsets = colex_subsets(n, k)
-    oriented = [list(itertools.permutations(s)) for s in subsets]
-    return subsets, oriented
 
 
 def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:

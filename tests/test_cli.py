@@ -129,6 +129,18 @@ class TestVerify:
         assert captured.out == ""
         assert "internal error: injected" in captured.err
 
+    def test_unexpected_exception_exit_six(self, tmp_path, capsys, monkeypatch):
+        # exit 1 would read as "violating order found"; a bug must not
+        def broken(*args, **kwargs):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(cli, "check_property_o", broken)
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        assert run_cli("verify", path) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify: internal error: KeyError('injected')" in captured.err
+
 
 class TestHistogram:
     def test_merged_ten_edge(self, tmp_path, capsys):
@@ -167,6 +179,20 @@ class TestAudit:
 
 
 class TestMinimality:
+    def test_calls_the_swapped_edge_minimality(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.edge_minimality
+
+        def fake(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(cli, "edge_minimality", fake)
+        path = write(tmp_path, "ct.hg", serialize_hypergraph(cyclic_triangle()))
+        assert run_cli("minimality", path) == 0
+        assert calls == [cyclic_triangle()]
+        assert capsys.readouterr().out.count("essential") == 3
+
     def test_merged_ten_edge_all_essential(self, tmp_path, capsys):
         path = write(tmp_path, "h2.hg", serialize_hypergraph(merged_ten_edge_3graph()))
         assert run_cli("minimality", path) == 0
@@ -286,6 +312,72 @@ class TestUsage:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_verify_process_loads_only_core_and_fileformat(self, tmp_path):
+        # against a bare interpreter, so that what site imports does not count
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+
+        def imported(*args):
+            result = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                capture_output=True,
+                text=True,
+            )
+            names = {
+                line.rsplit("|", 1)[1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            return result, names
+
+        bare, before = imported("-c", "pass")
+        assert bare.returncode == 0, bare.stderr
+        verify, after = imported("-m", "propertyo", "verify", path)
+        assert verify.returncode == 0, verify.stderr
+        assert verify.stdout == "PROPERTY_O method=exhaustive orders=40320\n"
+        added = after - before
+        assert {"propertyo.core", "propertyo.fileformat", "propertyo.cli"} <= added
+        for name in (
+            "dataclasses",
+            "propertyo.search",
+            "propertyo.constructions",
+            "propertyo.montecarlo",
+        ):
+            assert name not in added, name
+
+    def test_package_import_loads_no_submodule(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, propertyo; "
+             "print(sorted(m for m in sys.modules if m.startswith('propertyo.')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_swappable_names_resolve_before_any_handler(self, tmp_path):
+        # as bench/layers.py does: read each name it wraps in a fresh
+        # interpreter, then swap one and run the handler that calls it
+        path = write(tmp_path, "ct.hg", serialize_hypergraph(cyclic_triangle()))
+        script = f"""
+import propertyo
+from propertyo import cli
+names = [
+    "read_hypergraph", "write_hypergraph", "cyclic_triangle",
+    "ten_edge_3graph", "double_cycle_3graph", "merged_ten_edge_3graph",
+    "general_construction", "check_property_o", "coverage_histogram",
+    "edge_minimality", "prove_vertex_lower_bound", "estimate_property_o_rate",
+]
+assert all(getattr(cli, n) is getattr(propertyo, n) for n in names)
+cli.edge_minimality = lambda graph: print("swapped") or propertyo.edge_minimality(graph)
+assert cli.main(["minimality", {path!r}]) == 0
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "swapped"
 
     def test_help_documents_exit_codes(self, capsys):
         assert run_cli("--help") == 0

@@ -11,6 +11,7 @@ from propertyo import (
     random_tournament,
     validate,
 )
+from propertyo.core import colex_subsets, unrank_permutation
 from propertyo.montecarlo import mix64, value_at
 
 
@@ -60,6 +61,16 @@ class TestRandomTournament:
             if t.edges[0] == (0, 1):
                 ascending += 1
         assert abs(ascending / 6000 - 0.5) <= 0.02
+
+    def test_matches_unranked_orientations(self):
+        # the documented draw: subset i (colex) gets the permutation of the
+        # sorted subset whose lexicographic rank is value_at(seed, i) mod k!
+        for n, k, seed in [(5, 2, 3), (6, 3, 987), (7, 4, 11)]:
+            expected = tuple(
+                unrank_permutation(value_at(seed, i) % math.factorial(k), s)
+                for i, s in enumerate(colex_subsets(n, k))
+            )
+            assert random_tournament(n, k, seed).edges == expected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
