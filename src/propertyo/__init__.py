@@ -37,7 +37,7 @@ _EXPORTS = {
         "TrialSummary", "estimate_property_o_rate", "random_tournament",
     ),
     "search": (
-        "CensusOptions", "EdgeVerdict", "MinimalityReport", "SearchReport",
+        "EdgeVerdict", "MinimalityReport", "SearchReport",
         "census_property_o", "edge_minimality", "prove_vertex_lower_bound",
     ),
 }

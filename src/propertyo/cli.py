@@ -61,7 +61,6 @@ _LAZY_NAMES = frozenset(
         # montecarlo
         "estimate_property_o_rate",
         # search
-        "CensusOptions",
         "edge_minimality",
         "prove_vertex_lower_bound",
     }
@@ -267,12 +266,11 @@ def _cmd_minimality(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    _load("CensusOptions", "prove_vertex_lower_bound")
-    options = CensusOptions(
-        parallel_partitions=max(1, args.jobs),
-        progress_interval=args.progress,
+    _load("prove_vertex_lower_bound")
+    jobs = max(1, args.jobs)
+    report = prove_vertex_lower_bound(
+        args.n, args.k, jobs=jobs, progress_interval=args.progress
     )
-    report = prove_vertex_lower_bound(args.n, args.k, options)
     print(f"n={report.n}")
     print(f"k={report.k}")
     print(f"total_enumerated={report.total_enumerated}")
@@ -285,7 +283,7 @@ def _cmd_census(args) -> int:
         )
         print(f"first_witness={edges}")
     print(f"elapsed_seconds={report.elapsed_seconds:.3f}")
-    print(f"parallel_partitions={options.parallel_partitions}")
+    print(f"parallel_partitions={jobs}")
     # every CLI census is a first-witness sweep, which skips non-leaders
     print("symmetry_pruning=true")
     return EXIT_OK if report.property_o_found == 0 else EXIT_NEGATIVE

@@ -22,11 +22,12 @@ The exhaustive decider and the histogram rest on one order-coverage kernel
 Above 9 vertices the top lex blocks are walked in rank order, so no mask is
 wider than 9! bits and the decider stops at the first uncovered block.
 
-The search decider (:func:`_backtracking_search`) builds an order smallest
-element first.  Its state is k-1 bitmasks of edge indices: level i holds the
-alive edges whose first i vertices are already placed in order.  A prefix is
-rejected as soon as an edge would be left with only its last vertex to place,
-since every completion then leaves that edge consistent.
+The search decider (:func:`_backtracking_search`) builds an order of the
+vertices that lie in some edge, smallest element first.  Its state is k-1
+bitmasks of edge indices: level i holds the alive edges whose first i
+vertices are already placed in order.  A prefix is rejected as soon as an
+edge would be left with only its last vertex to place, since every
+completion then leaves that edge consistent.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ BACKTRACKING = "backtracking"
 STRUCTURED = "structured"
 AUTO = "auto"
 
-# Exhaustive verify and the histogram refuse graphs above this vertex count
-# unless the caller raises the limit.  Memory does not set it, since no mask
-# is wider than 9! bits; time does, since a graph with Property O on n > 9
-# vertices takes n!/9! lex blocks (1320 at n = 12, 17160 at n = 13).
-DEFAULT_MAX_VERTICES = 12
+# Exhaustive verify and the histogram refuse graphs above this vertex count.
+# Memory does not set it, since no mask is wider than 9! bits; time does,
+# since a graph with Property O on n > 9 vertices takes n!/9! lex blocks
+# (1320 at n = 12, 17160 at n = 13).
+EXHAUSTIVE_MAX_VERTICES = 12
 
 # check_property_o(method="auto") covers all n! orders up to this size and
 # switches to the backtracking search beyond it.
@@ -537,15 +538,13 @@ def _lex_blocks(n: int, edges: Sequence[OrientedEdge]) -> Iterator[list[int]]:
     return walk(n, [tuple(e) for e in edges])
 
 
-def _exhaustive_search(
-    graph: OrientedHypergraph, max_vertices: int
-) -> tuple[LinearOrder | None, int]:
+def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, int]:
     """Return (lex-first violating order or None, its rank + 1 or n!)."""
     n = graph.n
-    if n > max_vertices:
+    if n > EXHAUSTIVE_MAX_VERTICES:
         raise BudgetExceededError(
-            f"refusing to enumerate {n}! orders (limit n <= {max_vertices}); "
-            "use the backtracking method or raise max_vertices"
+            f"refusing to enumerate {n}! orders (limit n <= "
+            f"{EXHAUSTIVE_MAX_VERTICES}); use the backtracking method"
         )
     width = math.factorial(min(n, _BLOCK_VERTICES))
     full = (1 << width) - 1
@@ -557,19 +556,15 @@ def _exhaustive_search(
     return None, math.factorial(n)
 
 
-def find_violating_order_exhaustive(
-    graph: OrientedHypergraph,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> LinearOrder | None:
+def find_violating_order_exhaustive(graph: OrientedHypergraph) -> LinearOrder | None:
     """Lexicographically first order consistent with no edge, or None.
 
     ORs the edges' order-coverage masks block by block and unranks the
     lowest uncovered bit.  Refuses with :class:`BudgetExceededError` when n
-    exceeds ``max_vertices``.
+    exceeds ``EXHAUSTIVE_MAX_VERTICES``.
     """
     require_valid(graph)
-    order, _ = _exhaustive_search(graph, max_vertices)
+    order, _ = _exhaustive_search(graph)
     return order
 
 
@@ -586,8 +581,9 @@ def _backtracking_search(
     left expecting only its last vertex is consistent with every completion
     of the prefix, so the prefix is rejected at once.  Once no edge is alive,
     any completion violates, and the remaining vertices are appended in
-    ascending order.  Vertices are tried in ascending order; every placement
-    tried counts, rejected ones included.
+    ascending order.  Only vertices that lie in some edge are placed, tried
+    in ascending order; the others are appended to the violating order found,
+    also ascending.  Every placement tried counts, rejected ones included.
     """
     n, k = graph.n, graph.k
     at = [[0] * (k - 1) for _ in range(n)]  # at[v][i]: edges with i-th vertex v
@@ -619,7 +615,11 @@ def _backtracking_search(
         return None
 
     every_edge = (1 << len(graph.edges)) - 1
-    return search([every_edge] + [0] * (k - 2), list(range(n))), nodes
+    support = [v for v in range(n) if has[v]]
+    order = search([every_edge] + [0] * (k - 2), support)
+    if order is not None:
+        order += tuple(v for v in range(n) if not has[v])
+    return order, nodes
 
 
 def find_violating_order_backtracking(
@@ -638,10 +638,7 @@ def find_violating_order_backtracking(
 
 
 def check_property_o(
-    graph: OrientedHypergraph,
-    method: str = AUTO,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    graph: OrientedHypergraph, method: str = AUTO
 ) -> VerificationCertificate:
     """Decide Property O and return a certificate.
 
@@ -654,7 +651,7 @@ def check_property_o(
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
     if method == EXHAUSTIVE:
-        order, examined = _exhaustive_search(graph, max_vertices)
+        order, examined = _exhaustive_search(graph)
         nodes = None
     elif method == BACKTRACKING:
         order, nodes = _backtracking_search(graph)
@@ -690,9 +687,7 @@ def check_property_o(
 # ---------------------------------------------------------------------------
 
 
-def coverage_histogram(
-    graph: OrientedHypergraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> CoverageHistogram:
+def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
     """Histogram of consistent-edge counts over all n! linear orders.
 
     The counts are read off a bit-sliced counter that adds up the edges'
@@ -700,9 +695,9 @@ def coverage_histogram(
     """
     require_valid(graph)
     n = graph.n
-    if n > max_vertices:
+    if n > EXHAUSTIVE_MAX_VERTICES:
         raise BudgetExceededError(
-            f"refusing to enumerate {n}! orders (limit n <= {max_vertices})"
+            f"refusing to enumerate {n}! orders (limit n <= {EXHAUSTIVE_MAX_VERTICES})"
         )
     full = (1 << math.factorial(min(n, _BLOCK_VERTICES))) - 1
     counts: dict[int, int] = {}

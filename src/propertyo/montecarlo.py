@@ -34,6 +34,9 @@ from .core import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# random_tournament refuses more k-subsets than this
+_MAX_SUBSETS = 1_000_000
+
 
 def mix64(x: int) -> int:
     """The splitmix64 finaliser on 64-bit integers."""
@@ -64,9 +67,7 @@ class TrialSummary(Record):
     seed: int
 
 
-def random_tournament(
-    n: int, k: int, seed: int, *, max_subsets: int = 1_000_000
-) -> OrientedHypergraph:
+def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     """Uniformly oriented k-tournament on n vertices, determined by the seed.
 
     Every k-subset (colex order) gets an independent orientation drawn from
@@ -76,9 +77,9 @@ def random_tournament(
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     subset_count = math.comb(n, k)
-    if subset_count > max_subsets:
+    if subset_count > _MAX_SUBSETS:
         raise BudgetExceededError(
-            f"{subset_count} subsets exceed the {max_subsets} budget"
+            f"{subset_count} subsets exceed the {_MAX_SUBSETS} budget"
         )
     fact_k = math.factorial(k)
     _, oriented = oriented_subset_tables(n, k)

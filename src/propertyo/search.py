@@ -34,7 +34,9 @@ first k+1 colex subsets (the k-subsets of {0..k}) onto themselves, so the
 image prefix rhoP does not depend on the remaining digits.  Every tournament
 T under P then has the relabelling rhoT with a smaller counter, and rhoT has
 Property O exactly when T does.  So the smallest-counter witness always has
-a leader prefix and is never skipped.  Skipped tournaments count as decided.
+a leader prefix and is never skipped.  The parent lists the leader prefixes
+and hands them to the workers; it adds the skipped tournaments to the
+decided total itself, without a walk.
 """
 
 from __future__ import annotations
@@ -60,23 +62,12 @@ from .core import (
 )
 from .constructions import min_edges_lower_bound
 
-# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS.
+# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
+# masks that would take more than _MAX_MASK_BYTES in each worker: each
+# worker holds 2*C(n,k)*k! masks (every orientation's and its complement)
+# of n! bits.  (10,2) needs 78 MiB of them, (11,2) would need 1 GiB.
 _MAX_SPACE_BITS = 64
-
-
-class CensusOptions(Record):
-    """Knobs of :func:`census_property_o` and :func:`prove_vertex_lower_bound`.
-
-    Report contents are independent of ``parallel_partitions``, which is
-    both the number of contiguous counter ranges and the worker cap.
-    ``progress_interval`` > 0 emits "examined=... found=... elapsed=..."
-    lines to stderr roughly every that many tournaments, per worker.
-    """
-
-    __slots__ = ("parallel_partitions", "progress_interval")
-    _defaults = {"parallel_partitions": 1, "progress_interval": 0}
-    parallel_partitions: int
-    progress_interval: int
+_MAX_MASK_BYTES = 256 << 20
 
 
 class SearchReport(Record):
@@ -85,11 +76,11 @@ class SearchReport(Record):
     ``total_enumerated`` is the number of tournaments decided: the full
     space size (k!)**C(n,k) when every tournament was decided, the witness
     counter plus one when a first-witness search found one, and 0 when the
-    edge-count rejection applies.  Tournaments skipped as relabellings of
-    smaller ones count as decided.  None of it depends on the
-    partitioning.  ``property_o_found`` is the exact count in a full census
-    and 0 or 1 in a first-witness search, and ``first_witness`` is the
-    smallest-counter witness.
+    edge-count rejection applies.  Tournaments under the prefixes a
+    first-witness sweep skips count as decided.  None of it depends on the
+    number of workers.  ``property_o_found`` is the exact count in a full
+    census and 0 or 1 in a first-witness search, and ``first_witness`` is
+    the smallest-counter witness.
     """
 
     __slots__ = (
@@ -99,16 +90,13 @@ class SearchReport(Record):
         "property_o_found",
         "first_witness",
         "elapsed_seconds",
-        "options",
     )
-    _defaults = {"options": CensusOptions()}
     n: int
     k: int
     total_enumerated: int
     property_o_found: int
     first_witness: OrientedHypergraph | None
     elapsed_seconds: float
-    options: CensusOptions
 
     def matches(self, other: "SearchReport") -> bool:
         """Equality of everything except the wall-clock time."""
@@ -150,6 +138,12 @@ def _check_space(n: int, k: int) -> int:
         raise BudgetExceededError(
             f"census space is (k!)^C(n,k) ~ 2^{bits:.1f}, over the "
             f"{_MAX_SPACE_BITS}-bit budget"
+        )
+    mask_bytes = subset_count * math.factorial(k) * math.factorial(n) // 4
+    if mask_bytes > _MAX_MASK_BYTES:
+        raise BudgetExceededError(
+            f"census masks take {mask_bytes >> 20} MiB per worker, over the "
+            f"{_MAX_MASK_BYTES >> 20} MiB budget"
         )
     return subset_count
 
@@ -211,22 +205,19 @@ def _is_leader(digits: tuple[int, ...], tables) -> bool:
 
 
 def _census_unit(args) -> tuple[int, int, int | None]:
-    """Walk the census counter range of one partition.
+    """Walk the census tournaments under one worker's run of prefixes.
 
-    ``args`` is (n, k, depth, lo, hi, stop_first, progress_interval): the
-    partition is the prefixes of ranks lo..hi-1, in counter order, of the
-    first ``depth`` digits (0 <= depth < C(n,k)).  In stop_first mode with
-    depth > k, a prefix whose first k+1 digits are not a lex-leader is
-    counted as decided without a walk.  Each other prefix's masks are
-    intersected up front and the recursion walks the remaining digits, so a
-    prefix that already covers every order is reported by the recursion's
-    next digit like any other witness.  The worker builds its own masks
-    from (n, k), which keeps the task small.  Returns (enumerated, found,
-    first_witness_counter).  In stop_first mode the walk ends at the
-    partition's first witness and ``enumerated`` only covers what was
-    decided before it.
+    ``args`` is (n, k, prefixes, stop_first, progress_interval): the
+    prefixes are digit tuples of one length below C(n,k), in counter order.
+    Each prefix's masks are intersected up front and the recursion walks the
+    remaining digits, so a prefix that already covers every order is
+    reported by the recursion's next digit like any other witness.  The
+    worker builds its own masks from (n, k).  Returns (enumerated, found,
+    first_witness_counter), counting only the tournaments under
+    ``prefixes``.  In stop_first mode the walk ends at the run's first
+    witness and ``enumerated`` only covers what was decided before it.
     """
-    n, k, depth, lo, hi, stop_first, progress_interval = args
+    n, k, prefixes, stop_first, progress_interval = args
     masks, full = _coverage_masks(n, k)
     m = len(masks)
     fact_k = math.factorial(k)
@@ -297,20 +288,13 @@ def _census_unit(args) -> tuple[int, int, int | None]:
                     return True
         return False
 
-    skip_non_leaders = stop_first and depth > k
-    tables = _leader_tables(n, k) if skip_non_leaders else []
-    prefixes = itertools.product(range(fact_k), repeat=depth)
-    for prefix in itertools.islice(prefixes, lo, hi):
-        if skip_non_leaders and not _is_leader(prefix[: k + 1], tables):
-            enumerated += pow_fk[m - depth]
-            report_progress()
-            continue
+    for prefix in prefixes:
         uncovered = full
         base_counter = 0
         for d, o in enumerate(prefix):
             uncovered &= not_masks[d][o]
             base_counter += o * pow_fk[last - d]
-        if rec(depth, uncovered, base_counter):
+        if rec(len(prefix), uncovered, base_counter):
             break
 
     return enumerated, found, first_counter
@@ -331,43 +315,52 @@ def _tournament_from_counter(n: int, k: int, counter: int) -> OrientedHypergraph
 def census_property_o(
     n: int,
     k: int,
-    options: CensusOptions | None = None,
     *,
+    jobs: int = 1,
+    progress_interval: int = 0,
     stop_at_first: bool = True,
 ) -> SearchReport:
     """Sweep every k-tournament on n vertices for Property O.
 
     With ``stop_at_first`` the sweep skips non-leader prefixes and ends at
     the smallest-counter witness; otherwise every tournament is walked and
-    ``property_o_found`` is the exact count.  Partitions are contiguous counter ranges, so the report is
-    identical for any ``parallel_partitions``.
+    ``property_o_found`` is the exact count.  The parent lists the prefixes
+    to walk and deals each of up to ``jobs`` workers one contiguous run of
+    them in counter order, so the report is identical for any ``jobs``.
+    ``progress_interval`` > 0 makes each worker write "examined=...
+    found=... elapsed=..." lines to stderr roughly every that many walked
+    tournaments.
     """
-    options = options or CensusOptions()
     subset_count = _check_space(n, k)
     fact_k = math.factorial(k)
     space = fact_k**subset_count
     start = time.perf_counter()
 
-    # every partition keeps at least one digit for the recursion to walk
-    partitions = max(1, options.parallel_partitions)
+    # at least one prefix per worker before leaders are picked, and every
+    # prefix leaves the recursion a digit to walk
+    jobs = max(1, jobs)
     depth = 0
-    while fact_k**depth < partitions and depth < subset_count - 1:
+    while fact_k**depth < jobs and depth < subset_count - 1:
         depth += 1
     # a first-witness walk skips prefixes that are not lex-leaders on the
     # first k+1 subsets; with only k+1 subsets there is nothing to walk
     if stop_at_first and subset_count > k + 1:
         depth = max(depth, k + 1)
-    prefix_count = fact_k**depth
-    bounds = [prefix_count * i // partitions for i in range(partitions + 1)]
+    prefixes = list(itertools.product(range(fact_k), repeat=depth))
+    if stop_at_first and depth > k:
+        tables = _leader_tables(n, k)
+        prefixes = [p for p in prefixes if _is_leader(p[: k + 1], tables)]
+    skipped = (fact_k**depth - len(prefixes)) * fact_k ** (subset_count - depth)
+    bounds = [len(prefixes) * i // jobs for i in range(jobs + 1)]
     tasks = [
-        (n, k, depth, lo, hi, stop_at_first, options.progress_interval)
+        (n, k, prefixes[lo:hi], stop_at_first, progress_interval)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
     results = ordered_map(
         _census_unit,
         tasks,
-        partitions,
+        jobs,
         until=(lambda r: r[2] is not None) if stop_at_first else None,
     )
 
@@ -375,7 +368,7 @@ def census_property_o(
     if stop_at_first and first is not None:
         total, found = first + 1, 1
     else:
-        total = sum(r[0] for r in results)
+        total = skipped + sum(r[0] for r in results)
         found = sum(r[1] for r in results)
         if total != space:
             raise InternalError(
@@ -391,12 +384,11 @@ def census_property_o(
             None if first is None else _tournament_from_counter(n, k, first)
         ),
         elapsed_seconds=elapsed,
-        options=options,
     )
 
 
 def prove_vertex_lower_bound(
-    n: int, k: int, options: CensusOptions | None = None
+    n: int, k: int, *, jobs: int = 1, progress_interval: int = 0
 ) -> SearchReport:
     """Decide whether any oriented k-graph on n vertices has Property O.
 
@@ -404,11 +396,11 @@ def prove_vertex_lower_bound(
     Property O graph would extend to a Property O tournament.  When
     C(n,k) <= k!, every n-vertex oriented k-graph falls below the k!+1 edge
     lower bound, so the census is skipped entirely and the report shows
-    total_enumerated=0.  Otherwise the counter-ordered sweep stops at the
-    first witness and skips the prefixes that are not lex-leaders (see the
-    module docstring).
+    total_enumerated=0.  Otherwise this is :func:`census_property_o` with
+    ``stop_at_first``: the counter-ordered sweep stops at the first witness
+    and skips the prefixes that are not lex-leaders (see the module
+    docstring).  ``jobs`` and ``progress_interval`` are passed on.
     """
-    options = options or CensusOptions()
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     if math.comb(n, k) <= min_edges_lower_bound(k) - 1:
@@ -419,9 +411,10 @@ def prove_vertex_lower_bound(
             property_o_found=0,
             first_witness=None,
             elapsed_seconds=0.0,
-            options=options,
         )
-    return census_property_o(n, k, options, stop_at_first=True)
+    return census_property_o(
+        n, k, jobs=jobs, progress_interval=progress_interval, stop_at_first=True
+    )
 
 
 def violating_order_for_counter(n: int, k: int, counter: int) -> LinearOrder | None:

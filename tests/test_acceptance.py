@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from propertyo import (
-    CensusOptions,
     OrientedHypergraph,
     census_property_o,
     check_property_o,
@@ -81,9 +80,7 @@ def test_criterion_02_six_vertex_graphs_verify():
 def test_criterion_03_five_vertex_census():
     with criterion(3, "no 3-tournament on 5 vertices has Property O (6^10 census)"):
         start = time.perf_counter()
-        report = prove_vertex_lower_bound(
-            5, 3, CensusOptions(parallel_partitions=8)
-        )
+        report = prove_vertex_lower_bound(5, 3, jobs=8)
         elapsed = time.perf_counter() - start
         assert report.total_enumerated == 6**10 == 60466176
         assert report.property_o_found == 0
@@ -92,19 +89,17 @@ def test_criterion_03_five_vertex_census():
 
         # the verdict above skips non-leader prefixes; the full count
         # decides every tournament and must agree
-        full = census_property_o(
-            5, 3, CensusOptions(parallel_partitions=2), stop_at_first=False
-        )
+        full = census_property_o(5, 3, jobs=2, stop_at_first=False)
         assert full.total_enumerated == 6**10
         assert full.property_o_found == 0
 
         # determinism: identical reports with 1 and 8 workers on the n=4
         # census, both at the lower-bound wrapper and at the engine level
-        wrapped_1 = prove_vertex_lower_bound(4, 3, CensusOptions(parallel_partitions=1))
-        wrapped_8 = prove_vertex_lower_bound(4, 3, CensusOptions(parallel_partitions=8))
+        wrapped_1 = prove_vertex_lower_bound(4, 3, jobs=1)
+        wrapped_8 = prove_vertex_lower_bound(4, 3, jobs=8)
         assert wrapped_1.matches(wrapped_8)
-        engine_1 = census_property_o(4, 3, CensusOptions(parallel_partitions=1))
-        engine_8 = census_property_o(4, 3, CensusOptions(parallel_partitions=8))
+        engine_1 = census_property_o(4, 3, jobs=1)
+        engine_8 = census_property_o(4, 3, jobs=8)
         assert engine_1.matches(engine_8)
         assert engine_1.total_enumerated == 6**4
 

@@ -98,6 +98,13 @@ class TestVerify:
         assert run_cli("verify", path, "--method", "dfs") == 1
         assert capsys.readouterr().out == "VIOLATION order=0 2 1\nnodes=3\n"
 
+    def test_isolated_vertices_are_not_searched(self, tmp_path, capsys):
+        # one placement, not one recursion level per isolated vertex
+        path = write(tmp_path, "sparse.hg", "k 2\nn 1200\ne 1199 1198\n")
+        assert run_cli("verify", path) == 1
+        order = " ".join(map(str, [1198, 1199, *range(1198)]))
+        assert capsys.readouterr().out == f"VIOLATION order={order}\nnodes=1\n"
+
     def test_method_brute_budget_refusal(self, tmp_path, capsys):
         lines = ["k 2", "n 13", "e 0 1"]
         path = write(tmp_path, "big.hg", "\n".join(lines) + "\n")
@@ -227,6 +234,9 @@ class TestCensus:
     def test_budget_refusal(self):
         assert run_cli("census", "--n", "7", "--k", "3") == 4
 
+    def test_mask_budget_refusal(self):
+        assert run_cli("census", "--n", "11", "--k", "2") == 4
+
     def test_internal_error_exit_six(self, capsys, monkeypatch):
         # exit 1 would read as "witness found"; a crash must not
         def broken(*args, **kwargs):
@@ -241,7 +251,7 @@ class TestCensus:
     def test_progress_lines(self, capfd):
         # two workers share stderr; every line must arrive whole
         assert run_cli(
-            "census", "--n", "5", "--k", "3", "--jobs", "2", "--progress", "5000000"
+            "census", "--n", "5", "--k", "3", "--jobs", "2", "--progress", "1000000"
         ) == 0
         lines = capfd.readouterr().err.splitlines()
         assert lines

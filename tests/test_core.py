@@ -209,13 +209,6 @@ class TestExhaustiveFinder:
         with pytest.raises(BudgetExceededError):
             find_violating_order_exhaustive(graph)
 
-    def test_budget_override(self):
-        # (1, 0) is violated by the ascending identity order, the first one
-        # scanned, so raising the budget does not force a long enumeration
-        graph = OrientedHypergraph(2, 13, ((1, 0),))
-        order = find_violating_order_exhaustive(graph, max_vertices=13)
-        assert order == tuple(range(13))
-
 
 class TestBacktrackingFinder:
     def test_ten_edge_graph_has_property_o(self):
@@ -291,6 +284,15 @@ class TestBacktrackingFinder:
                 cert = check_property_o(graph, method="backtracking")
                 assert cert.holds
                 assert cert.nodes_expanded == expected[name], name
+
+    def test_isolated_vertices_add_no_placements(self):
+        # only vertices that lie in some edge are placed
+        graph = ten_edge_3graph()
+        for n in (10, 12):
+            padded = OrientedHypergraph(graph.k, n, graph.edges)
+            cert = check_property_o(padded, method="backtracking")
+            assert cert.holds
+            assert cert.nodes_expanded == 8010, n
 
 
 class TestCheckPropertyO:

@@ -78,7 +78,8 @@ class TestRandomTournament:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            random_tournament(40, 3, 1, max_subsets=100)
+            # C(200, 3) = 1,313,400 subsets, over the 1,000,000 budget
+            random_tournament(200, 3, 1)
 
 
 class TestRateEstimation:

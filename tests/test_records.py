@@ -9,7 +9,6 @@ import pytest
 
 import propertyo
 from propertyo import (
-    CensusOptions,
     GeneralLayout,
     MinimalityReport,
     OrientedHypergraph,
@@ -29,7 +28,7 @@ from propertyo import (
 
 
 def _records():
-    """One instance of each of the 14 record types, with its repr."""
+    """One instance of each of the 13 record types, with its repr."""
     g = cyclic_triangle()
     coverage = structured_coverage_check(3)
     minimality = edge_minimality(g)
@@ -66,14 +65,9 @@ def _records():
             "(3, 3)))",
         ),
         (
-            CensusOptions(parallel_partitions=2),
-            "CensusOptions(parallel_partitions=2, progress_interval=0)",
-        ),
-        (
             SearchReport(3, 2, 8, 2, g, 0.5),
             f"SearchReport(n=3, k=2, total_enumerated=8, property_o_found=2, "
-            f"first_witness={g_repr}, elapsed_seconds=0.5, "
-            f"options=CensusOptions(parallel_partitions=1, progress_interval=0))",
+            f"first_witness={g_repr}, elapsed_seconds=0.5)",
         ),
         (minimality.verdicts[0], verdict_repr),
         (
@@ -93,7 +87,7 @@ IDS = [type(record).__name__ for record, _ in RECORDS]
 
 
 def test_one_instance_per_record_type():
-    assert len(set(IDS)) == 14
+    assert len(set(IDS)) == 13
 
 
 @pytest.mark.parametrize("record,expected", RECORDS, ids=IDS)
@@ -127,16 +121,6 @@ def test_fields_cannot_be_assigned_or_deleted(record, expected):
 
 def test_defaults():
     assert ValidationResult(ok=True).violations == ()
-    report = SearchReport(
-        n=3,
-        k=2,
-        total_enumerated=8,
-        property_o_found=2,
-        first_witness=None,
-        elapsed_seconds=0.0,
-    )
-    assert report.options == CensusOptions()
-    assert CensusOptions() == CensusOptions(1, 0)
     cert = VerificationCertificate("violated", "exhaustive", (0, 1), 1)
     assert cert.nodes_expanded is None
 
@@ -147,7 +131,7 @@ def test_equality_and_hash_follow_the_fields():
     assert hash(cyclic_triangle()) == hash(cyclic_triangle())
     assert len({cyclic_triangle(), cyclic_triangle(), GeneralLayout(3)}) == 2
     # records of different types never compare equal, even with equal fields
-    assert CensusOptions(3, 2) != GeneralLayout(3)
+    assert MinimalityReport(3) != GeneralLayout(3)
 
 
 def test_constructor_rejects_missing_extra_and_repeated_fields():
@@ -156,7 +140,7 @@ def test_constructor_rejects_missing_extra_and_repeated_fields():
     with pytest.raises(TypeError):
         OrientedHypergraph(3, 4, (), ())
     with pytest.raises(TypeError):
-        CensusOptions(jobs=2)
+        SearchReport(3, 2, 8, 2, None, 0.5, options=None)
     with pytest.raises(TypeError):
         GeneralLayout(3, k=3)
 

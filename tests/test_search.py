@@ -5,7 +5,6 @@ import pytest
 
 from propertyo import (
     BudgetExceededError,
-    CensusOptions,
     OrientedHypergraph,
     census_property_o,
     check_property_o,
@@ -17,6 +16,7 @@ from propertyo import (
     prove_vertex_lower_bound,
     validate,
 )
+from propertyo import search
 from propertyo.search import (
     _census_unit,
     _coverage_masks,
@@ -64,10 +64,9 @@ class TestCensusEngine:
         for n, k in [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3)]:
             full = census_property_o(n, k, stop_at_first=False)
             assert (full.property_o_found == 0) == (full.first_witness is None)
-            for partitions in (1, 2, 3, 7, 40):
-                options = CensusOptions(parallel_partitions=partitions)
-                stop = census_property_o(n, k, options, stop_at_first=True)
-                assert stop.first_witness == full.first_witness, (n, k, partitions)
+            for jobs in (1, 2, 3, 7, 40):
+                stop = census_property_o(n, k, jobs=jobs, stop_at_first=True)
+                assert stop.first_witness == full.first_witness, (n, k, jobs)
 
     def test_leaders_are_orbit_minima(self):
         # brute force: relabel the first k+1 subsets' edges by every
@@ -91,8 +90,28 @@ class TestCensusEngine:
                 assert _is_leader(digits, tables) == minimal, (n, k, digits)
                 count += minimal
             assert count == leaders
-        # skipped prefixes count as decided: first digit 1..5 of (5, 3)
-        assert _census_unit((5, 3, 4, 216, 1296, True, 0)) == (1080 * 6**6, 0, None)
+
+    def test_workers_share_the_leader_prefixes(self, monkeypatch):
+        # all 60 leader prefixes of (5, 3) have first digit 0: two workers
+        # get 30 each, in counter order, not one counter range each
+        tasks = []
+        real_map = search.ordered_map
+
+        def recording_map(func, work, jobs, until=None):
+            tasks.extend(work)
+            return real_map(func, work, 1, until)
+
+        monkeypatch.setattr(search, "ordered_map", recording_map)
+        report = census_property_o(5, 3, jobs=2)
+        assert report.total_enumerated == 6**10
+        tables = _leader_tables(5, 3)
+        leaders = [
+            p
+            for p in itertools.product(range(6), repeat=4)
+            if _is_leader(p, tables)
+        ]
+        assert len(leaders) == 60
+        assert [task[2] for task in tasks] == [leaders[:30], leaders[30:]]
 
     def test_no_witness_on_4_3(self):
         report = census_property_o(4, 3, stop_at_first=True)
@@ -101,39 +120,36 @@ class TestCensusEngine:
         assert report.total_enumerated == 6**4
 
     def test_partition_determinism(self):
-        for partitions in (1, 4, 16):
-            options = CensusOptions(parallel_partitions=partitions)
-            report = census_property_o(4, 3, options, stop_at_first=True)
+        for jobs in (1, 4, 16):
+            report = census_property_o(4, 3, jobs=jobs, stop_at_first=True)
             baseline = census_property_o(4, 3, stop_at_first=True)
-            assert report.matches(baseline), partitions
+            assert report.matches(baseline), jobs
 
     def test_partition_determinism_with_witness(self):
         baseline = census_property_o(3, 2, stop_at_first=True)
         assert baseline.property_o_found == 1
-        for partitions in (2, 4, 16):
-            options = CensusOptions(parallel_partitions=partitions)
-            report = census_property_o(3, 2, options, stop_at_first=True)
-            assert report.matches(baseline), partitions
+        for jobs in (2, 4, 16):
+            report = census_property_o(3, 2, jobs=jobs, stop_at_first=True)
+            assert report.matches(baseline), jobs
 
     def test_partition_determinism_full_count(self):
         for n, k in [(3, 2), (4, 2), (4, 3)]:
             base = census_property_o(n, k, stop_at_first=False)
-            for partitions in (2, 3, 7, 16, 40):
-                options = CensusOptions(parallel_partitions=partitions)
-                report = census_property_o(n, k, options, stop_at_first=False)
-                assert report.matches(base), (n, k, partitions)
+            for jobs in (2, 3, 7, 16, 40):
+                report = census_property_o(n, k, jobs=jobs, stop_at_first=False)
+                assert report.matches(base), (n, k, jobs)
 
     def test_partition_counts_and_witness_counters(self):
-        # every partition reports its own range's counts and smallest
+        # every worker reports its own prefixes' counts and smallest
         # witness counter, not only the globally first witness
         n, k, depth = 4, 2, 3
         suffix = 2 ** (math.comb(n, k) - depth)
-        for prefix in range(2**depth):
-            counters = range(prefix * suffix, (prefix + 1) * suffix)
+        for rank, prefix in enumerate(itertools.product(range(2), repeat=depth)):
+            counters = range(rank * suffix, (rank + 1) * suffix)
             witnesses = [
                 c for c in counters if violating_order_for_counter(n, k, c) is None
             ]
-            result = _census_unit((n, k, depth, prefix, prefix + 1, False, 0))
+            result = _census_unit((n, k, [prefix], False, 0))
             assert result == (suffix, len(witnesses), min(witnesses, default=None))
 
     def test_first_witness_is_smallest_counter(self):
@@ -187,6 +203,12 @@ class TestVertexLowerBound:
     def test_space_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             prove_vertex_lower_bound(7, 3)
+
+    def test_mask_budget_refusal(self):
+        # 2^55 tournaments fit the space budget, but the 220 masks of
+        # 11! bits (1 GiB) do not; refused before any mask is built
+        with pytest.raises(BudgetExceededError, match="MiB"):
+            prove_vertex_lower_bound(11, 2)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -251,7 +273,7 @@ class TestFiveVertexSpotChecks:
 
 class TestProgressReporting:
     def test_progress_lines_on_stderr(self, capfd):
-        census_property_o(4, 3, CensusOptions(progress_interval=500))
+        census_property_o(4, 3, progress_interval=500)
         err = capfd.readouterr().err
         lines = [l for l in err.splitlines() if l.startswith("examined=")]
         assert lines, err
