@@ -21,10 +21,11 @@ consistent with that edge.  Walking the subsets most-significant-first
 while intersecting the set of still-uncovered orders decides every
 tournament of a subtree in one sweep; a tournament has Property O exactly
 when no uncovered order remains, and any remaining bit unranks to a
-verified violating order.  Subtrees whose uncovered orders outnumber what
-the remaining subsets could possibly cover (each covers n!/k! orders) are
-discarded in bulk.  The masks, n! bits each, come from the order-coverage
-kernel in :mod:`propertyo.core`.
+verified violating order.  A subtree is discarded in bulk when its
+uncovered orders outnumber what the remaining subsets could cover of them:
+the sum, over the remaining subsets, of the most uncovered orders one
+orientation of the subset covers.  The masks, n! bits each, come from the
+order-coverage kernel in :mod:`propertyo.core`.
 
 A first-witness sweep also skips every prefix of the first k+1 digits that
 is not a lex-leader: a prefix P is skipped when some relabelling rho of
@@ -60,7 +61,6 @@ from .core import (
     rank_permutation,
     require_valid,
 )
-from .constructions import min_edges_lower_bound
 
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
 # masks that would take more than _MAX_MASK_BYTES in each worker: each
@@ -204,6 +204,25 @@ def _is_leader(digits: tuple[int, ...], tables) -> bool:
     return True
 
 
+def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
+    """How many orders of ``uncovered`` one mask from each row can cover
+    at most: the sum over rows of max_o |uncovered & row[o]|, cut off once
+    it reaches |uncovered|.
+
+    Each row holds one remaining subset's k! orientation masks.  The bound
+    is admissible: when it falls short of |uncovered|, no choice of one
+    orientation per remaining subset covers every uncovered order.  Reaching
+    |uncovered| does not promise such a choice.
+    """
+    need = uncovered.bit_count()
+    reach = 0
+    for row in rows:
+        reach += max(map(int.bit_count, map(uncovered.__and__, row)))
+        if reach >= need:
+            break
+    return reach
+
+
 def _census_unit(args) -> tuple[int, int, int | None]:
     """Walk the census tournaments under one worker's run of prefixes.
 
@@ -211,9 +230,13 @@ def _census_unit(args) -> tuple[int, int, int | None]:
     prefixes are digit tuples of one length below C(n,k), in counter order.
     Each prefix's masks are intersected up front and the recursion walks the
     remaining digits, so a prefix that already covers every order is
-    reported by the recursion's next digit like any other witness.  The
-    worker builds its own masks from (n, k).  Returns (enumerated, found,
-    first_witness_counter), counting only the tournaments under
+    reported by the recursion's next digit like any other witness.  A child
+    subtree is counted as decided without a walk when its uncovered orders
+    outnumber what the remaining subsets could cover of them: the sum over
+    those subsets of the most uncovered orders one orientation covers
+    (:func:`_cover_reach`).  No completion of such a child has Property O.
+    The worker builds its own masks from (n, k).  Returns (enumerated,
+    found, first_witness_counter), counting only the tournaments under
     ``prefixes``.  In stop_first mode the walk ends at the run's first
     witness and ``enumerated`` only covers what was decided before it.
     """
@@ -223,9 +246,12 @@ def _census_unit(args) -> tuple[int, int, int | None]:
     fact_k = math.factorial(k)
     not_masks = [[full ^ mask for mask in row] for row in masks]
     per_cover = math.factorial(n) // fact_k
-    total_orders = math.factorial(n)
     pow_fk = [fact_k**i for i in range(m + 1)]
-    budgets = [(m - d) * per_cover for d in range(m + 1)]
+    # rests[d] holds the masks of subsets d..m-1.  One subset's k! masks
+    # partition the orders, so the best of them covers at least 1/k! of any
+    # uncovered set, and the bound can only fire once fewer than k! subsets
+    # remain.
+    rests = [masks[d:] if m - d < fact_k else None for d in range(m + 1)]
     last = m - 1
 
     enumerated = 0
@@ -266,8 +292,12 @@ def _census_unit(args) -> tuple[int, int, int | None]:
             report_progress()
             return False
         step = pow_fk[m - 1 - d]
-        budget = budgets[d + 1]
-        prunable = budget < total_orders
+        rest = rests[d + 1]
+        if rest is not None:
+            # a child's uncovered orders are some of this node's, so what
+            # the remaining subsets cover of this node's bounds every
+            # child's: a cheap first filter before each child's own bound
+            reach = _cover_reach(uncovered, rest)
         for o in range(fact_k):
             shrunk = uncovered & row[o]
             if shrunk == 0:
@@ -280,7 +310,10 @@ def _census_unit(args) -> tuple[int, int, int | None]:
                 if first_counter is None:
                     first_counter = base_counter + o * step
                 report_progress()
-            elif prunable and shrunk.bit_count() > budget:
+            elif rest is not None and (
+                reach < (left := shrunk.bit_count())
+                or _cover_reach(shrunk, rest) < left
+            ):
                 enumerated += step
                 report_progress()
             else:
@@ -403,7 +436,8 @@ def prove_vertex_lower_bound(
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    if math.comb(n, k) <= min_edges_lower_bound(k) - 1:
+    # every Property O k-graph has at least k!+1 edges
+    if math.comb(n, k) <= math.factorial(k):
         return SearchReport(
             n=n,
             k=k,

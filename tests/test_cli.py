@@ -355,6 +355,50 @@ class TestUsage:
         ):
             assert name not in added, name
 
+    def test_census_process_leaves_out_constructions_and_montecarlo(self):
+        # -X importtime lists what import statements load, against a bare
+        # interpreter; search itself loads through the package's lazy
+        # exports (importlib), so sys.modules at exit is read as well
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules"
+            " if m.startswith('propertyo.')), file=sys.stderr))\n"
+            "sys.argv = ['propertyo', 'census', '--n', '4', '--k', '3']\n"
+            "runpy.run_module('propertyo', run_name='__main__')\n"
+        )
+
+        def imported(*args):
+            result = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                capture_output=True,
+                text=True,
+            )
+            names = {
+                line.rsplit("|", 1)[1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            return result, names
+
+        bare, before = imported("-c", "pass")
+        assert bare.returncode == 0, bare.stderr
+        census, after = imported("-c", code)
+        assert census.returncode == 0, census.stderr
+        assert "total_enumerated=0\n" in census.stdout
+        added = after - before
+        assert {"propertyo.core", "propertyo.cli"} <= added
+        for name in ("propertyo.constructions", "propertyo.montecarlo"):
+            assert name not in added, name
+        loaded = census.stderr.splitlines()[-1]
+        assert loaded == str(
+            [
+                "propertyo.cli",
+                "propertyo.core",
+                "propertyo.fileformat",
+                "propertyo.search",
+            ]
+        )
+
     def test_package_import_loads_no_submodule(self):
         result = subprocess.run(
             [sys.executable, "-c",

@@ -1,5 +1,9 @@
+import collections
+import functools
 import itertools
 import math
+import operator
+import random
 
 import pytest
 
@@ -19,6 +23,7 @@ from propertyo import (
 from propertyo import search
 from propertyo.search import (
     _census_unit,
+    _cover_reach,
     _coverage_masks,
     _is_leader,
     _leader_tables,
@@ -139,18 +144,76 @@ class TestCensusEngine:
                 report = census_property_o(n, k, jobs=jobs, stop_at_first=False)
                 assert report.matches(base), (n, k, jobs)
 
-    def test_partition_counts_and_witness_counters(self):
+    def test_partition_counts_and_witness_counters(self, monkeypatch):
         # every worker reports its own prefixes' counts and smallest
-        # witness counter, not only the globally first witness
-        n, k, depth = 4, 2, 3
-        suffix = 2 ** (math.comb(n, k) - depth)
-        for rank, prefix in enumerate(itertools.product(range(2), repeat=depth)):
-            counters = range(rank * suffix, (rank + 1) * suffix)
-            witnesses = [
-                c for c in counters if violating_order_for_counter(n, k, c) is None
-            ]
-            result = _census_unit((n, k, [prefix], False, 0))
-            assert result == (suffix, len(witnesses), min(witnesses, default=None))
+        # witness counter, not only the globally first witness; at (5, 2)
+        # the cover bound discards subtrees in bulk, and each of their
+        # counters is checked on its own
+        fired = []
+        real_reach = search._cover_reach
+
+        def recording_reach(uncovered, rows):
+            reach = real_reach(uncovered, rows)
+            fired.append(reach < uncovered.bit_count())
+            return reach
+
+        monkeypatch.setattr(search, "_cover_reach", recording_reach)
+        for n, k, depth in [(4, 2, 3), (5, 2, 3)]:
+            suffix = 2 ** (math.comb(n, k) - depth)
+            for rank, prefix in enumerate(itertools.product(range(2), repeat=depth)):
+                counters = range(rank * suffix, (rank + 1) * suffix)
+                witnesses = [
+                    c for c in counters if violating_order_for_counter(n, k, c) is None
+                ]
+                result = _census_unit((n, k, [prefix], False, 0))
+                expected = (suffix, len(witnesses), min(witnesses, default=None))
+                assert result == expected, (n, k, prefix)
+        assert any(fired)
+
+    @pytest.mark.parametrize(
+        "n, k, depths, samples",
+        [(5, 3, (6, 7, 8), 40), (5, 2, (7, 8, 9), None)],
+        ids=["5-3", "5-2"],
+    )
+    def test_cover_bound_against_every_completion(self, n, k, depths, samples):
+        # the bound may fail to prune, but when it prunes no completion of
+        # the remaining digits covers the prefix's uncovered orders
+        masks, full = _coverage_masks(n, k)
+        fact_k = math.factorial(k)
+        rng = random.Random(8)
+        outcomes = collections.Counter()
+        for depth in depths:
+            if samples is None:
+                prefixes = itertools.product(range(fact_k), repeat=depth)
+            else:
+                prefixes = [
+                    tuple(rng.randrange(fact_k) for _ in range(depth))
+                    for _ in range(samples)
+                ]
+            rows = masks[depth:]
+            for prefix in prefixes:
+                uncovered = full
+                for t, o in enumerate(prefix):
+                    uncovered &= full ^ masks[t][o]
+                size = uncovered.bit_count()
+                covered = any(
+                    uncovered & ~functools.reduce(operator.or_, choice) == 0
+                    for choice in itertools.product(*rows)
+                )
+                total = sum(
+                    max((uncovered & mask).bit_count() for mask in row)
+                    for row in rows
+                )
+                reach = _cover_reach(uncovered, rows)
+                assert (reach >= size) == (total >= size), prefix
+                cannot = reach < size
+                assert not (cannot and covered), prefix
+                outcomes[cannot, covered] += 1
+        # the bound fires in both spaces; at (5, 3), where no tournament
+        # has Property O, it also keeps prefixes that have no cover, and at
+        # (5, 2) it keeps prefixes that have one
+        assert outcomes[True, False] > 0
+        assert outcomes[False, k == 2] > 0
 
     def test_first_witness_is_smallest_counter(self):
         report = census_property_o(3, 2, stop_at_first=True)
