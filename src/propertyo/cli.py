@@ -46,31 +46,14 @@ from .core import (
 )
 from .fileformat import read_hypergraph, write_hypergraph
 
-# resolved through the package's lazy exports (PEP 562) on first use
-_LAZY_NAMES = frozenset(
-    {
-        # constructions
-        "GeneralLayout",
-        "cyclic_triangle",
-        "double_cycle_3graph",
-        "general_construction",
-        "merged_ten_edge_3graph",
-        "min_edges_lower_bound",
-        "min_edges_upper_bound",
-        "ten_edge_3graph",
-        # montecarlo
-        "estimate_property_o_rate",
-        # search
-        "edge_minimality",
-        "prove_vertex_lower_bound",
-    }
-)
-
 
 def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
+    """Resolve a name that the package exports from a module not imported
+    above, through its lazy exports (PEP 562)."""
+    package = sys.modules[__package__]
+    if package._MODULE_OF.get(name) not in ("constructions", "search", "montecarlo"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -140,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="sweep all k-tournaments on n vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel partitions")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
+    )
     p.add_argument(
         "--symmetry",
         action="store_true",

@@ -363,23 +363,6 @@ class CaseCoverageReport(Record):
                     )
 
 
-def _patched_positions_increasing(rank: int, position: int, k: int) -> bool:
-    """Whether the slot-``position`` patched edge is consistent in the rank case.
-
-    In the case under analysis the base tuple lists its k vertices in their
-    true relative order and the fresh vertex has the given rank among them.
-    The patched edge keeps every base vertex except the one at the slot, so
-    its consistency is a pure position pattern, independent of labels.
-    """
-    positions = []
-    for slot in range(k):
-        if slot == position - 1:
-            positions.append(rank)
-        else:
-            positions.append(slot if slot < rank else slot + 1)
-    return all(a < b for a, b in zip(positions, positions[1:]))
-
-
 def structured_coverage_check(k: int) -> CaseCoverageReport:
     """Certify the general construction's case analysis without order enumeration.
 
@@ -441,10 +424,15 @@ def structured_coverage_check(k: int) -> CaseCoverageReport:
         )
     if not plan.covers_all_ranks():
         problems.append("replacement plan misses a fresh-vertex rank")
+    # The base tuple lists its k vertices in their true relative order, so
+    # 0..k-1 stand for them and k for the fresh vertex; the patched edge
+    # puts k in the slot it replaces.
+    labels = tuple(range(k))
     rank_witnesses: list[tuple[int, int]] = []
     for rank in range(k + 1):
         position = plan.witness_position(rank)
-        if not _patched_positions_increasing(rank, position, k):
+        edge = labels[: position - 1] + (k,) + labels[position:]
+        if not is_consistent(edge, labels[:rank] + (k,) + labels[rank:]):
             problems.append(
                 f"patched edge at slot {position} is not consistent for rank {rank}"
             )

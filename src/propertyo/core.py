@@ -32,13 +32,12 @@ completion then leaves that edge consistent.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 import operator
 import os
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 OrientedEdge = tuple[int, ...]
 LinearOrder = tuple[int, ...]
@@ -285,94 +284,74 @@ def oriented_subset_tables(
 
 
 def ordered_map(
-    func: Callable[[Any], Any],
-    tasks: Sequence[Any],
+    func: Callable[[Sequence[Any]], Any],
+    items: Sequence[Any],
     jobs: int,
     until: Callable[[Any], bool] | None = None,
 ) -> list:
-    """``func`` over ``tasks``, results in task order.
+    """``func`` over contiguous runs of ``items``, results in run order.
 
-    With ``jobs`` > 1 and several tasks each call runs in a forked process
-    of its own, at most ``jobs`` (and no more than CPUs) at a time.  The map
-    ends after the first result that ``until`` accepts; that result is the
-    last in the list, and the processes still running are killed.  A
-    worker's exception is raised again here.  Results are pickled, so keep
-    them small.
+    ``items`` are dealt into min(``jobs``, CPUs, len(``items``)) runs of
+    near-equal length, and ``func`` is called once with each run; no items
+    means no call.  A single run is called in this process.  With several,
+    every run starts at once in a forked child of its own, which sends its
+    outcome down a pipe of its own, and the pipes are read in run order.
+    The map ends after the first result that ``until`` accepts; that result
+    is the last in the list, and the children not yet read are killed.
+    With no queue or lock shared between children, a killed child cannot
+    leave one held: a ``multiprocessing.Pool`` can hang in ``terminate``
+    when a worker dies while writing its result.  A child's exception is
+    raised again here, and a child that exits without a result raises
+    :class:`InternalError`.  Results are pickled, so keep them small.
     """
+    size = len(items)
+    count = min(max(jobs, 1), os.cpu_count() or 1, size)
+    runs = [items[size * i // count : size * (i + 1) // count] for i in range(count)]
+    if count <= 1:
+        return [func(run) for run in runs]
+    # imported here, not at module level: multiprocessing and the subprocess
+    # and locale modules it pulls in would slow every CLI start
+    import multiprocessing
 
-    def take(results: Iterable[Any]) -> list:
-        taken = []
-        for result in results:
-            taken.append(result)
-            if until is not None and until(result):
-                break
-        return taken
-
-    if jobs <= 1 or len(tasks) <= 1:
-        return take(map(func, tasks))
-    processes = min(jobs, os.cpu_count() or 1)
-    with contextlib.closing(_forked_map(func, tasks, processes)) as results:
-        return take(results)
-
-
-def _send_outcome(func: Callable[[Any], Any], task: Any, conn) -> None:
+    context = multiprocessing.get_context("fork")
+    children = []
+    results: list = []
     try:
-        outcome = (True, func(task))
+        for run in runs:
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_send_outcome, args=(func, run, writer), daemon=True
+            )
+            child.start()
+            writer.close()
+            children.append((reader, child))
+        for i, (reader, _) in enumerate(children):
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                raise InternalError(
+                    f"internal error: worker of run {i} sent no result"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+            if until is not None and until(value):
+                break
+        return results
+    finally:
+        for i, (reader, child) in enumerate(children):
+            if i >= len(results):
+                child.kill()
+            child.join()
+            reader.close()
+
+
+def _send_outcome(func: Callable[[Any], Any], run: Any, conn) -> None:
+    try:
+        outcome = (True, func(run))
     except Exception as exc:  # raised again in the parent
         outcome = (False, exc)
     conn.send(outcome)
-
-
-def _forked_map(
-    func: Callable[[Any], Any], tasks: Sequence[Any], processes: int
-) -> Iterator[Any]:
-    """Yield ``func(task)`` in task order, each computed in a forked child
-    that sends its outcome down a pipe of its own.
-
-    Closing the generator kills the children still running.  With no queue
-    or lock shared between children, a killed child cannot leave one held:
-    a ``multiprocessing.Pool`` can hang in ``terminate`` when a worker dies
-    while writing its result.
-    """
-    # imported here, not at module level: multiprocessing and the subprocess
-    # and locale modules it pulls in would slow every CLI start
-    import multiprocessing.connection
-
-    context = multiprocessing.get_context("fork")
-    waiting = iter(enumerate(tasks))
-    running: dict[Any, tuple[int, Any]] = {}  # pipe end -> (index, child)
-    outcomes: dict[int, tuple[bool, Any]] = {}
-    try:
-        for index in range(len(tasks)):
-            while index not in outcomes:
-                for i, task in itertools.islice(waiting, processes - len(running)):
-                    reader, writer = context.Pipe(duplex=False)
-                    child = context.Process(
-                        target=_send_outcome, args=(func, task, writer), daemon=True
-                    )
-                    child.start()
-                    writer.close()
-                    running[reader] = (i, child)
-                for reader in multiprocessing.connection.wait(list(running)):
-                    i, child = running.pop(reader)
-                    try:
-                        outcomes[i] = reader.recv()
-                    except EOFError:
-                        raise InternalError(
-                            f"internal error: worker of task {i} sent no result"
-                        ) from None
-                    finally:
-                        reader.close()
-                        child.join()
-            ok, value = outcomes.pop(index)
-            if not ok:
-                raise value
-            yield value
-    finally:
-        for reader, (_, child) in running.items():
-            child.kill()
-            child.join()
-            reader.close()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ and of how they are assigned to workers.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .core import (
@@ -87,10 +88,9 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     return OrientedHypergraph(k, n, edges)
 
 
-def _count_successes(args) -> int:
-    n, k, seed, start, stop = args
+def _count_successes(n: int, k: int, seed: int, trials: range) -> int:
     successes = 0
-    for t in range(start, stop):
+    for t in trials:
         tournament = random_tournament(n, k, value_at(seed, t))
         if check_property_o(tournament, method="backtracking").holds:
             successes += 1
@@ -108,10 +108,8 @@ def estimate_property_o_rate(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    jobs = max(1, jobs)
-    bounds = [trials * i // jobs for i in range(jobs + 1)]
-    tasks = [(n, k, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    successes = sum(ordered_map(_count_successes, tasks, jobs))
+    count = functools.partial(_count_successes, n, k, seed)
+    successes = sum(ordered_map(count, range(trials), jobs))
     rate = successes / trials
     return TrialSummary(
         n=n,

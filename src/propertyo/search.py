@@ -42,6 +42,7 @@ decided total itself, without a walk.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -223,29 +224,34 @@ def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
     return reach
 
 
-def _census_unit(args) -> tuple[int, int, int | None]:
+def _census_unit(
+    n: int,
+    k: int,
+    stop_first: bool,
+    progress_interval: int,
+    prefixes: list[tuple[int, ...]],
+) -> tuple[int, int, int | None]:
     """Walk the census tournaments under one worker's run of prefixes.
 
-    ``args`` is (n, k, prefixes, stop_first, progress_interval): the
-    prefixes are digit tuples of one length below C(n,k), in counter order.
-    Each prefix's masks are intersected up front and the recursion walks the
-    remaining digits, so a prefix that already covers every order is
-    reported by the recursion's next digit like any other witness.  A child
-    subtree is counted as decided without a walk when its uncovered orders
-    outnumber what the remaining subsets could cover of them: the sum over
-    those subsets of the most uncovered orders one orientation covers
-    (:func:`_cover_reach`).  No completion of such a child has Property O.
-    The worker builds its own masks from (n, k).  Returns (enumerated,
-    found, first_witness_counter), counting only the tournaments under
-    ``prefixes``.  In stop_first mode the walk ends at the run's first
-    witness and ``enumerated`` only covers what was decided before it.
+    The prefixes are digit tuples of one length below C(n,k), in counter
+    order.  Each prefix's masks are intersected up front and the recursion
+    walks the remaining digits, so a prefix that already covers every order
+    is reported by the recursion's next digit like any other witness.  A
+    child subtree is counted as decided without a walk when its uncovered
+    orders outnumber what the remaining subsets could cover of them: the
+    sum over those subsets of the most uncovered orders one orientation
+    covers (:func:`_cover_reach`).  No completion of such a child has
+    Property O.  At the last digit no subset remains, so every child that
+    is not a witness is discarded this way.  The worker builds its own
+    masks from (n, k).  Returns (enumerated, found, first_witness_counter),
+    counting only the tournaments under ``prefixes``.  In stop_first mode
+    the walk ends at the run's first witness and ``enumerated`` only covers
+    what was decided before it.
     """
-    n, k, prefixes, stop_first, progress_interval = args
     masks, full = _coverage_masks(n, k)
     m = len(masks)
     fact_k = math.factorial(k)
     not_masks = [[full ^ mask for mask in row] for row in masks]
-    per_cover = math.factorial(n) // fact_k
     pow_fk = [fact_k**i for i in range(m + 1)]
     # rests[d] holds the masks of subsets d..m-1.  One subset's k! masks
     # partition the orders, so the best of them covers at least 1/k! of any
@@ -276,21 +282,6 @@ def _census_unit(args) -> tuple[int, int, int | None]:
         """Returns True to stop the walk (witness found in stop_first mode)."""
         nonlocal enumerated, found, first_counter
         row = not_masks[d]
-        if d == last:
-            if uncovered.bit_count() > per_cover:
-                enumerated += fact_k
-                report_progress()
-                return False
-            for o in range(fact_k):
-                if uncovered & row[o] == 0:
-                    found += 1
-                    if first_counter is None:
-                        first_counter = base_counter + o
-                    if stop_first:
-                        return True
-            enumerated += fact_k
-            report_progress()
-            return False
         step = pow_fk[m - 1 - d]
         rest = rests[d + 1]
         if rest is not None:
@@ -358,8 +349,9 @@ def census_property_o(
     With ``stop_at_first`` the sweep skips non-leader prefixes and ends at
     the smallest-counter witness; otherwise every tournament is walked and
     ``property_o_found`` is the exact count.  The parent lists the prefixes
-    to walk and deals each of up to ``jobs`` workers one contiguous run of
-    them in counter order, so the report is identical for any ``jobs``.
+    to walk, and :func:`ordered_map` deals them in counter order, one
+    contiguous run per worker and at most ``jobs`` workers (no more than
+    CPUs), so the report is identical for any ``jobs``.
     ``progress_interval`` > 0 makes each worker write "examined=...
     found=... elapsed=..." lines to stderr roughly every that many walked
     tournaments.
@@ -371,7 +363,6 @@ def census_property_o(
 
     # at least one prefix per worker before leaders are picked, and every
     # prefix leaves the recursion a digit to walk
-    jobs = max(1, jobs)
     depth = 0
     while fact_k**depth < jobs and depth < subset_count - 1:
         depth += 1
@@ -384,15 +375,9 @@ def census_property_o(
         tables = _leader_tables(n, k)
         prefixes = [p for p in prefixes if _is_leader(p[: k + 1], tables)]
     skipped = (fact_k**depth - len(prefixes)) * fact_k ** (subset_count - depth)
-    bounds = [len(prefixes) * i // jobs for i in range(jobs + 1)]
-    tasks = [
-        (n, k, prefixes[lo:hi], stop_at_first, progress_interval)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
     results = ordered_map(
-        _census_unit,
-        tasks,
+        functools.partial(_census_unit, n, k, stop_at_first, progress_interval),
+        prefixes,
         jobs,
         until=(lambda r: r[2] is not None) if stop_at_first else None,
     )

@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -20,6 +21,43 @@ from propertyo.cli import main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_listing_imports(*argv):
+    """Run ``propertyo ARGV`` in a fresh interpreter under ``-X importtime``.
+
+    Returns the finished process, the modules its import statements load
+    beyond a bare interpreter's (so that what site imports does not count),
+    and the propertyo modules in ``sys.modules`` at exit.  The last also
+    holds what loads through the package's lazy exports (importlib), which
+    ``-X importtime`` does not list.
+    """
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules"
+        " if m.startswith('propertyo.')), file=sys.stderr))\n"
+        f"sys.argv = ['propertyo', *{list(argv)!r}]\n"
+        "runpy.run_module('propertyo', run_name='__main__')\n"
+    )
+
+    def imported(*args):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True,
+            text=True,
+        )
+        names = {
+            line.rsplit("|", 1)[1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return result, names
+
+    bare, before = imported("-c", "pass")
+    assert bare.returncode == 0, bare.stderr
+    result, after = imported("-c", code)
+    loaded = ast.literal_eval(result.stderr.splitlines()[-1])
+    return result, after - before, loaded
 
 
 def write(tmp_path, name, text):
@@ -324,80 +362,25 @@ class TestUsage:
         assert result.stdout == "False\n"
 
     def test_verify_process_loads_only_core_and_fileformat(self, tmp_path):
-        # against a bare interpreter, so that what site imports does not count
         path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
-
-        def imported(*args):
-            result = subprocess.run(
-                [sys.executable, "-X", "importtime", *args],
-                capture_output=True,
-                text=True,
-            )
-            names = {
-                line.rsplit("|", 1)[1].strip()
-                for line in result.stderr.splitlines()
-                if line.startswith("import time:")
-            }
-            return result, names
-
-        bare, before = imported("-c", "pass")
-        assert bare.returncode == 0, bare.stderr
-        verify, after = imported("-m", "propertyo", "verify", path)
+        verify, added, loaded = run_listing_imports("verify", path)
         assert verify.returncode == 0, verify.stderr
         assert verify.stdout == "PROPERTY_O method=exhaustive orders=40320\n"
-        added = after - before
         assert {"propertyo.core", "propertyo.fileformat", "propertyo.cli"} <= added
-        for name in (
-            "dataclasses",
-            "propertyo.search",
-            "propertyo.constructions",
-            "propertyo.montecarlo",
-        ):
-            assert name not in added, name
+        assert "dataclasses" not in added
+        assert loaded == ["propertyo.cli", "propertyo.core", "propertyo.fileformat"]
 
     def test_census_process_leaves_out_constructions_and_montecarlo(self):
-        # -X importtime lists what import statements load, against a bare
-        # interpreter; search itself loads through the package's lazy
-        # exports (importlib), so sys.modules at exit is read as well
-        code = (
-            "import atexit, runpy, sys\n"
-            "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.startswith('propertyo.')), file=sys.stderr))\n"
-            "sys.argv = ['propertyo', 'census', '--n', '4', '--k', '3']\n"
-            "runpy.run_module('propertyo', run_name='__main__')\n"
-        )
-
-        def imported(*args):
-            result = subprocess.run(
-                [sys.executable, "-X", "importtime", *args],
-                capture_output=True,
-                text=True,
-            )
-            names = {
-                line.rsplit("|", 1)[1].strip()
-                for line in result.stderr.splitlines()
-                if line.startswith("import time:")
-            }
-            return result, names
-
-        bare, before = imported("-c", "pass")
-        assert bare.returncode == 0, bare.stderr
-        census, after = imported("-c", code)
+        census, added, loaded = run_listing_imports("census", "--n", "4", "--k", "3")
         assert census.returncode == 0, census.stderr
         assert "total_enumerated=0\n" in census.stdout
-        added = after - before
         assert {"propertyo.core", "propertyo.cli"} <= added
-        for name in ("propertyo.constructions", "propertyo.montecarlo"):
-            assert name not in added, name
-        loaded = census.stderr.splitlines()[-1]
-        assert loaded == str(
-            [
-                "propertyo.cli",
-                "propertyo.core",
-                "propertyo.fileformat",
-                "propertyo.search",
-            ]
-        )
+        assert loaded == [
+            "propertyo.cli",
+            "propertyo.core",
+            "propertyo.fileformat",
+            "propertyo.search",
+        ]
 
     def test_package_import_loads_no_submodule(self):
         result = subprocess.run(
@@ -432,6 +415,17 @@ assert cli.main(["minimality", {path!r}]) == 0
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[0] == "swapped"
+
+    def test_lazy_names_are_the_exports_of_unloaded_modules(self):
+        import propertyo
+
+        for name in ("census_property_o", "random_tournament", "permutation_at"):
+            assert getattr(cli, name) is getattr(propertyo, name)
+        # core and fileformat exports the module does not import, and
+        # names the package defines but does not export
+        for name in ("validate", "parse_hypergraph", "__all__", "_MODULE_OF", "nope"):
+            with pytest.raises(AttributeError):
+                getattr(cli, name)
 
     def test_help_documents_exit_codes(self, capsys):
         assert run_cli("--help") == 0

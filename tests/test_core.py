@@ -585,36 +585,72 @@ class TestCoverageKernel:
 
 
 class TestOrderedMap:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # the run count must not depend on the machine the tests run on
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_task_order_up_to_first_accepted(self, jobs):
-        results = core.ordered_map(
-            math.isqrt, list(range(10)), jobs, until=lambda r: r >= 2
+        items = list(range(6))
+        runs = [items] if jobs == 1 else [items[:3], items[3:]]
+        assert core.ordered_map(list, items, jobs) == runs
+        assert core.ordered_map(list, items, jobs, until=lambda r: 0 in r) == runs[:1]
+
+    @pytest.mark.parametrize(
+        "jobs, items, children",
+        [(1, 5, 0), (3, 5, 3), (8, 5, 4), (8, 3, 3), (8, 1, 0)],
+    )
+    def test_one_child_per_run(self, monkeypatch, jobs, items, children):
+        # min(jobs, CPUs, items) runs; a single run needs no child
+        starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            starts.append(process)
+            start(process)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", counting_start
         )
-        assert results == [0, 1, 1, 1, 2]
+        runs = core.ordered_map(list, list(range(items)), jobs)
+        assert len(starts) == children
+        assert len(runs) == max(children, 1)
+        assert [x for run in runs for x in run] == list(range(items))
 
     def test_worker_exception_is_raised(self):
-        def check(task):
-            if task == 3:
-                raise ValueError("task 3")
-            return task
+        def check(run):
+            if 3 in run:
+                raise ValueError("run with 3")
+            return run
 
-        with pytest.raises(ValueError, match="task 3"):
+        with pytest.raises(ValueError, match="run with 3"):
             core.ordered_map(check, list(range(6)), 2)
 
     def test_worker_without_result_is_internal_error(self):
-        def die(task):
+        def die(run):
             os._exit(1)
 
-        with pytest.raises(core.InternalError):
+        with pytest.raises(core.InternalError, match="run 0 sent no result"):
             core.ordered_map(die, [0, 1], 2)
+        assert multiprocessing.active_children() == []
 
     def test_stop_kills_running_workers(self):
-        def slow_after_first(task):
-            if task > 0:
+        def slow_after_first(run):
+            if run[0] > 0:
                 time.sleep(30)
-            return task
+            return run
 
+        start = time.perf_counter()
         assert core.ordered_map(
             slow_after_first, [0, 1, 2], 2, until=lambda r: True
-        ) == [0]
+        ) == [[0]]
+        assert time.perf_counter() - start < 10
         assert multiprocessing.active_children() == []
+
+    def test_zero_items_make_no_call(self):
+        def called(run):
+            raise AssertionError("called with no items")
+
+        for jobs in (1, 2):
+            assert core.ordered_map(called, [], jobs) == []

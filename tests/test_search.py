@@ -1,8 +1,10 @@
+import ast
 import collections
 import functools
 import itertools
 import math
 import operator
+import os
 import random
 
 import pytest
@@ -96,17 +98,20 @@ class TestCensusEngine:
                 count += minimal
             assert count == leaders
 
-    def test_workers_share_the_leader_prefixes(self, monkeypatch):
+    def test_workers_share_the_leader_prefixes(self, monkeypatch, tmp_path):
         # all 60 leader prefixes of (5, 3) have first digit 0: two workers
         # get 30 each, in counter order, not one counter range each
-        tasks = []
-        real_map = search.ordered_map
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "runs"
+        real_unit = search._census_unit
 
-        def recording_map(func, work, jobs, until=None):
-            tasks.extend(work)
-            return real_map(func, work, 1, until)
+        def recording_unit(n, k, stop_first, progress_interval, prefixes):
+            # each run is walked in a forked child, so it is logged to a file
+            with open(log, "a") as f:
+                f.write(repr(prefixes) + "\n")
+            return real_unit(n, k, stop_first, progress_interval, prefixes)
 
-        monkeypatch.setattr(search, "ordered_map", recording_map)
+        monkeypatch.setattr(search, "_census_unit", recording_unit)
         report = census_property_o(5, 3, jobs=2)
         assert report.total_enumerated == 6**10
         tables = _leader_tables(5, 3)
@@ -116,7 +121,8 @@ class TestCensusEngine:
             if _is_leader(p, tables)
         ]
         assert len(leaders) == 60
-        assert [task[2] for task in tasks] == [leaders[:30], leaders[30:]]
+        runs = sorted(ast.literal_eval(line) for line in log.read_text().splitlines())
+        assert runs == [leaders[:30], leaders[30:]]
 
     def test_no_witness_on_4_3(self):
         report = census_property_o(4, 3, stop_at_first=True)
@@ -165,7 +171,7 @@ class TestCensusEngine:
                 witnesses = [
                     c for c in counters if violating_order_for_counter(n, k, c) is None
                 ]
-                result = _census_unit((n, k, [prefix], False, 0))
+                result = _census_unit(n, k, False, 0, [prefix])
                 expected = (suffix, len(witnesses), min(witnesses, default=None))
                 assert result == expected, (n, k, prefix)
         assert any(fired)
