@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="decide Property O for a hypergraph file")
     p.add_argument("file")
     p.add_argument("--method", choices=sorted(_METHODS), default="auto")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("histogram", help="orders per consistent-edge count")
     p.add_argument("file")
@@ -125,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
-    )
-    p.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="accepted; has no effect (lex-leader pruning is always on)",
     )
     p.add_argument(
         "--progress", type=int, default=0, help="progress line interval (stderr)"

@@ -294,14 +294,14 @@ def ordered_map(
     ``items`` are dealt into min(``jobs``, CPUs, len(``items``)) runs of
     near-equal length, and ``func`` is called once with each run; no items
     means no call.  A single run is called in this process.  With several,
-    every run starts at once in a forked child of its own, which sends its
-    outcome down a pipe of its own, and the pipes are read in run order.
-    The map ends after the first result that ``until`` accepts; that result
-    is the last in the list, and the children not yet read are killed.
-    With no queue or lock shared between children, a killed child cannot
-    leave one held: a ``multiprocessing.Pool`` can hang in ``terminate``
-    when a worker dies while writing its result.  A child's exception is
-    raised again here, and a child that exits without a result raises
+    every run starts at once in a child of its own (``os.fork``), which
+    pickles its outcome into a pipe of its own and leaves through
+    ``os._exit``; the parent reads the pipes to EOF in run order.  The map
+    ends after the first result that ``until`` accepts; that result is the
+    last in the list, and the children not yet read are killed.  No queue
+    or lock is shared between children, so a killed child cannot leave one
+    held.  A child's exception is raised again here, and a child that
+    exits without a result, or whose outcome does not pickle, raises
     :class:`InternalError`.  Results are pickled, so keep them small.
     """
     size = len(items)
@@ -309,26 +309,39 @@ def ordered_map(
     runs = [items[size * i // count : size * (i + 1) // count] for i in range(count)]
     if count <= 1:
         return [func(run) for run in runs]
-    # imported here, not at module level: multiprocessing and the subprocess
-    # and locale modules it pulls in would slow every CLI start
-    import multiprocessing
+    import pickle
+    import signal
 
-    context = multiprocessing.get_context("fork")
-    children = []
+    pids: list[int] = []
+    readers: list[int] = []
     results: list = []
     try:
         for run in runs:
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_outcome, args=(func, run, writer), daemon=True
-            )
-            child.start()
-            writer.close()
-            children.append((reader, child))
-        for i, (reader, _) in enumerate(children):
+            reader, writer = os.pipe()
+            readers.append(reader)
             try:
-                ok, value = reader.recv()
-            except EOFError:
+                pid = os.fork()
+                if pid == 0:  # the child leaves only through os._exit
+                    try:
+                        try:
+                            outcome = (True, func(run))
+                        except Exception as exc:  # raised again in the parent
+                            outcome = (False, exc)
+                        data = pickle.dumps(outcome)
+                        with open(writer, "wb") as pipe:
+                            pipe.write(data)
+                    finally:
+                        os._exit(0)
+            finally:
+                # later children must not inherit it, or no pipe reaches EOF
+                os.close(writer)
+            pids.append(pid)
+        for i, reader in enumerate(readers):
+            with open(reader, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
                 raise InternalError(
                     f"internal error: worker of run {i} sent no result"
                 ) from None
@@ -339,19 +352,12 @@ def ordered_map(
                 break
         return results
     finally:
-        for i, (reader, child) in enumerate(children):
+        for i, pid in enumerate(pids):
             if i >= len(results):
-                child.kill()
-            child.join()
-            reader.close()
-
-
-def _send_outcome(func: Callable[[Any], Any], run: Any, conn) -> None:
-    try:
-        outcome = (True, func(run))
-    except Exception as exc:  # raised again in the parent
-        outcome = (False, exc)
-    conn.send(outcome)
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            os.close(reader)
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +372,31 @@ def validate(graph: OrientedHypergraph) -> ValidationResult:
     out-of-range vertex indices, and two edges sharing the same underlying
     k-element set are each reported with the offending edge indices.
     """
-    violations: list[str] = []
+    violations = tuple(message for _, message in _violations(graph))
+    return ValidationResult(ok=not violations, violations=violations)
+
+
+def _violations(graph: OrientedHypergraph) -> Iterator[tuple[int, str]]:
+    """Each of :func:`validate`'s violations as (edge index, message); a
+    duplicate underlying set is charged to the later of its two edges."""
     seen: dict[frozenset[int], int] = {}
     for i, edge in enumerate(graph.edges):
         if len(edge) != graph.k:
-            violations.append(f"edge {i}: has {len(edge)} vertices, expected {graph.k}")
+            yield i, f"edge {i}: has {len(edge)} vertices, expected {graph.k}"
         if len(set(edge)) != len(edge):
-            violations.append(f"edge {i}: repeated vertex in edge")
+            yield i, f"edge {i}: repeated vertex in edge"
         for v in edge:
             if not 0 <= v < graph.n:
-                violations.append(f"edge {i}: vertex {v} out of range for n={graph.n}")
+                yield i, f"edge {i}: vertex {v} out of range for n={graph.n}"
         key = frozenset(edge)
         if len(set(edge)) == len(edge):
             if key in seen:
-                violations.append(
-                    f"edges {seen[key]} and {i}: duplicate underlying set {sorted(key)}"
+                yield i, (
+                    f"edges {seen[key]} and {i}: "
+                    f"duplicate underlying set {sorted(key)}"
                 )
             else:
                 seen[key] = i
-    return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
 def require_valid(graph: OrientedHypergraph) -> None:

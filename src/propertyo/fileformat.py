@@ -19,7 +19,7 @@ part of the golden-file contract.
 
 from __future__ import annotations
 
-from .core import OrientedHypergraph, validate
+from .core import OrientedHypergraph, _violations
 
 
 class HypergraphFormatError(ValueError):
@@ -86,21 +86,10 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
         raise HypergraphFormatError("missing k or n header")
 
     graph = OrientedHypergraph(k, n, tuple(edges))
-    result = validate(graph)
-    if not result.ok:
-        messages = []
-        for violation in result.violations:
-            lineno = None
-            if violation.startswith("edge "):
-                index = int(violation.split(":", 1)[0].split()[1])
-                lineno = edge_lines[index]
-            elif violation.startswith("edges "):
-                index = int(
-                    violation.split(":", 1)[0].replace("edges ", "").split(" and ")[1]
-                )
-                lineno = edge_lines[index]
-            suffix = f", line {lineno}" if lineno is not None else ""
-            messages.append(violation + suffix)
+    messages = [
+        f"{message}, line {edge_lines[i]}" for i, message in _violations(graph)
+    ]
+    if messages:
         raise HypergraphFormatError("; ".join(messages))
     return graph
 

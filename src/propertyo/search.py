@@ -349,9 +349,10 @@ def census_property_o(
     With ``stop_at_first`` the sweep skips non-leader prefixes and ends at
     the smallest-counter witness; otherwise every tournament is walked and
     ``property_o_found`` is the exact count.  The parent lists the prefixes
-    to walk, and :func:`ordered_map` deals them in counter order, one
-    contiguous run per worker and at most ``jobs`` workers (no more than
-    CPUs), so the report is identical for any ``jobs``.
+    to walk, the same for any ``jobs``, and :func:`ordered_map` deals them
+    in counter order, one contiguous run per worker and at most ``jobs``
+    workers (no more than CPUs), so the report is identical for any
+    ``jobs``.
     ``progress_interval`` > 0 makes each worker write "examined=...
     found=... elapsed=..." lines to stderr roughly every that many walked
     tournaments.
@@ -361,15 +362,11 @@ def census_property_o(
     space = fact_k**subset_count
     start = time.perf_counter()
 
-    # at least one prefix per worker before leaders are picked, and every
-    # prefix leaves the recursion a digit to walk
-    depth = 0
-    while fact_k**depth < jobs and depth < subset_count - 1:
-        depth += 1
-    # a first-witness walk skips prefixes that are not lex-leaders on the
-    # first k+1 subsets; with only k+1 subsets there is nothing to walk
-    if stop_at_first and subset_count > k + 1:
-        depth = max(depth, k + 1)
+    # the same prefixes for every jobs value.  A first-witness walk skips
+    # prefixes that are not lex-leaders on the first k+1 subsets; every
+    # prefix leaves the recursion a digit to walk, and with k+1 subsets or
+    # fewer one digit is enough (k! prefixes, not k!**(C(n,k)-1))
+    depth = k + 1 if subset_count > k + 1 else min(1, subset_count - 1)
     prefixes = list(itertools.product(range(fact_k), repeat=depth))
     if stop_at_first and depth > k:
         tables = _leader_tables(n, k)

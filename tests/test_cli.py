@@ -1,4 +1,5 @@
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -15,12 +16,24 @@ from propertyo import (
     serialize_hypergraph,
     ten_edge_3graph,
 )
+import propertyo
 from propertyo import cli
 from propertyo.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports the same
+    ``propertyo`` as these tests, installed or not."""
+    src = os.path.dirname(os.path.dirname(propertyo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
 
 def run_listing_imports(*argv):
@@ -41,11 +54,7 @@ def run_listing_imports(*argv):
     )
 
     def imported(*args):
-        result = subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-X", "importtime", *args)
         names = {
             line.rsplit("|", 1)[1].strip()
             for line in result.stderr.splitlines()
@@ -156,13 +165,6 @@ class TestVerify:
         assert run_cli("verify", path) == 3
         assert "line 3" in capsys.readouterr().err
 
-    def test_jobs_match_serial(self, tmp_path, capsys):
-        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
-        assert run_cli("verify", path, "--jobs", "4") == 0
-        parallel = capsys.readouterr().out
-        run_cli("verify", path)
-        assert parallel == capsys.readouterr().out
-
     def test_internal_error_exit_six(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalError("internal error: injected")
@@ -263,10 +265,6 @@ class TestCensus:
         out = capsys.readouterr().out
         assert "property_o_found=1" in out
         assert "first_witness=0 1,2 0,1 2" in out
-
-    def test_symmetry_flag(self, capsys):
-        assert run_cli("census", "--n", "3", "--k", "2", "--symmetry") == 1
-        out = capsys.readouterr().out
         assert "symmetry_pruning=true" in out
 
     def test_budget_refusal(self):
@@ -338,28 +336,44 @@ class TestUsage:
     def test_unknown_subcommand_rejected(self):
         assert run_cli("explode") == 2
 
+    def test_removed_flags_rejected(self, tmp_path):
+        # verify --jobs and census --symmetry had no effect and are gone
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        assert run_cli("verify", path, "--jobs", "4") == 2
+        assert run_cli("census", "--n", "3", "--k", "2", "--symmetry") == 2
+
     def test_console_entry_point(self, tmp_path):
         # the module entry point works as a real process
         out = tmp_path / "ct.hg"
-        result = subprocess.run(
-            [sys.executable, "-m", "propertyo", "construct",
-             "--family", "cyclic2", "--out", str(out)],
-            capture_output=True,
-            text=True,
+        result = run_python(
+            "-m", "propertyo", "construct", "--family", "cyclic2", "--out", str(out)
         )
         assert result.returncode == 0
         assert out.read_text() == "k 2\nn 3\ne 0 1\ne 1 2\ne 2 0\n"
 
     def test_cli_import_leaves_out_multiprocessing(self):
-        # the worker pool imports it on first use, not every CLI start
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, propertyo.cli; print('multiprocessing' in sys.modules)"],
-            capture_output=True,
-            text=True,
+        # nothing the CLI starts with imports it
+        result = run_python(
+            "-c", "import sys, propertyo.cli; print('multiprocessing' in sys.modules)"
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_parallel_census_leaves_out_multiprocessing(self):
+        # the worker pool forks its children itself; two CPUs so that the
+        # census really forks two workers on any machine
+        script = (
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from propertyo.cli import main\n"
+            "code = main(['census', '--n', '5', '--k', '3', '--jobs', '2'])\n"
+            "print('multiprocessing' in sys.modules, code)\n"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "parallel_partitions=2" in lines
+        assert lines[-1] == "False 0"
 
     def test_verify_process_loads_only_core_and_fileformat(self, tmp_path):
         path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
@@ -383,12 +397,10 @@ class TestUsage:
         ]
 
     def test_package_import_loads_no_submodule(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, propertyo; "
-             "print(sorted(m for m in sys.modules if m.startswith('propertyo.')))"],
-            capture_output=True,
-            text=True,
+        result = run_python(
+            "-c",
+            "import sys, propertyo; "
+            "print(sorted(m for m in sys.modules if m.startswith('propertyo.')))",
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
@@ -410,9 +422,7 @@ assert all(getattr(cli, n) is getattr(propertyo, n) for n in names)
 cli.edge_minimality = lambda graph: print("swapped") or propertyo.edge_minimality(graph)
 assert cli.main(["minimality", {path!r}]) == 0
 """
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
+        result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[0] == "swapped"
 

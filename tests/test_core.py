@@ -1,7 +1,6 @@
 import graphlib
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import time
@@ -597,24 +596,36 @@ class TestOrderedMap:
         assert core.ordered_map(list, items, jobs) == runs
         assert core.ordered_map(list, items, jobs, until=lambda r: 0 in r) == runs[:1]
 
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the children forked while the test runs."""
+        pids = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     @pytest.mark.parametrize(
         "jobs, items, children",
         [(1, 5, 0), (3, 5, 3), (8, 5, 4), (8, 3, 3), (8, 1, 0)],
     )
-    def test_one_child_per_run(self, monkeypatch, jobs, items, children):
+    def test_one_child_per_run(self, forked, jobs, items, children):
         # min(jobs, CPUs, items) runs; a single run needs no child
-        starts = []
-        start = multiprocessing.process.BaseProcess.start
-
-        def counting_start(process):
-            starts.append(process)
-            start(process)
-
-        monkeypatch.setattr(
-            multiprocessing.process.BaseProcess, "start", counting_start
-        )
         runs = core.ordered_map(list, list(range(items)), jobs)
-        assert len(starts) == children
+        assert len(forked) == children
         assert len(runs) == max(children, 1)
         assert [x for run in runs for x in run] == list(range(items))
 
@@ -627,15 +638,21 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="run with 3"):
             core.ordered_map(check, list(range(6)), 2)
 
-    def test_worker_without_result_is_internal_error(self):
+    def test_worker_without_result_is_internal_error(self, forked):
         def die(run):
             os._exit(1)
 
         with pytest.raises(core.InternalError, match="run 0 sent no result"):
             core.ordered_map(die, [0, 1], 2)
-        assert multiprocessing.active_children() == []
+        self.assert_reaped(forked)
 
-    def test_stop_kills_running_workers(self):
+    def test_unpicklable_result_is_internal_error(self, forked):
+        # a lambda does not pickle, so the child sends nothing
+        with pytest.raises(core.InternalError, match="run 0 sent no result"):
+            core.ordered_map(lambda run: lambda: run, [0, 1], 2)
+        self.assert_reaped(forked)
+
+    def test_stop_kills_running_workers(self, forked):
         def slow_after_first(run):
             if run[0] > 0:
                 time.sleep(30)
@@ -646,7 +663,7 @@ class TestOrderedMap:
             slow_after_first, [0, 1, 2], 2, until=lambda r: True
         ) == [[0]]
         assert time.perf_counter() - start < 10
-        assert multiprocessing.active_children() == []
+        self.assert_reaped(forked)
 
     def test_zero_items_make_no_call(self):
         def called(run):

@@ -68,8 +68,11 @@ class TestParse:
             parse_hypergraph("k 2\nn 2\ne 0 7\n")
 
     def test_duplicate_set_reports_line(self):
-        with pytest.raises(HypergraphFormatError, match="duplicate underlying set"):
-            parse_hypergraph("k 2\nn 2\ne 0 1\ne 1 0\n")
+        # charged to the later edge's line
+        with pytest.raises(
+            HypergraphFormatError, match=r"duplicate underlying set \[0, 1\], line 5"
+        ):
+            parse_hypergraph("k 2\nn 2\ne 0 1\n# gap\ne 1 0\n")
 
     def test_wrong_arity(self):
         with pytest.raises(HypergraphFormatError, match="expected 3, line 3"):

@@ -75,6 +75,15 @@ class TestCensusEngine:
                 stop = census_property_o(n, k, jobs=jobs, stop_at_first=True)
                 assert stop.first_witness == full.first_witness, (n, k, jobs)
 
+    def test_few_subsets_walk_one_digit(self):
+        # with C(n,k) <= k+1 the prefixes are the k! first digits: at (6,5)
+        # all but one digit would be 120**5 prefixes
+        for stop in (True, False):
+            for jobs in (1, 2):
+                report = census_property_o(6, 5, jobs=jobs, stop_at_first=stop)
+                assert report.total_enumerated == 120**6
+                assert report.property_o_found == 0
+
     def test_leaders_are_orbit_minima(self):
         # brute force: relabel the first k+1 subsets' edges by every
         # permutation of 0..k and keep the smallest digit tuple
