@@ -24,10 +24,10 @@ _EXPORTS = {
         "relabel", "reverse", "support_restriction", "validate",
     ),
     "constructions": (
-        "CaseCoverageReport", "CaseWitness", "GeneralLayout", "ReplacementPlan",
-        "cyclic_triangle", "double_cycle_3graph", "general_construction", "insert_at",
+        "CaseCoverageReport", "GeneralLayout", "ReplacementPlan", "cyclic_triangle",
+        "double_cycle_3graph", "general_construction", "insert_at",
         "merged_ten_edge_3graph", "min_edges_lower_bound", "min_edges_upper_bound",
-        "permutation_at", "structured_coverage_check", "ten_edge_3graph",
+        "structured_coverage_check", "ten_edge_3graph",
     ),
     "fileformat": (
         "HypergraphFormatError", "parse_hypergraph", "read_hypergraph",

@@ -13,26 +13,31 @@ vertex sits at one of k-1 interior positions; for each such position the
 construction adds one fresh vertex and a small set of patched edges placing
 the fresh vertex at a covering pattern of slots, so that whatever rank the
 fresh vertex takes, one patched edge is consistent.
-:func:`structured_coverage_check` verifies that covering pattern directly,
-with no enumeration of linear orders.
+:func:`structured_coverage_check` reads a given graph's edges and checks
+that one of them covers every case of that analysis, with no enumeration of
+linear orders.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     PROPERTY_O,
     STRUCTURED,
+    BudgetExceededError,
     InternalError,
     OrientedHypergraph,
     Record,
     VerificationCertificate,
-    is_consistent,
-    unrank_permutation,
+    require_valid,
 )
+
+# general_construction refuses to build more edges than this (k >= 9);
+# the same figure as the subset budget of a random tournament.
+_MAX_EDGES = 1_000_000
 
 
 class GeneralLayout(Record):
@@ -94,34 +99,6 @@ class ReplacementPlan(Record):
             raise ValueError(f"uniformity must be at least 3, got {k}")
         positions = tuple(l for l in range(1, k) if l % 2 == 1) + (k,)
         return cls(k=k, positions=positions)
-
-    def covered_ranks(self) -> set[int]:
-        ranks: set[int] = set()
-        for l in self.positions:
-            ranks.add(l - 1)
-            ranks.add(l)
-        return ranks
-
-    def covers_all_ranks(self) -> bool:
-        return self.covered_ranks() >= set(range(self.k + 1))
-
-    def witness_position(self, rank: int) -> int:
-        """Smallest plan position whose patched edge covers the given rank."""
-        for l in self.positions:
-            if rank in (l - 1, l):
-                return l
-        raise ValueError(f"rank {rank} not covered by plan for k={self.k}")
-
-
-def permutation_at(k: int, j: int) -> tuple[int, ...]:
-    """The j-th permutation of {1..k-1} in lexicographic order (1-based j).
-
-    j=1 is the identity.
-    """
-    total = math.factorial(k - 1)
-    if not 1 <= j <= total:
-        raise ValueError(f"permutation index {j} out of range 1..{total}")
-    return unrank_permutation(j - 1, range(1, k))
 
 
 def insert_at(values: Sequence[int], item: int, position: int) -> tuple[int, ...]:
@@ -239,9 +216,15 @@ def general_construction(k: int) -> OrientedHypergraph:
     (k-1)! anchor edges for j ascending, then for each j ascending, each
     insertion position i ascending, each replacement slot in plan order,
     the patched edge with the fresh vertex substituted at that slot.
+    Raises :class:`BudgetExceededError`, before building anything, when the
+    family has more than 1,000,000 edges (k >= 9).
     """
-    if k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {k}")
+    count = min_edges_upper_bound(k)
+    if count > _MAX_EDGES:
+        raise BudgetExceededError(
+            f"general_construction({k}) would build {count} edges, "
+            f"over the {_MAX_EDGES} budget"
+        )
     layout = GeneralLayout(k)
     plan = ReplacementPlan.for_uniformity(k)
     perms = list(itertools.permutations(range(1, k)))
@@ -281,51 +264,18 @@ def min_edges_lower_bound(k: int) -> int:
     return math.factorial(k) + 1
 
 
-class CaseWitness(Record):
-    """One covered case of the general construction's analysis.
-
-    For anchor j and insertion position i, ``rank`` is the position of the
-    fresh vertex among the k elements of the base tuple (0..k), ``position``
-    the replacement slot whose patched edge covers it, and ``edge`` that
-    concrete edge.
-    """
-
-    __slots__ = ("j", "i", "rank", "position", "edge")
-    j: int
-    i: int
-    rank: int
-    position: int
-    edge: tuple[int, ...]
-
-
 class CaseCoverageReport(Record):
     """Outcome of :func:`structured_coverage_check`.
 
-    ``rank_witnesses`` maps each fresh-vertex rank to the replacement slot
-    covering it; the pattern is the same for every anchor and insertion
-    position, so together with the verified anchor bijection it certifies
-    every (j, i, rank) case.  ``iter_witnesses`` materialises those concrete
-    cases on demand.
+    ``cases`` is the number of cases checked, (k-1)!*(1 + (k-1)*(k+1)), and
+    ``problems`` names each case that no edge of the graph covers.
     """
 
-    __slots__ = (
-        "k",
-        "ok",
-        "problems",
-        "replacement_positions",
-        "permutation_count",
-        "rank_witnesses",
-    )
+    __slots__ = ("k", "ok", "problems", "cases")
     k: int
     ok: bool
     problems: tuple[str, ...]
-    replacement_positions: tuple[int, ...]
-    permutation_count: int
-    rank_witnesses: tuple[tuple[int, int], ...]
-
-    @property
-    def total_cases(self) -> int:
-        return self.permutation_count * (self.k - 1) * (self.k + 1)
+    cases: int
 
     def to_certificate(self) -> VerificationCertificate:
         """Certificate that the construction has Property O, no orders examined.
@@ -346,123 +296,50 @@ class CaseCoverageReport(Record):
             nodes_expanded=None,
         )
 
-    def iter_witnesses(self) -> Iterator[CaseWitness]:
-        layout = GeneralLayout(self.k)
-        plan = ReplacementPlan.for_uniformity(self.k)
-        witness_of = dict(self.rank_witnesses)
-        for j, pi in enumerate(itertools.permutations(range(1, self.k)), start=1):
-            for i in range(1, self.k):
-                for rank in range(self.k + 1):
-                    position = witness_of[rank]
-                    yield CaseWitness(
-                        j=j,
-                        i=i,
-                        rank=rank,
-                        position=position,
-                        edge=_patched_edge(layout, pi, j, i, position),
-                    )
 
+def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
+    """Check the general construction's case analysis against ``graph``'s edges.
 
-def structured_coverage_check(k: int) -> CaseCoverageReport:
-    """Certify the general construction's case analysis without order enumeration.
-
-    Three covering facts are verified directly: (a) the anchor edges run
-    over every relative order of the core vertices exactly once, starting
-    from the identity; (b) the insertion positions 1..k-1 place the anchor
-    vertex at every non-final slot of the base tuple; (c) for every rank the
-    fresh vertex can take, some replacement slot's patched edge is
-    consistent.  Together these exhaust all cases, so the construction has
-    Property O.
+    The graph must have the vertex count of :class:`GeneralLayout` for its
+    uniformity k.  Under any linear order, the core vertices take the
+    relative order of exactly one core order, the j-th permutation of
+    0..k-2; its anchor vertex a_j is either last, or sits just before the
+    i-th core vertex for one i in 1..k-1; and in the second case the fresh
+    vertex of (j, i) takes one of k+1 ranks among those k vertices.  Each
+    case fixes the relative order of the vertices it names, so an edge that
+    is a subsequence of that order is consistent with every linear order in
+    the case.  The graph has Property O when every case has such an edge;
+    no linear order is enumerated.
     """
+    require_valid(graph)
+    k = graph.k
     if k < 3:
         raise ValueError(f"uniformity must be at least 3, got {k}")
-    problems: list[str] = []
-
-    # (a) anchors: lexicographic stream over all permutations of {1..k-1},
-    # first the identity, strictly increasing (hence pairwise distinct).
-    count = 0
-    previous: tuple[int, ...] | None = None
-    first: tuple[int, ...] | None = None
-    for p in itertools.permutations(range(1, k)):
-        count += 1
-        if first is None:
-            first = p
-        if previous is not None and not previous < p:
-            problems.append(f"anchor permutations not strictly increasing at #{count}")
-        previous = p
-    expected = math.factorial(k - 1)
-    if count != expected:
-        problems.append(f"anchor permutation count {count}, expected {expected}")
-    if first != tuple(range(1, k)):
-        problems.append("first anchor permutation is not the identity")
-    for j in {1, 2, expected} | {max(1, expected // 2)}:
-        if j <= expected:
-            direct = permutation_at(k, j)
-            streamed = next(
-                itertools.islice(itertools.permutations(range(1, k)), j - 1, j)
-            )
-            if direct != streamed:
-                problems.append(f"permutation_at({k}, {j}) disagrees with the stream")
-
-    # (b) insertion positions: position i puts the inserted item at slot i.
-    probe = tuple(range(1, k))
-    marker = k + 1
-    for i in range(1, k):
-        placed = insert_at(probe, marker, i)
-        if placed[i - 1] != marker:
-            problems.append(f"insertion at position {i} lands at the wrong slot")
-        if tuple(v for v in placed if v != marker) != probe:
-            problems.append(f"insertion at position {i} disturbs the base tuple")
-
-    # (c) rank coverage of the replacement plan, with a consistency witness
-    # for every rank; the pattern is label-free, so it holds for every
-    # anchor and insertion position.
-    plan = ReplacementPlan.for_uniformity(k)
-    if len(plan.positions) != k // 2 + 1:
-        problems.append(
-            f"replacement plan has {len(plan.positions)} slots, expected {k // 2 + 1}"
-        )
-    if not plan.covers_all_ranks():
-        problems.append("replacement plan misses a fresh-vertex rank")
-    # The base tuple lists its k vertices in their true relative order, so
-    # 0..k-1 stand for them and k for the fresh vertex; the patched edge
-    # puts k in the slot it replaces.
-    labels = tuple(range(k))
-    rank_witnesses: list[tuple[int, int]] = []
-    for rank in range(k + 1):
-        position = plan.witness_position(rank)
-        edge = labels[: position - 1] + (k,) + labels[position:]
-        if not is_consistent(edge, labels[:rank] + (k,) + labels[rank:]):
-            problems.append(
-                f"patched edge at slot {position} is not consistent for rank {rank}"
-            )
-        rank_witnesses.append((rank, position))
-
-    # Tie the pattern to concrete edges for a couple of anchors: build the
-    # case order on the k+1 involved vertices and check the witness edge.
     layout = GeneralLayout(k)
-    perms = [permutation_at(k, 1)]
-    if expected >= 2:
-        perms.append(permutation_at(k, 2))
-    for j, pi in enumerate(perms, start=1):
-        core = tuple(layout.x_index(p) for p in pi)
+    if graph.n != layout.vertex_count:
+        raise ValueError(
+            f"the general layout for k={k} has {layout.vertex_count} vertices, "
+            f"the graph has {graph.n}"
+        )
+    edges = set(graph.edges)
+    problems: list[str] = []
+    for j, core in enumerate(itertools.permutations(range(k - 1)), start=1):
+        a = layout.a_index(j)
+        if core + (a,) not in edges:
+            problems.append(f"case (j={j}, anchor last): {core + (a,)} is not an edge")
         for i in range(1, k):
-            base = insert_at(core, layout.a_index(j), i)
-            fresh = layout.fresh_index(j, i)
-            for rank, position in rank_witnesses:
-                case_order = base[:rank] + (fresh,) + base[rank:]
-                edge = _patched_edge(layout, pi, j, i, position)
-                if not is_consistent(edge, case_order):
+            base = insert_at(core, a, i)
+            f = layout.fresh_index(j, i)
+            for rank in range(k + 1):
+                order = base[:rank] + (f,) + base[rank:]
+                if not any(order[:d] + order[d + 1 :] in edges for d in range(k + 1)):
                     problems.append(
-                        f"witness edge for (j={j}, i={i}, rank={rank}) is not "
-                        "consistent with its case order"
+                        f"case (j={j}, i={i}, rank={rank}): "
+                        f"no edge is a subsequence of {order}"
                     )
-
     return CaseCoverageReport(
         k=k,
         ok=not problems,
         problems=tuple(problems),
-        replacement_positions=plan.positions,
-        permutation_count=expected,
-        rank_witnesses=tuple(rank_witnesses),
+        cases=layout.permutation_count * (1 + (k - 1) * (k + 1)),
     )

@@ -95,6 +95,13 @@ class TestConstruct:
         assert run_cli("construct", "--family", "general", "--k", "4", "--out", out) == 0
         assert read_hypergraph(out) == general_construction(4)
 
+    def test_general_over_edge_budget_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "g9.hg"
+        argv = ("construct", "--family", "general", "--k", "9", "--out", str(out))
+        assert run_cli(*argv) == 4
+        assert "1653120 edges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_general_requires_k(self, tmp_path, capsys):
         out = str(tmp_path / "g.hg")
         assert run_cli("construct", "--family", "general", "--out", out) == 2
@@ -429,7 +436,7 @@ assert cli.main(["minimality", {path!r}]) == 0
     def test_lazy_names_are_the_exports_of_unloaded_modules(self):
         import propertyo
 
-        for name in ("census_property_o", "random_tournament", "permutation_at"):
+        for name in ("census_property_o", "random_tournament", "general_construction"):
             assert getattr(cli, name) is getattr(propertyo, name)
         # core and fileformat exports the module does not import, and
         # names the package defines but does not export

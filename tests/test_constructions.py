@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -16,34 +17,10 @@ from propertyo import (
     merged_ten_edge_3graph,
     min_edges_lower_bound,
     min_edges_upper_bound,
-    permutation_at,
     structured_coverage_check,
     ten_edge_3graph,
     validate,
 )
-
-
-class TestPermutationAt:
-    def test_first_is_identity(self):
-        assert permutation_at(3, 1) == (1, 2)
-        for k in range(3, 8):
-            assert permutation_at(k, 1) == tuple(range(1, k))
-
-    def test_second_of_two(self):
-        assert permutation_at(3, 2) == (2, 1)
-
-    def test_last_for_k4(self):
-        assert permutation_at(4, 6) == (3, 2, 1)
-
-    def test_enumerates_lexicographically(self):
-        ranked = [permutation_at(4, j) for j in range(1, 7)]
-        assert ranked == list(itertools.permutations(range(1, 4)))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            permutation_at(3, 0)
-        with pytest.raises(ValueError):
-            permutation_at(3, 3)
 
 
 class TestInsertAt:
@@ -235,64 +212,123 @@ class TestReplacementPlan:
 
     def test_rank_coverage_up_to_64(self):
         for k in range(3, 65):
+            # the slot-l patched edge covers the fresh-vertex ranks l-1 and l
             plan = ReplacementPlan.for_uniformity(k)
-            assert plan.covers_all_ranks(), k
-            assert plan.covered_ranks() >= set(range(k + 1))
+            covered = {r for l in plan.positions for r in (l - 1, l)}
+            assert covered == set(range(k + 1)), k
 
     def test_positions_are_odd_plus_final(self):
         plan = ReplacementPlan.for_uniformity(6)
         assert plan.positions == (1, 3, 5, 6)
 
 
+def _without(graph, edge):
+    edges = tuple(e for e in graph.edges if e != edge)
+    return OrientedHypergraph(graph.k, graph.n, edges)
+
+
+def _patch_mutants(k):
+    """general(k) with the patched edge (j=2, i=1, slot 1) dropped, and with
+    its first two vertices swapped."""
+    graph = general_construction(k)
+    core = list(itertools.permutations(range(k - 1)))[1]
+    edge = (GeneralLayout(k).fresh_index(2, 1),) + core
+    assert edge in graph.edges
+    swapped = tuple((e[1], e[0]) + e[2:] if e == edge else e for e in graph.edges)
+    return _without(graph, edge), OrientedHypergraph(k, graph.n, swapped)
+
+
 class TestStructuredCoverageCheck:
-    def test_holds_for_k3_to_k10(self):
-        for k in range(3, 11):
-            report = structured_coverage_check(k)
+    def test_holds_for_k3_to_k6(self):
+        for k in range(3, 7):
+            report = structured_coverage_check(general_construction(k))
             assert report.ok, (k, report.problems)
-            assert report.permutation_count == math.factorial(k - 1)
-            assert len(report.rank_witnesses) == k + 1
-
-    def test_k3_case_witnesses_match_known_edges(self):
-        report = structured_coverage_check(3)
-        witnesses = {
-            (w.rank, w.position): w.edge
-            for w in report.iter_witnesses()
-            if w.j == 1 and w.i == 1
-        }
-        # ranks 0,1 are covered by the slot-1 patch, ranks 2,3 by the final
-        # slot; the edges are the two patches of the first insertion case
-        assert witnesses[(0, 1)] == witnesses[(1, 1)] == (4, 0, 1)
-        assert witnesses[(2, 3)] == witnesses[(3, 3)] == (2, 0, 4)
-
-    def test_witness_edges_exist_in_construction(self):
-        for k in (3, 4, 5):
-            edge_set = set(general_construction(k).edges)
-            report = structured_coverage_check(k)
-            count = 0
-            for witness in report.iter_witnesses():
-                assert witness.edge in edge_set, (k, witness)
-                count += 1
-            assert count == report.total_cases
+            assert report.k == k
+        assert structured_coverage_check(ten_edge_3graph()).ok
 
     def test_total_cases(self):
-        for k in (3, 4, 6):
-            report = structured_coverage_check(k)
-            assert report.total_cases == math.factorial(k - 1) * (k - 1) * (k + 1)
+        expected = {3: 18, 4: 96, 5: 600, 6: 4320}
+        for k, cases in expected.items():
+            report = structured_coverage_check(general_construction(k))
+            assert cases == math.factorial(k - 1) * (1 + (k - 1) * (k + 1))
+            assert report.cases == cases
+
+    def test_patch_mutants_name_the_missing_case(self):
+        for k in (3, 4):
+            for mutant in _patch_mutants(k):
+                report = structured_coverage_check(mutant)
+                assert not report.ok
+                assert len(report.problems) == 2
+                assert report.problems[0].startswith("case (j=2, i=1, rank=0): ")
+
+    def test_every_single_edge_deletion_rejected(self):
+        for k in (3, 4):
+            graph = general_construction(k)
+            for edge in graph.edges:
+                assert not structured_coverage_check(_without(graph, edge)).ok, edge
+
+    def test_k3_case_witnesses_match_known_edges(self):
+        # for anchor j=1 and position i=1, fresh-vertex ranks 0 and 1 are
+        # covered only by the slot-1 patch, ranks 2 and 3 only by the final
+        # slot's; deleting either patch leaves exactly its two cases open
+        graph = general_construction(3)
+        assert structured_coverage_check(_without(graph, (4, 0, 1))).problems == (
+            "case (j=1, i=1, rank=0): no edge is a subsequence of (4, 2, 0, 1)",
+            "case (j=1, i=1, rank=1): no edge is a subsequence of (2, 4, 0, 1)",
+        )
+        assert structured_coverage_check(_without(graph, (2, 0, 4))).problems == (
+            "case (j=1, i=1, rank=2): no edge is a subsequence of (2, 0, 4, 1)",
+            "case (j=1, i=1, rank=3): no edge is a subsequence of (2, 0, 1, 4)",
+        )
+
+    def test_anchor_edge_deletion_named(self):
+        report = structured_coverage_check(_without(general_construction(3), (0, 1, 2)))
+        assert report.problems == ("case (j=1, anchor last): (0, 1, 2) is not an edge",)
+
+    def test_passing_implies_property_o_on_a_k3_corpus(self):
+        # general(3) with each edge kept with probability 0.85, plus up to 5
+        # extra oriented triples on new underlying sets
+        rng = random.Random(1)
+        base = general_construction(3)
+        passed = 0
+        for _ in range(400):
+            edges = [e for e in base.edges if rng.random() < 0.85]
+            seen = {frozenset(e) for e in edges}
+            for _ in range(rng.randrange(6)):
+                edge = tuple(rng.sample(range(base.n), 3))
+                if frozenset(edge) not in seen:
+                    seen.add(frozenset(edge))
+                    edges.append(edge)
+            graph = OrientedHypergraph(3, base.n, tuple(edges))
+            if structured_coverage_check(graph).ok:
+                passed += 1
+                assert find_violating_order_exhaustive(graph) is None, graph
+        assert 0 < passed < 400
 
     def test_agrees_with_order_verifier_at_k3(self):
-        assert structured_coverage_check(3).ok
-        assert check_property_o(general_construction(3)).holds
+        graph = general_construction(3)
+        assert structured_coverage_check(graph).ok
+        assert check_property_o(graph).holds
 
     def test_certificate_form(self):
-        cert = structured_coverage_check(5).to_certificate()
+        cert = structured_coverage_check(general_construction(5)).to_certificate()
         assert cert.holds
         assert cert.method == "structured"
         assert cert.orders_examined == 0
         assert cert.violating_order is None
 
+    def test_failing_report_has_no_certificate(self):
+        dropped, _ = _patch_mutants(3)
+        with pytest.raises(ValueError, match="case coverage did not hold"):
+            structured_coverage_check(dropped).to_certificate()
+
     def test_k_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            structured_coverage_check(2)
+        with pytest.raises(ValueError, match="at least 3"):
+            structured_coverage_check(cyclic_triangle())
+
+    def test_wrong_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="8 vertices, the graph has 6"):
+            structured_coverage_check(merged_ten_edge_3graph())
 
 
 class TestGeneralLayout:
