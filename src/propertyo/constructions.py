@@ -193,29 +193,15 @@ def merged_ten_edge_3graph() -> OrientedHypergraph:
     )
 
 
-def _anchor_tuple(layout: GeneralLayout, pi: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Step-one edge: the permuted core followed by the j-th anchor vertex."""
-    return tuple(layout.x_index(p) for p in pi) + (layout.a_index(j),)
-
-
-def _patched_edge(
-    layout: GeneralLayout, pi: tuple[int, ...], j: int, i: int, position: int
-) -> tuple[int, ...]:
-    """Patched edge for anchor j, insertion position i and plan slot ``position``."""
-    core = tuple(layout.x_index(p) for p in pi)
-    base = insert_at(core, layout.a_index(j), i)
-    patched = list(base)
-    patched[position - 1] = layout.fresh_index(j, i)
-    return tuple(patched)
-
-
 def general_construction(k: int) -> OrientedHypergraph:
     """The k-uniform Property O family with min_edges_upper_bound(k) edges.
 
-    Vertex layout per :class:`GeneralLayout`.  Canonical edge order: the
-    (k-1)! anchor edges for j ascending, then for each j ascending, each
-    insertion position i ascending, each replacement slot in plan order,
-    the patched edge with the fresh vertex substituted at that slot.
+    Vertex layout per :class:`GeneralLayout`; the j-th core order is the
+    j-th of ``itertools.permutations(range(k-1))``.  Canonical edge order:
+    the (k-1)! anchor edges ``core + (a_j,)`` for j ascending, then for each
+    j ascending and each insertion position i ascending, the patched edges
+    of ``base = insert_at(core, a_j, i)`` with the fresh vertex of (j, i)
+    substituted at each replacement slot, in plan order.
     Raises :class:`BudgetExceededError`, before building anything, when the
     family has more than 1,000,000 edges (k >= 9).
     """
@@ -227,15 +213,15 @@ def general_construction(k: int) -> OrientedHypergraph:
         )
     layout = GeneralLayout(k)
     plan = ReplacementPlan.for_uniformity(k)
-    perms = list(itertools.permutations(range(1, k)))
+    cores = list(itertools.permutations(range(k - 1)))
 
-    edges: list[tuple[int, ...]] = []
-    for j, pi in enumerate(perms, start=1):
-        edges.append(_anchor_tuple(layout, pi, j))
-    for j, pi in enumerate(perms, start=1):
+    edges = [core + (layout.a_index(j),) for j, core in enumerate(cores, start=1)]
+    for j, core in enumerate(cores, start=1):
+        a = layout.a_index(j)
         for i in range(1, k):
-            for position in plan.positions:
-                edges.append(_patched_edge(layout, pi, j, i, position))
+            base = insert_at(core, a, i)
+            f = layout.fresh_index(j, i)
+            edges.extend(base[: p - 1] + (f,) + base[p:] for p in plan.positions)
     return OrientedHypergraph(k, layout.vertex_count, tuple(edges))
 
 

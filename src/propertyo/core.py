@@ -151,9 +151,6 @@ class OrientedHypergraph(Record):
             self, "edges", tuple(tuple(int(v) for v in e) for e in self.edges)
         )
 
-    def underlying_sets(self) -> list[frozenset[int]]:
-        return [frozenset(e) for e in self.edges]
-
 
 class ValidationResult(Record):
     __slots__ = ("ok", "violations")
@@ -547,18 +544,6 @@ def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, i
     return None, math.factorial(n)
 
 
-def find_violating_order_exhaustive(graph: OrientedHypergraph) -> LinearOrder | None:
-    """Lexicographically first order consistent with no edge, or None.
-
-    ORs the edges' order-coverage masks block by block and unranks the
-    lowest uncovered bit.  Refuses with :class:`BudgetExceededError` when n
-    exceeds ``EXHAUSTIVE_MAX_VERTICES``.
-    """
-    require_valid(graph)
-    order, _ = _exhaustive_search(graph)
-    return order
-
-
 def _backtracking_search(
     graph: OrientedHypergraph,
 ) -> tuple[LinearOrder | None, int]:
@@ -613,30 +598,16 @@ def _backtracking_search(
     return order, nodes
 
 
-def find_violating_order_backtracking(
-    graph: OrientedHypergraph,
-) -> LinearOrder | None:
-    """Some order consistent with no edge, or None if every order has one.
-
-    Same decision as :func:`find_violating_order_exhaustive` but without the
-    n! budget; the returned order need not be the lexicographically first.
-    Vertices are tried in ascending index order, so the result and the node
-    count are deterministic.
-    """
-    require_valid(graph)
-    order, _ = _backtracking_search(graph)
-    return order
-
-
 def check_property_o(
     graph: OrientedHypergraph, method: str = AUTO
 ) -> VerificationCertificate:
     """Decide Property O and return a certificate.
 
     ``method`` is one of "exhaustive", "backtracking" or "auto"; auto covers
-    all orders up to n = 9 and backtracks beyond that.  A "violated"
-    certificate is re-checked against :func:`is_consistent` for every edge
-    before being returned.
+    all orders up to n = 9 and backtracks beyond that.  This is the one
+    caller of both deciding kernels: a violating order is re-checked against
+    :func:`is_consistent` for every edge before any certificate is built, and
+    a failed re-check raises :class:`InternalError`.
     """
     require_valid(graph)
     if method == AUTO:
@@ -650,27 +621,44 @@ def check_property_o(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if order is None:
-        return VerificationCertificate(
-            verdict=PROPERTY_O,
-            method=method,
-            violating_order=None,
-            orders_examined=examined,
-            nodes_expanded=nodes,
-        )
-    for e in graph.edges:
-        if is_consistent(e, order):
-            raise InternalError(
-                f"internal error: edge {e} is consistent with reported "
-                f"violating order {order}"
-            )
+    if order is not None:
+        for e in graph.edges:
+            if is_consistent(e, order):
+                raise InternalError(
+                    f"internal error: edge {e} is consistent with reported "
+                    f"violating order {order}"
+                )
     return VerificationCertificate(
-        verdict=VIOLATED,
+        verdict=PROPERTY_O if order is None else VIOLATED,
         method=method,
         violating_order=order,
         orders_examined=examined,
         nodes_expanded=nodes,
     )
+
+
+def find_violating_order_exhaustive(graph: OrientedHypergraph) -> LinearOrder | None:
+    """Lexicographically first order consistent with no edge, or None.
+
+    The order of ``check_property_o(graph, EXHAUSTIVE)``, so it is re-checked
+    against every edge.  Refuses with :class:`BudgetExceededError` when n
+    exceeds ``EXHAUSTIVE_MAX_VERTICES``.
+    """
+    return check_property_o(graph, EXHAUSTIVE).violating_order
+
+
+def find_violating_order_backtracking(
+    graph: OrientedHypergraph,
+) -> LinearOrder | None:
+    """Some order consistent with no edge, or None if every order has one.
+
+    The order of ``check_property_o(graph, BACKTRACKING)``, so it is
+    re-checked against every edge.  Same decision as
+    :func:`find_violating_order_exhaustive` but without the n! budget; the
+    order need not be the lexicographically first.  Vertices are tried in
+    ascending index order, so the result is deterministic.
+    """
+    return check_property_o(graph, BACKTRACKING).violating_order
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +723,13 @@ def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
 def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditReport:
     """Classify edges by consistency with the base-edge permutation orders.
 
-    Vertices are relabelled so the base edge becomes (0, ..., k-1) and the
-    remaining vertices follow in ascending original order.  For each
-    permutation sigma of the base vertices, the sigma-order places the
-    permuted base block first and every other vertex after it in ascending
-    label order.  ``class_sizes[i]`` counts the sigma whose sigma-order
-    leaves edge i consistent; each nonzero class size must equal k!/m! for
-    the edge's base-intersection size m, and the base edge's own class size
-    is exactly 1.
+    For each permutation sigma of the base edge's vertices, the sigma-order
+    places sigma first and every other vertex after it in ascending label
+    order.  ``class_sizes[i]`` counts the sigma whose sigma-order leaves
+    edge i consistent; each nonzero class size must equal k!/m! for the
+    edge's base-intersection size m, and the base edge's own class size is
+    exactly 1.  ``min_coverage`` is the fewest edges any sigma-order leaves
+    consistent.
     """
     require_valid(graph)
     if not 0 <= base_edge_index < len(graph.edges):
@@ -750,26 +737,21 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
             f"base edge index {base_edge_index} out of range for "
             f"{len(graph.edges)} edges"
         )
-    k, n = graph.k, graph.n
+    k = graph.k
     base = graph.edges[base_edge_index]
     base_set = set(base)
-    mapping = {v: i for i, v in enumerate(base)}
-    for offset, v in enumerate(sorted(set(range(n)) - base_set)):
-        mapping[v] = k + offset
-    edges = [tuple(mapping[v] for v in e) for e in graph.edges]
+    tail = tuple(v for v in range(graph.n) if v not in base_set)
 
-    class_sizes = [0] * len(edges)
-    min_coverage = None
-    tail = tuple(range(k, n))
-    for sigma in itertools.permutations(range(k)):
+    class_sizes = [0] * len(graph.edges)
+    coverage = []
+    for sigma in itertools.permutations(base):
         order = sigma + tail
         per_order = 0
-        for i, e in enumerate(edges):
+        for i, e in enumerate(graph.edges):
             if is_consistent(e, order):
                 class_sizes[i] += 1
                 per_order += 1
-        if min_coverage is None or per_order < min_coverage:
-            min_coverage = per_order
+        coverage.append(per_order)
 
     intersection_sizes = [len(set(e) & base_set) for e in graph.edges]
     fact_k = math.factorial(k)
@@ -789,5 +771,5 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
         intersection_sizes=tuple(intersection_sizes),
         total=total,
         residue=total % k,
-        min_coverage=min_coverage if min_coverage is not None else 0,
+        min_coverage=min(coverage),
     )

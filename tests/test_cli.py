@@ -102,6 +102,15 @@ class TestConstruct:
         assert "1653120 edges" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_general_k_below_three_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "g2.hg"
+        argv = ("construct", "--family", "general", "--k", "2", "--out", str(out))
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "uniformity must be at least 3, got 2" in captured.err
+        assert not out.exists()
+
     def test_general_requires_k(self, tmp_path, capsys):
         out = str(tmp_path / "g.hg")
         assert run_cli("construct", "--family", "general", "--out", out) == 2
@@ -227,9 +236,13 @@ class TestAudit:
         assert "residue=1" in out
         assert "min_coverage=2" in out
 
-    def test_bad_index(self, tmp_path):
+    def test_bad_index(self, tmp_path, capsys):
         path = write(tmp_path, "ct.hg", serialize_hypergraph(cyclic_triangle()))
         assert run_cli("audit", path, "--base-edge", "9") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("audit: ")
+        assert "out of range" in captured.err
 
 
 class TestMinimality:
@@ -332,8 +345,11 @@ class TestStats:
         assert "lower_bound_edges=25" in out
         assert any(l.startswith("asymptotic_reference_vertices=") for l in out)
 
-    def test_k_too_small(self):
+    def test_k_too_small(self, capsys):
         assert run_cli("stats", "--k", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "uniformity must be at least 3, got 2" in captured.err
 
 
 class TestUsage:

@@ -1,7 +1,9 @@
+import ast
 import graphlib
 import itertools
 import math
 import os
+import pathlib
 import random
 import time
 
@@ -325,6 +327,37 @@ class TestCheckPropertyO:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             check_property_o(cyclic_triangle(), method="guess")
+
+    @pytest.mark.parametrize(
+        "kernel,finder",
+        [
+            ("_exhaustive_search", find_violating_order_exhaustive),
+            ("_backtracking_search", find_violating_order_backtracking),
+        ],
+    )
+    def test_finders_recheck_the_kernel_order(self, monkeypatch, kernel, finder):
+        # the identity order is consistent with claim1's edge (0, 1, 2)
+        monkeypatch.setattr(core, kernel, lambda graph: (tuple(range(graph.n)), 1))
+        with pytest.raises(core.InternalError, match=r"edge \(0, 1, 2\)"):
+            finder(ten_edge_3graph())
+
+    def test_kernels_are_called_only_from_check_property_o(self):
+        kernels = {"_exhaustive_search", "_backtracking_search"}
+        calls = []
+        for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in kernels:
+                        calls.append((path.name, func.name, name))
+        assert sorted(calls) == [
+            ("core.py", "check_property_o", "_backtracking_search"),
+            ("core.py", "check_property_o", "_exhaustive_search"),
+        ]
 
 
 class TestCoverageHistogram:

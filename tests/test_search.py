@@ -11,6 +11,7 @@ import pytest
 
 from propertyo import (
     BudgetExceededError,
+    InternalError,
     OrientedHypergraph,
     census_property_o,
     check_property_o,
@@ -22,7 +23,7 @@ from propertyo import (
     prove_vertex_lower_bound,
     validate,
 )
-from propertyo import search
+from propertyo import core, search
 from propertyo.search import (
     _census_unit,
     _cover_reach,
@@ -331,6 +332,19 @@ class TestEdgeMinimality:
     def test_rejects_inputs_without_property_o(self):
         with pytest.raises(ValueError):
             edge_minimality(OrientedHypergraph(2, 3, ((0, 1),)))
+
+    def test_consistent_witness_raises_internal_error(self, monkeypatch):
+        # the full graph keeps its real verdict; each reduced graph gets the
+        # identity order, which edge (0, 2, 5) or (0, 1, 2) is consistent with
+        graph = merged_ten_edge_3graph()
+        real = core._exhaustive_search
+
+        def kernel(g):
+            return real(g) if g == graph else (tuple(range(g.n)), 1)
+
+        monkeypatch.setattr(core, "_exhaustive_search", kernel)
+        with pytest.raises(InternalError, match="consistent with reported"):
+            edge_minimality(graph)
 
 
 class TestFiveVertexSpotChecks:
