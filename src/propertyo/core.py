@@ -23,11 +23,16 @@ Above 9 vertices the top lex blocks are walked in rank order, so no mask is
 wider than 9! bits and the decider stops at the first uncovered block.
 
 The search decider (:func:`_backtracking_search`) builds an order of the
-vertices that lie in some edge, smallest element first.  Its state is k-1
-bitmasks of edge indices: level i holds the alive edges whose first i
-vertices are already placed in order.  A prefix is rejected as soon as an
-edge would be left with only its last vertex to place, since every
-completion then leaves that edge consistent.
+vertices that lie in some edge, smallest element first.  Its state is one
+integer packing k-1 levels of |E| bits, level i at bit offset i*|E|: level
+i holds the alive edges whose first i vertices are already placed in
+order.  A placement is two ANDs, an OR and a shift with words precomputed
+per vertex.  A prefix is rejected as soon as an edge would be left with
+only its last vertex to place, since every completion then leaves that
+edge consistent.
+
+:func:`check_property_o` re-checks every violating order a decider
+returns: it must list each vertex once and leave every edge inconsistent.
 """
 
 from __future__ import annotations
@@ -88,15 +93,17 @@ class Record:
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self.__slots__
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        if (
-            len(args) > len(names)
-            or values.keys() != set(names)
-            or not kwargs.keys().isdisjoint(names[: len(args)])
-        ):
-            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        if kwargs or len(args) != len(names):
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (
+                len(args) > len(names)
+                or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[: len(args)])
+            ):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args = tuple(values[name] for name in names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -147,9 +154,7 @@ class OrientedHypergraph(Record):
             raise ValueError(f"uniformity must be at least 2, got {self.k}")
         if self.n < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        object.__setattr__(
-            self, "edges", tuple(tuple(int(v) for v in e) for e in self.edges)
-        )
+        object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
 
 
 class ValidationResult(Record):
@@ -397,6 +402,23 @@ def _violations(graph: OrientedHypergraph) -> Iterator[tuple[int, str]]:
 
 
 def require_valid(graph: OrientedHypergraph) -> None:
+    """Raise ``ValueError`` listing :func:`validate`'s violations, if any.
+
+    A graph is valid iff every edge has k entries, its vertex set has k
+    elements inside 0..n-1, and no two edges share a vertex set.  That is
+    checked in one pass over sets; the message-building walk of
+    :func:`validate` runs only when the pass fails.
+    """
+    edges, k = graph.edges, graph.k
+    keys = set(map(frozenset, edges))
+    vertices = set().union(*keys)
+    if (
+        len(keys) == len(edges)
+        and all(len(key) == k for key in keys)
+        and all(len(e) == k for e in edges)
+        and (not vertices or 0 <= min(vertices) and max(vertices) < graph.n)
+    ):
+        return
     result = validate(graph)
     if not result.ok:
         raise ValueError("invalid hypergraph: " + "; ".join(result.violations))
@@ -419,6 +441,31 @@ def is_consistent(edge: Sequence[int], order: Sequence[int]) -> bool:
             return False
         previous = p
     return True
+
+
+def _consistent_edges(
+    order: Sequence[int], edges: Sequence[OrientedEdge], n: int
+) -> list[int]:
+    """Indices of the ``edges`` consistent with ``order``, read off one
+    position table.  ``order`` must list each of the n vertices once;
+    anything else is a bug of the caller and raises :class:`InternalError`."""
+    if sorted(order) != list(range(n)):
+        raise InternalError(
+            f"internal error: {order} is not an order of the {n} vertices"
+        )
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    consistent = []
+    for index, e in enumerate(edges):
+        previous = -1
+        for v in e:
+            if position[v] < previous:
+                break
+            previous = position[v]
+        else:
+            consistent.append(index)
+    return consistent
 
 
 def support_restriction(graph: OrientedHypergraph) -> OrientedHypergraph:
@@ -549,50 +596,61 @@ def _backtracking_search(
 ) -> tuple[LinearOrder | None, int]:
     """Return (some violating order or None, placements tried).
 
-    The order is built smallest element first, over k-1 bit levels of edge
-    indices: ``levels[i]`` holds the alive edges whose first i vertices are
-    placed in order, so they expect their i-th vertex next.  Placing v moves
-    the edges that expect v up one level and drops every other alive edge
-    containing v, which can no longer be consistent.  An edge that would be
+    The order is built smallest element first.  The search state is one
+    integer of k-1 levels, |E| bits each: bit i*|E| + e is set when edge e
+    is alive and its first i vertices are placed in order, so that it
+    expects its i-th vertex next.  Placing v moves the edges that expect v
+    up one level and drops every other alive edge containing v, which can
+    no longer be consistent.  With three words per vertex, ``keep[v]`` (on
+    every level, the edges without v), ``at[v]`` (on level i < k-2, the
+    edges whose i-th vertex is v) and ``reject[v]`` (on level k-2, the edges
+    whose (k-2)-th vertex is v), the new state is
+    ``state & keep[v] | (state & at[v]) << |E|``.  An edge that would be
     left expecting only its last vertex is consistent with every completion
-    of the prefix, so the prefix is rejected at once.  Once no edge is alive,
-    any completion violates, and the remaining vertices are appended in
-    ascending order.  Only vertices that lie in some edge are placed, tried
-    in ascending order; the others are appended to the violating order found,
-    also ascending.  Every placement tried counts, rejected ones included.
+    of the prefix, so a placement with ``state & reject[v]`` is rejected at
+    once.  Once no edge is alive, any completion violates, and the remaining
+    vertices are appended in ascending order.  Only vertices that lie in
+    some edge are placed, tried in ascending order; the others are appended
+    to the violating order found, also ascending.  Every placement tried
+    counts, rejected ones included.
     """
-    n, k = graph.n, graph.k
-    at = [[0] * (k - 1) for _ in range(n)]  # at[v][i]: edges with i-th vertex v
+    n, k, m = graph.n, graph.k, len(graph.edges)
     has = [0] * n  # has[v]: edges containing v
+    at = [0] * n
+    reject = [0] * n
     for ei, e in enumerate(graph.edges):
-        for i, v in enumerate(e):
-            has[v] |= 1 << ei
-            if i < k - 1:
-                at[v][i] |= 1 << ei
+        bit = 1 << ei
+        for v in e:
+            has[v] |= bit
+        for i in range(k - 2):
+            at[e[i]] |= bit << i * m
+        reject[e[k - 2]] |= bit << (k - 2) * m
+    every_level = sum(1 << (i * m) for i in range(k - 1))
+    full = (1 << ((k - 1) * m)) - 1
+    keep = [full ^ has_v * every_level for has_v in has]
     nodes = 0
 
-    def search(levels: list[int], rest: list[int]) -> LinearOrder | None:
+    def search(state: int, rest: tuple[int, ...]) -> LinearOrder | None:
         """A violating order of the ``rest`` vertices, or None."""
         nonlocal nodes
-        if not any(levels):
-            return tuple(rest)
-        for v in rest:
-            nodes += 1
-            at_v = at[v]
-            if levels[-1] & at_v[-1]:
-                continue  # an edge would have only its last vertex left
-            keep = ~has[v]
-            moved = [levels[0] & keep]
-            for i in range(1, k - 1):
-                moved.append(levels[i] & keep | levels[i - 1] & at_v[i - 1])
-            order = search(moved, [u for u in rest if u != v])
-            if order is not None:
-                return (v,) + order
+        if not state:
+            return rest
+        for j, v in enumerate(rest):
+            if not state & reject[v]:
+                order = search(
+                    state & keep[v] | (state & at[v]) << m, rest[:j] + rest[j + 1 :]
+                )
+                if order is not None:
+                    nodes += j + 1
+                    return (v,) + order
+        nodes += len(rest)
         return None
 
-    every_edge = (1 << len(graph.edges)) - 1
-    support = [v for v in range(n) if has[v]]
-    order = search([every_edge] + [0] * (k - 2), support)
+    support = tuple(v for v in range(n) if has[v])
+    order = search((1 << m) - 1, support)
+    # search refers to itself through its cell: emptying the cell frees the
+    # closure and its words now, not at the next cyclic garbage collection
+    del search
     if order is not None:
         order += tuple(v for v in range(n) if not has[v])
     return order, nodes
@@ -605,9 +663,10 @@ def check_property_o(
 
     ``method`` is one of "exhaustive", "backtracking" or "auto"; auto covers
     all orders up to n = 9 and backtracks beyond that.  This is the one
-    caller of both deciding kernels: a violating order is re-checked against
-    :func:`is_consistent` for every edge before any certificate is built, and
-    a failed re-check raises :class:`InternalError`.
+    caller of both deciding kernels: before any certificate is built, a
+    violating order is re-checked to list each vertex once and to leave
+    every edge inconsistent, from one position table, and a failed
+    re-check raises :class:`InternalError`.
     """
     require_valid(graph)
     if method == AUTO:
@@ -622,12 +681,12 @@ def check_property_o(
         raise ValueError(f"unknown method {method!r}")
 
     if order is not None:
-        for e in graph.edges:
-            if is_consistent(e, order):
-                raise InternalError(
-                    f"internal error: edge {e} is consistent with reported "
-                    f"violating order {order}"
-                )
+        consistent = _consistent_edges(order, graph.edges, graph.n)
+        if consistent:
+            raise InternalError(
+                f"internal error: edge {graph.edges[consistent[0]]} is consistent "
+                f"with reported violating order {order}"
+            )
     return VerificationCertificate(
         verdict=PROPERTY_O if order is None else VIOLATED,
         method=method,
@@ -729,7 +788,8 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     edge i consistent; each nonzero class size must equal k!/m! for the
     edge's base-intersection size m, and the base edge's own class size is
     exactly 1.  ``min_coverage`` is the fewest edges any sigma-order leaves
-    consistent.
+    consistent.  Each sigma-order is checked against every edge from one
+    position table, so the audit costs k!*(n + |E|*k).
     """
     require_valid(graph)
     if not 0 <= base_edge_index < len(graph.edges):
@@ -745,13 +805,10 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     class_sizes = [0] * len(graph.edges)
     coverage = []
     for sigma in itertools.permutations(base):
-        order = sigma + tail
-        per_order = 0
-        for i, e in enumerate(graph.edges):
-            if is_consistent(e, order):
-                class_sizes[i] += 1
-                per_order += 1
-        coverage.append(per_order)
+        consistent = _consistent_edges(sigma + tail, graph.edges, graph.n)
+        for i in consistent:
+            class_sizes[i] += 1
+        coverage.append(len(consistent))
 
     intersection_sizes = [len(set(e) & base_set) for e in graph.edges]
     fact_k = math.factorial(k)

@@ -34,6 +34,9 @@ from .core import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the two multipliers of the splitmix64 finaliser
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # random_tournament refuses more k-subsets than this
 _MAX_SUBSETS = 1_000_000
@@ -43,9 +46,9 @@ def mix64(x: int) -> int:
     """The splitmix64 finaliser on 64-bit integers."""
     x &= _MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MIX1) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MIX2) & _MASK64
     x ^= x >> 31
     return x
 
@@ -84,8 +87,17 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
         )
     fact_k = math.factorial(k)
     _, oriented = oriented_subset_tables(n, k)
-    edges = tuple(row[value_at(seed, i) % fact_k] for i, row in enumerate(oriented))
-    return OrientedHypergraph(k, n, edges)
+    # value_at(seed, i) for i = 0, 1, ..., with mix64 written out inline
+    x = seed & _MASK64
+    edges = []
+    for row in oriented:
+        x = (x + _GOLDEN) & _MASK64
+        z = x ^ x >> 30
+        z = z * _MIX1 & _MASK64
+        z ^= z >> 27
+        z = z * _MIX2 & _MASK64
+        edges.append(row[(z ^ z >> 31) % fact_k])
+    return OrientedHypergraph(k, n, tuple(edges))
 
 
 def _count_successes(n: int, k: int, seed: int, trials: range) -> int:

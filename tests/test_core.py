@@ -1,5 +1,6 @@
 import ast
 import graphlib
+import hashlib
 import itertools
 import math
 import os
@@ -20,6 +21,7 @@ from propertyo import (
     double_cycle_3graph,
     find_violating_order_backtracking,
     find_violating_order_exhaustive,
+    general_construction,
     is_consistent,
     lower_bound_audit,
     merged_ten_edge_3graph,
@@ -98,6 +100,52 @@ class TestValidate:
     def test_uniformity_below_two_rejected(self):
         with pytest.raises(ValueError):
             OrientedHypergraph(1, 3, ())
+
+
+def _mutants(graph, rng):
+    """Seeded broken copies of ``graph``, one per kind of violation, each
+    with its edge list otherwise intact."""
+    edges = list(graph.edges)
+    i = rng.randrange(len(edges))
+    e = edges[i]
+
+    def with_edge(new):
+        return OrientedHypergraph(graph.k, graph.n, edges[:i] + [new] + edges[i + 1 :])
+
+    return [
+        with_edge((e[1],) + e[1:]),  # repeated vertex
+        with_edge(e[:-1] + (-1,)),  # vertex -1
+        with_edge(e[:-1] + (graph.n,)),  # vertex n
+        OrientedHypergraph(graph.k, graph.n, edges + [e[::-1]]),  # duplicate set
+        with_edge(e[:-1]),  # one vertex short
+        with_edge(e + (graph.n,)),  # one vertex long, out of range too
+        with_edge(e + (e[0],)),  # one vertex long, repeated
+    ]
+
+
+class TestRequireValid:
+    def test_raises_exactly_when_validate_fails(self):
+        rng = random.Random(13)
+        graphs = [OrientedHypergraph(3, 0, ()), OrientedHypergraph(2, 4, ())]
+        for _, graph in fixture_graphs():
+            graphs += [graph, *_mutants(graph, rng)]
+        for _ in range(40):
+            graph = random_graph(rng, rng.randint(2, 4), rng.randint(4, 7))
+            graphs.append(graph)
+            if graph.edges:
+                graphs += _mutants(graph, rng)
+        oks = set()
+        for graph in graphs:
+            result = validate(graph)
+            oks.add(result.ok)
+            if result.ok:
+                core.require_valid(graph)
+            else:
+                message = "invalid hypergraph: " + "; ".join(result.violations)
+                with pytest.raises(ValueError) as raised:
+                    core.require_valid(graph)
+                assert str(raised.value) == message
+        assert oks == {True, False}
 
 
 class TestIsConsistent:
@@ -286,6 +334,45 @@ class TestBacktrackingFinder:
                 assert cert.holds
                 assert cert.nodes_expanded == expected[name], name
 
+    def test_deletion_placements_and_orders_regression(self):
+        # every single-edge deletion of a fixture is violated; pinned are the
+        # placements of each deletion and a sha256 of the repr of the list of
+        # their violating orders, in edge order
+        expected = {
+            "cyclic_triangle": (
+                [3, 3, 5],
+                "5b2bcc206cd1da550fc51b4936c4fb6333a333210fe8fe6a7175d0921adb0e58",
+            ),
+            "ten_edge": (
+                [13, 1967, 2162, 12, 14, 991, 2158, 2165, 985, 995],
+                "2cd92e4a5b297d84b6d1508d47550cafeda63b3d46716cf3bb13f41ca798c7aa",
+            ),
+            "double_cycle": (
+                [21, 9, 14, 87, 75, 80, 155, 143, 148,
+                 146, 12, 78, 149, 15, 81, 158, 24, 90],
+                "75ae0e05ff766e5853c3c50308602bfb7b3922560aefc3a49e55f2b6571332a3",
+            ),
+            "merged_ten_edge": (
+                [9, 101, 120, 6, 12, 57, 118, 122, 55, 56],
+                "824c1c360846c9059a1b486595fb3258a340297e2bd3756239f2a32d61e7aa88",
+            ),
+            "general_k3": (
+                [13, 991, 2162, 1967, 14, 12, 2165, 2158, 995, 985],
+                "cc120e136d327e9ddc52a7558400fff28e7864dfac37603f77d3c0cc45744a3f",
+            ),
+        }
+        for name, graph in fixture_graphs():
+            placements, orders = [], []
+            for i in range(len(graph.edges)):
+                reduced = OrientedHypergraph(
+                    graph.k, graph.n, graph.edges[:i] + graph.edges[i + 1 :]
+                )
+                cert = check_property_o(reduced, method="backtracking")
+                placements.append(cert.nodes_expanded)
+                orders.append(cert.violating_order)
+            digest = hashlib.sha256(repr(orders).encode()).hexdigest()
+            assert (placements, digest) == expected[name], name
+
     def test_isolated_vertices_add_no_placements(self):
         # only vertices that lie in some edge are placed
         graph = ten_edge_3graph()
@@ -340,6 +427,29 @@ class TestCheckPropertyO:
         monkeypatch.setattr(core, kernel, lambda graph: (tuple(range(graph.n)), 1))
         with pytest.raises(core.InternalError, match=r"edge \(0, 1, 2\)"):
             finder(ten_edge_3graph())
+
+    @pytest.mark.parametrize(
+        "method,kernel",
+        [
+            ("exhaustive", "_exhaustive_search"),
+            ("backtracking", "_backtracking_search"),
+        ],
+        ids=["exhaustive", "backtracking"],
+    )
+    @pytest.mark.parametrize(
+        "order",
+        [(2, 1, 0), (2, 1, 0, 0, 4), (2, 1, 0, 3, 5), (2, 1, 0, 3, 4, 5)],
+        ids=["missing", "repeated", "out_of_range", "extra"],
+    )
+    def test_recheck_rejects_an_order_that_is_not_a_permutation(
+        self, monkeypatch, method, kernel, order
+    ):
+        # each order leaves the one edge (0, 1, 2) inconsistent, so only the
+        # permutation check can refuse it
+        monkeypatch.setattr(core, kernel, lambda graph: (order, 1))
+        graph = OrientedHypergraph(3, 5, ((0, 1, 2),))
+        with pytest.raises(core.InternalError, match="not an order of the 5 vertices"):
+            check_property_o(graph, method)
 
     def test_kernels_are_called_only_from_check_property_o(self):
         kernels = {"_exhaustive_search", "_backtracking_search"}
@@ -421,6 +531,23 @@ class TestLowerBoundAudit:
                     expected[i] += 1
         report = lower_bound_audit(graph, base_index)
         assert report.class_sizes == tuple(expected)
+
+    @pytest.mark.parametrize("k,base_indices", [(4, (0, 7, 59)), (5, (155,))])
+    def test_general_class_sizes_match_is_consistent_reference(self, k, base_indices):
+        # reference: is_consistent on each (sigma-order, edge) pair
+        graph = general_construction(k)
+        for base_index in base_indices:
+            base = graph.edges[base_index]
+            tail = tuple(v for v in range(graph.n) if v not in base)
+            expected = [0] * len(graph.edges)
+            coverage = []
+            for sigma in itertools.permutations(base):
+                consistent = [is_consistent(e, sigma + tail) for e in graph.edges]
+                expected = [c + hit for c, hit in zip(expected, consistent)]
+                coverage.append(sum(consistent))
+            report = lower_bound_audit(graph, base_index)
+            assert report.class_sizes == tuple(expected), (k, base_index)
+            assert report.min_coverage == min(coverage), (k, base_index)
 
     def test_base_edge_class_size_is_one(self):
         for name, graph in fixture_graphs():

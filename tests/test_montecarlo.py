@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -65,7 +66,10 @@ class TestRandomTournament:
     def test_matches_unranked_orientations(self):
         # the documented draw: subset i (colex) gets the permutation of the
         # sorted subset whose lexicographic rank is value_at(seed, i) mod k!
-        for n, k, seed in [(5, 2, 3), (6, 3, 987), (7, 4, 11)]:
+        # (a seed outside 0..2**64-1 is taken mod 2**64)
+        for n, k, seed in [
+            (5, 2, 3), (6, 3, 987), (7, 4, 11), (6, 3, 2**64 - 1), (6, 3, -5)
+        ]:
             expected = tuple(
                 unrank_permutation(value_at(seed, i) % math.factorial(k), s)
                 for i, s in enumerate(colex_subsets(n, k))
@@ -129,6 +133,27 @@ class TestRateEstimation:
         large = estimate_property_o_rate(6, 3, 10000, 555, jobs=2)
         assert large.successes == 48
         assert large.rate == 0.0048
+
+    def test_seed_1_sample_work_regression(self):
+        # the trials of `sample --n 7 --k 3 --trials 500 --seed 1` and
+        # `--n 8 ... --trials 200`: their successes, their placements and a
+        # sha256 of the repr of the list of their edge tuples, trial by trial
+        successes, placements, edges = [], 0, []
+        for n, trials in [(7, 500), (8, 200)]:
+            holds = 0
+            for t in range(trials):
+                tournament = random_tournament(n, 3, value_at(1, t))
+                cert = check_property_o(tournament, method="backtracking")
+                holds += cert.holds
+                placements += cert.nodes_expanded
+                edges.append(tournament.edges)
+            assert estimate_property_o_rate(n, 3, trials, 1).successes == holds
+            successes.append(holds)
+        assert successes == [95, 144]
+        assert placements == 104_322
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+            "3a589567d2ed8c64e08fc7e58bfed2627a8ed37607bd8b520be5442dba6a22b7"
+        )
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,29 @@ def test_equality_and_hash_follow_the_fields():
     assert MinimalityReport(3) != GeneralLayout(3)
 
 
+def test_positional_keyword_and_defaulted_construction_agree():
+    edges = ((0, 1, 2), (3, 2, 1))
+    graph = OrientedHypergraph(3, 4, edges)
+    assert graph == OrientedHypergraph(k=3, n=4, edges=edges)
+    assert graph == OrientedHypergraph(3, edges=edges, n=4)
+    assert graph == OrientedHypergraph(3, 4, [[0, 1, 2], [3, 2, 1]])
+    cert = VerificationCertificate("violated", "backtracking", (0, 1), 1, None)
+    assert cert == VerificationCertificate("violated", "backtracking", (0, 1), 1)
+    assert cert == VerificationCertificate(
+        verdict="violated",
+        method="backtracking",
+        violating_order=(0, 1),
+        orders_examined=1,
+    )
+    assert ValidationResult(True, ()) == ValidationResult(ok=True)
+    assert ValidationResult(True, ()) == ValidationResult(True)
+    # the positional path runs __post_init__ too
+    with pytest.raises(ValueError):
+        OrientedHypergraph(1, 4, ())
+    with pytest.raises(ValueError):
+        OrientedHypergraph(3, -1, ())
+
+
 def test_constructor_rejects_missing_extra_and_repeated_fields():
     with pytest.raises(TypeError):
         OrientedHypergraph(3, 4)
@@ -137,6 +160,12 @@ def test_constructor_rejects_missing_extra_and_repeated_fields():
         SearchReport(3, 2, 8, 2, None, 0.5, options=None)
     with pytest.raises(TypeError):
         GeneralLayout(3, k=3)
+    with pytest.raises(TypeError):
+        GeneralLayout()
+    with pytest.raises(TypeError):
+        ValidationResult(True, (), ())
+    with pytest.raises(TypeError):
+        ValidationResult(violations=())
 
 
 def test_hypergraph_normalises_edges_on_unpickling_too():
