@@ -65,6 +65,10 @@ EXHAUSTIVE_MAX_VERTICES = 12
 # switches to the backtracking search beyond it.
 AUTO_EXHAUSTIVE_MAX_VERTICES = 9
 
+# lower_bound_audit refuses a graph whose cost k!*(n + |E|*k) exceeds this:
+# general(6) costs 1.1e7 and takes 0.5 s, general(7) 6.6e8 and 17.8 s (2 vCPUs).
+_MAX_AUDIT_COST = 10**8
+
 # Order-coverage masks are built on at most this many vertices (9! bits,
 # 45 KB); larger vertex sets are walked one lex block at a time.
 _BLOCK_VERTICES = 9
@@ -295,30 +299,29 @@ def ordered_map(
 
     ``items`` are dealt into min(``jobs``, CPUs, len(``items``)) runs of
     near-equal length, and ``func`` is called once with each run; no items
-    means no call.  A single run is called in this process.  With several,
-    every run starts at once in a child of its own (``os.fork``), which
-    pickles its outcome into a pipe of its own and leaves through
-    ``os._exit``; the parent reads the pipes to EOF in run order.  The map
-    ends after the first result that ``until`` accepts; that result is the
-    last in the list, and the children not yet read are killed.  No queue
-    or lock is shared between children, so a killed child cannot leave one
-    held.  A child's exception is raised again here, and a child that
-    exits without a result, or whose outcome does not pickle, raises
+    means no call.  Every run but the first starts at once in a child of its
+    own (``os.fork``), which pickles its outcome into a pipe of its own and
+    leaves through ``os._exit``; this process walks the first run, then
+    reads the pipes to EOF in run order.  The map ends after the first
+    result that ``until`` accepts; that result is the last in the list, and
+    the children not yet read are killed, as they are when any run raises
+    (a child's exception is raised again here).  No queue or lock is shared
+    between children, so a killed child cannot leave one held.  A child
+    that exits without a result, or whose outcome does not pickle, raises
     :class:`InternalError`.  Results are pickled, so keep them small.
     """
     size = len(items)
     count = min(max(jobs, 1), os.cpu_count() or 1, size)
     runs = [items[size * i // count : size * (i + 1) // count] for i in range(count)]
-    if count <= 1:
-        return [func(run) for run in runs]
-    import pickle
-    import signal
+    if count > 1:
+        import pickle
+        import signal
 
     pids: list[int] = []
     readers: list[int] = []
     results: list = []
     try:
-        for run in runs:
+        for run in runs[1:]:
             reader, writer = os.pipe()
             readers.append(reader)
             try:
@@ -338,7 +341,10 @@ def ordered_map(
                 # later children must not inherit it, or no pipe reaches EOF
                 os.close(writer)
             pids.append(pid)
-        for i, reader in enumerate(readers):
+        results += map(func, runs[:1])  # this process walks the first run
+        for i, reader in enumerate(readers, 1):
+            if until is not None and until(results[-1]):
+                break
             with open(reader, "rb", closefd=False) as pipe:
                 data = pipe.read()
             try:
@@ -350,11 +356,9 @@ def ordered_map(
             if not ok:
                 raise value
             results.append(value)
-            if until is not None and until(value):
-                break
         return results
     finally:
-        for i, pid in enumerate(pids):
+        for i, pid in enumerate(pids, 1):
             if i >= len(results):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -789,7 +793,9 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     edge's base-intersection size m, and the base edge's own class size is
     exactly 1.  ``min_coverage`` is the fewest edges any sigma-order leaves
     consistent.  Each sigma-order is checked against every edge from one
-    position table, so the audit costs k!*(n + |E|*k).
+    position table, so the audit costs k!*(n + |E|*k); above
+    ``_MAX_AUDIT_COST`` it raises :class:`BudgetExceededError` before
+    checking any sigma-order.
     """
     require_valid(graph)
     if not 0 <= base_edge_index < len(graph.edges):
@@ -798,6 +804,13 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
             f"{len(graph.edges)} edges"
         )
     k = graph.k
+    fact_k = math.factorial(k)
+    cost = fact_k * (graph.n + len(graph.edges) * k)
+    if cost > _MAX_AUDIT_COST:
+        raise BudgetExceededError(
+            f"refusing to check {fact_k} sigma-orders: k!*(n + |E|*k) = {cost} "
+            f"is over the budget of {_MAX_AUDIT_COST}"
+        )
     base = graph.edges[base_edge_index]
     base_set = set(base)
     tail = tuple(v for v in range(graph.n) if v not in base_set)
@@ -811,7 +824,6 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
         coverage.append(len(consistent))
 
     intersection_sizes = [len(set(e) & base_set) for e in graph.edges]
-    fact_k = math.factorial(k)
     for i, size in enumerate(class_sizes):
         allowed = fact_k // math.factorial(intersection_sizes[i])
         if size not in (0, allowed):

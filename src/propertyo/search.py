@@ -27,17 +27,17 @@ the sum, over the remaining subsets, of the most uncovered orders one
 orientation of the subset covers.  The masks, n! bits each, come from the
 order-coverage kernel in :mod:`propertyo.core`.
 
-A first-witness sweep also skips every prefix of the first k+1 digits that
-is not a lex-leader: a prefix P is skipped when some relabelling rho of
-vertices 0..k maps it to a smaller prefix (Crawford, Ginsberg, Luks & Roy,
-KR 1996).  This is sound because rho, fixing every other vertex, maps the
-first k+1 colex subsets (the k-subsets of {0..k}) onto themselves, so the
-image prefix rhoP does not depend on the remaining digits.  Every tournament
-T under P then has the relabelling rhoT with a smaller counter, and rhoT has
-Property O exactly when T does.  So the smallest-counter witness always has
-a leader prefix and is never skipped.  The parent lists the leader prefixes
-and hands them to the workers; it adds the skipped tournaments to the
-decided total itself, without a walk.
+A first-witness sweep walks only the leader prefixes of the first k+1
+digits: the smallest of each orbit under the maps g that relabel vertices
+0..k and may reverse every edge (lex-leader pruning: Crawford, Ginsberg,
+Luks & Roy, KR 1996).  Such a g maps the first k+1 colex subsets (the
+k-subsets of {0..k}) onto themselves and each later subset onto a later
+one, so the image gP of a prefix P does not depend on the later digits.
+If gP < P, each tournament T under P has an image gT with a smaller
+counter, and gT has Property O exactly when T does (for reversal, see
+:func:`propertyo.core.reverse`).  So the smallest-counter witness has a
+leader prefix.  The caller lists the leaders (36 of 1,296 at (5,3)) and
+counts the tournaments under the other prefixes as decided, unwalked.
 """
 
 from __future__ import annotations
@@ -170,37 +170,33 @@ def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
     return masks, full
 
 
-def _leader_tables(n: int, k: int) -> list[list[list[tuple[int, int]]]]:
-    """For each non-identity permutation of vertices 0..k, the image
-    (subset, orientation) of every (subset, orientation) among the first
-    k+1 colex subsets, which are the k-subsets of {0..k}."""
+def _leader_prefixes(n: int, k: int) -> list[tuple[int, ...]]:
+    """The leader prefixes of the first k+1 digits, in counter order: one
+    pass over the k!**(k+1) prefixes keeps each that is not yet marked, the
+    smallest of its orbit, and marks its image under every relabelling of
+    vertices 0..k, with and without reversal."""
     subsets, oriented = oriented_subset_tables(n, k)
-    subset_index = {s: t for t, s in enumerate(subsets[: k + 1])}
-    tables = []
-    for rho in itertools.permutations(range(k + 1)):
-        if rho == tuple(range(k + 1)):
-            continue
-        table = []
-        for row in oriented[: k + 1]:
-            images = [tuple(rho[v] for v in edge) for edge in row]
-            table.append(
-                [(subset_index[tuple(sorted(i))], rank_permutation(i)) for i in images]
-            )
-        tables.append(table)
-    return tables
+    head = oriented[: k + 1]
+    fact_k = math.factorial(k)
+    weight = {s: fact_k ** (k - t) for t, s in enumerate(subsets[: k + 1])}
 
+    def term(edge: tuple[int, ...]) -> int:
+        """The edge's digit times its subset's place value in the counter."""
+        return weight[tuple(sorted(edge))] * rank_permutation(edge)
 
-def _is_leader(digits: tuple[int, ...], tables) -> bool:
-    """Whether no relabelling in ``tables`` maps the digits of the first
-    k+1 subsets to a lexicographically smaller digit tuple."""
-    for table in tables:
-        image = [0] * len(digits)
-        for t, o in enumerate(digits):
-            t2, o2 = table[t][o]
-            image[t2] = o2
-        if tuple(image) < digits:
-            return False
-    return True
+    images = [
+        [[term(tuple(rho[v] for v in e)[::step]) for e in row] for row in head]
+        for rho in itertools.permutations(range(k + 1))
+        for step in (1, -1)
+    ]
+    marked = bytearray(fact_k ** (k + 1))
+    leaders = []
+    for code, digits in enumerate(itertools.product(range(fact_k), repeat=k + 1)):
+        if not marked[code]:
+            leaders.append(digits)
+            for terms in images:
+                marked[sum(map(list.__getitem__, terms, digits))] = 1
+    return leaders
 
 
 def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
@@ -240,11 +236,11 @@ def _census_unit(
     sum over those subsets of the most uncovered orders one orientation
     covers (:func:`_cover_reach`).  No completion of such a child has
     Property O.  At the last digit no subset remains, so every child that
-    is not a witness is discarded this way.  The worker builds its own
-    masks from (n, k).  Returns (enumerated, found, first_witness_counter),
-    counting only the tournaments under ``prefixes``.  In stop_first mode
-    the walk ends at the run's first witness and ``enumerated`` only covers
-    what was decided before it.
+    is not a witness is discarded this way.  Each worker, the caller too,
+    builds its own masks from (n, k).  Returns (enumerated, found,
+    first_witness_counter), counting only the tournaments under
+    ``prefixes``.  In stop_first mode the walk ends at the run's first
+    witness and ``enumerated`` only covers what was decided before it.
     """
     masks, full = _coverage_masks(n, k)
     m = len(masks)
@@ -262,19 +258,18 @@ def _census_unit(
     found = 0
     first_counter: int | None = None
     start_time = time.perf_counter()
-    next_report = progress_interval if progress_interval > 0 else None
+    next_report = progress_interval if progress_interval > 0 else math.inf
 
     def report_progress() -> None:
         nonlocal next_report
-        if next_report is not None and enumerated >= next_report:
-            elapsed = time.perf_counter() - start_time
-            # one write per line, so lines from several workers stay whole
-            sys.stderr.write(
-                f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
-            )
-            sys.stderr.flush()
-            while next_report <= enumerated:
-                next_report += progress_interval
+        elapsed = time.perf_counter() - start_time
+        # one write per line, so lines from several workers stay whole
+        sys.stderr.write(
+            f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
+        )
+        sys.stderr.flush()
+        while next_report <= enumerated:
+            next_report += progress_interval
 
     def rec(d: int, uncovered: int, base_counter: int) -> bool:
         """Returns True to stop the walk (witness found in stop_first mode)."""
@@ -298,13 +293,15 @@ def _census_unit(
                 enumerated += step
                 if first_counter is None:
                     first_counter = base_counter + o * step
-                report_progress()
+                if enumerated >= next_report:
+                    report_progress()
             elif rest is not None and (
                 reach < (left := shrunk.bit_count())
                 or _cover_reach(shrunk, rest) < left
             ):
                 enumerated += step
-                report_progress()
+                if enumerated >= next_report:
+                    report_progress()
             else:
                 if rec(d + 1, shrunk, base_counter + o * step):
                     return True
@@ -344,13 +341,13 @@ def census_property_o(
 ) -> SearchReport:
     """Sweep every k-tournament on n vertices for Property O.
 
-    With ``stop_at_first`` the sweep skips non-leader prefixes and ends at
-    the smallest-counter witness; otherwise every tournament is walked and
-    ``property_o_found`` is the exact count.  The parent lists the prefixes
-    to walk, the same for any ``jobs``, and :func:`ordered_map` deals them
-    in counter order, one contiguous run per worker and at most ``jobs``
-    workers (no more than CPUs), so the report is identical for any
-    ``jobs``.
+    With ``stop_at_first`` the sweep walks only the leader prefixes (see
+    the module docstring) and ends at the smallest-counter witness;
+    otherwise every tournament is walked and ``property_o_found`` is the
+    exact count.  The prefixes are the same for any ``jobs``, and
+    :func:`ordered_map` deals them in counter order into at most ``jobs``
+    runs (no more than CPUs): this process walks the first, and each other
+    gets a forked child.  So the report is identical for any ``jobs``.
     ``progress_interval`` > 0 makes each worker write "examined=...
     found=... elapsed=..." lines to stderr roughly every that many walked
     tournaments.
@@ -360,15 +357,15 @@ def census_property_o(
     space = fact_k**subset_count
     start = time.perf_counter()
 
-    # the same prefixes for every jobs value.  A first-witness walk skips
-    # prefixes that are not lex-leaders on the first k+1 subsets; every
-    # prefix leaves the recursion a digit to walk, and with k+1 subsets or
-    # fewer one digit is enough (k! prefixes, not k!**(C(n,k)-1))
+    # the same prefixes for every jobs value.  A first-witness walk takes
+    # the leaders on the first k+1 subsets; every prefix leaves the
+    # recursion a digit to walk, and with k+1 subsets or fewer one digit is
+    # enough (k! prefixes, not k!**(C(n,k)-1))
     depth = k + 1 if subset_count > k + 1 else min(1, subset_count - 1)
-    prefixes = list(itertools.product(range(fact_k), repeat=depth))
     if stop_at_first and depth > k:
-        tables = _leader_tables(n, k)
-        prefixes = [p for p in prefixes if _is_leader(p[: k + 1], tables)]
+        prefixes = _leader_prefixes(n, k)
+    else:
+        prefixes = list(itertools.product(range(fact_k), repeat=depth))
     skipped = (fact_k**depth - len(prefixes)) * fact_k ** (subset_count - depth)
     results = ordered_map(
         functools.partial(_census_unit, n, k, stop_at_first, progress_interval),

@@ -579,6 +579,25 @@ class TestLowerBoundAudit:
         with pytest.raises(IndexError):
             lower_bound_audit(cyclic_triangle(), 3)
 
+    def test_budget_refuses_general_7_before_any_order(self, monkeypatch):
+        # k!*(n + |E|*k) is 6.6e8 for general(7), over the 1e8 budget
+        def no_orders(*args):
+            raise AssertionError("a sigma-order was checked")
+
+        graph = general_construction(7)
+        monkeypatch.setattr(core, "_consistent_edges", no_orders)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="5040 sigma-orders"):
+            lower_bound_audit(graph, 0)
+        assert time.perf_counter() - start < 1
+
+    def test_general_6_within_budget(self):
+        # k!*(n + |E|*k) is 1.1e7 for general(6)
+        report = lower_bound_audit(general_construction(6), 0)
+        assert report.class_sizes[0] == 1
+        assert len(report.class_sizes) == 2520
+        assert report.total == 4315
+
     def test_invariant_under_tail_monotone_relabelling(self):
         # renaming the base-edge vertices arbitrarily and the remaining
         # vertices monotonically leaves every audit field unchanged: the
@@ -780,13 +799,14 @@ class TestOrderedMap:
 
     @pytest.mark.parametrize(
         "jobs, items, children",
-        [(1, 5, 0), (3, 5, 3), (8, 5, 4), (8, 3, 3), (8, 1, 0)],
+        [(1, 5, 0), (3, 5, 2), (8, 5, 3), (8, 3, 2), (8, 1, 0)],
     )
     def test_one_child_per_run(self, forked, jobs, items, children):
-        # min(jobs, CPUs, items) runs; a single run needs no child
+        # min(jobs, CPUs, items) runs; this process walks the first, so a
+        # single run needs no child
         runs = core.ordered_map(list, list(range(items)), jobs)
         assert len(forked) == children
-        assert len(runs) == max(children, 1)
+        assert len(runs) == children + 1
         assert [x for run in runs for x in run] == list(range(items))
 
     def test_worker_exception_is_raised(self):
@@ -799,17 +819,37 @@ class TestOrderedMap:
             core.ordered_map(check, list(range(6)), 2)
 
     def test_worker_without_result_is_internal_error(self, forked):
+        # run 0 is walked in this process, so only run 1 may crash
         def die(run):
-            os._exit(1)
+            if run[0] > 0:
+                os._exit(1)
+            return run
 
-        with pytest.raises(core.InternalError, match="run 0 sent no result"):
+        with pytest.raises(core.InternalError, match="run 1 sent no result"):
             core.ordered_map(die, [0, 1], 2)
         self.assert_reaped(forked)
 
     def test_unpicklable_result_is_internal_error(self, forked):
-        # a lambda does not pickle, so the child sends nothing
-        with pytest.raises(core.InternalError, match="run 0 sent no result"):
-            core.ordered_map(lambda run: lambda: run, [0, 1], 2)
+        # a lambda does not pickle, so the child of run 1 sends nothing
+        def unpicklable(run):
+            return run if run[0] == 0 else lambda: run
+
+        with pytest.raises(core.InternalError, match="run 1 sent no result"):
+            core.ordered_map(unpicklable, [0, 1], 2)
+        self.assert_reaped(forked)
+
+    def test_exception_in_own_run_kills_every_child(self, forked):
+        def fail_first(run):
+            if run[0] == 0:
+                raise ValueError("first run")
+            time.sleep(30)
+            return run
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="first run"):
+            core.ordered_map(fail_first, list(range(4)), 4)
+        assert time.perf_counter() - start < 10
+        assert len(forked) == 3
         self.assert_reaped(forked)
 
     def test_stop_kills_running_workers(self, forked):

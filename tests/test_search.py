@@ -28,8 +28,7 @@ from propertyo.search import (
     _census_unit,
     _cover_reach,
     _coverage_masks,
-    _is_leader,
-    _leader_tables,
+    _leader_prefixes,
     _tournament_from_counter,
     oriented_subset_tables,
     violating_order_for_counter,
@@ -86,37 +85,41 @@ class TestCensusEngine:
                 assert report.property_o_found == 0
 
     def test_leaders_are_orbit_minima(self):
-        # brute force: relabel the first k+1 subsets' edges by every
-        # permutation of 0..k and keep the smallest digit tuple
-        for n, k, leaders in [(5, 2, 2), (5, 3, 60)]:
+        # brute force: map the first k+1 subsets' edges by every
+        # permutation of 0..k, with and without reversing each edge, and
+        # keep the digit tuples that are the smallest of their orbit
+        for n, k, count in [(5, 2, 2), (5, 3, 36)]:
             _, oriented = oriented_subset_tables(n, k)
             head = oriented[: k + 1]
             index = {tuple(sorted(row[0])): t for t, row in enumerate(head)}
-            tables = _leader_tables(n, k)
-            count = 0
+            minima = []
             for digits in itertools.product(range(math.factorial(k)), repeat=k + 1):
                 orbit = []
                 for rho in itertools.permutations(range(k + 1)):
-                    image = [0] * (k + 1)
-                    for t, o in enumerate(digits):
-                        edge = tuple(rho[v] for v in head[t][o])
-                        s = index[tuple(sorted(edge))]
-                        image[s] = head[s].index(edge)
-                    orbit.append(tuple(image))
-                minimal = digits == min(orbit)
-                assert _is_leader(digits, tables) == minimal, (n, k, digits)
-                count += minimal
-            assert count == leaders
+                    for reverse in (False, True):
+                        image = [0] * (k + 1)
+                        for t, o in enumerate(digits):
+                            edge = tuple(rho[v] for v in head[t][o])
+                            if reverse:
+                                edge = edge[::-1]
+                            s = index[tuple(sorted(edge))]
+                            image[s] = head[s].index(edge)
+                        orbit.append(tuple(image))
+                if digits == min(orbit):
+                    minima.append(digits)
+            assert _leader_prefixes(n, k) == minima, (n, k)
+            assert len(minima) == count
 
     def test_workers_share_the_leader_prefixes(self, monkeypatch, tmp_path):
-        # all 60 leader prefixes of (5, 3) have first digit 0: two workers
-        # get 30 each, in counter order, not one counter range each
+        # all 36 leader prefixes of (5, 3) have first digit 0: two workers
+        # get 18 each, in counter order, not one counter range each
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         log = tmp_path / "runs"
         real_unit = search._census_unit
 
         def recording_unit(n, k, stop_first, progress_interval, prefixes):
-            # each run is walked in a forked child, so it is logged to a file
+            # the second run is walked in a forked child, so every run is
+            # logged to a file
             with open(log, "a") as f:
                 f.write(repr(prefixes) + "\n")
             return real_unit(n, k, stop_first, progress_interval, prefixes)
@@ -124,15 +127,28 @@ class TestCensusEngine:
         monkeypatch.setattr(search, "_census_unit", recording_unit)
         report = census_property_o(5, 3, jobs=2)
         assert report.total_enumerated == 6**10
-        tables = _leader_tables(5, 3)
-        leaders = [
-            p
-            for p in itertools.product(range(6), repeat=4)
-            if _is_leader(p, tables)
-        ]
-        assert len(leaders) == 60
+        leaders = _leader_prefixes(5, 3)
+        assert len(leaders) == 36
+        assert all(p[0] == 0 for p in leaders)
         runs = sorted(ast.literal_eval(line) for line in log.read_text().splitlines())
-        assert runs == [leaders[:30], leaders[30:]]
+        assert runs == [leaders[:18], leaders[18:]]
+
+    @pytest.mark.parametrize("n, k, calls", [(5, 3, 10392), (6, 3, 11321)])
+    def test_cover_reach_calls_regression(self, monkeypatch, n, k, calls):
+        # deterministic work counters of the jobs=1 first-witness sweeps;
+        # the (6, 3) witness lies under prefix 0000, so the leaders do not
+        # change its walk
+        count = 0
+        real_reach = search._cover_reach
+
+        def counting_reach(uncovered, rows):
+            nonlocal count
+            count += 1
+            return real_reach(uncovered, rows)
+
+        monkeypatch.setattr(search, "_cover_reach", counting_reach)
+        census_property_o(n, k, jobs=1, stop_at_first=True)
+        assert count == calls
 
     def test_no_witness_on_4_3(self):
         report = census_property_o(4, 3, stop_at_first=True)
