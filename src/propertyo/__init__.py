@@ -15,7 +15,7 @@ import importlib
 # running one CLI subcommand, loads only the modules that are used.
 _EXPORTS = {
     "core": (
-        "AUTO", "BACKTRACKING", "EXHAUSTIVE", "PROPERTY_O", "STRUCTURED", "VIOLATED",
+        "AUTO", "BACKTRACKING", "EXHAUSTIVE", "PROPERTY_O", "VIOLATED",
         "AuditReport", "BudgetExceededError", "CoverageHistogram", "InternalError",
         "LinearOrder", "OrientedEdge", "OrientedHypergraph", "ValidationResult",
         "VerificationCertificate", "check_property_o", "count_consistent_orders",

@@ -71,12 +71,19 @@ EXIT_BUDGET = 4
 EXIT_IO = 5
 EXIT_INTERNAL = 6
 
+# family: (builder in constructions, help blurb)
 _FAMILIES = {
-    "cyclic2": "cyclically ordered triangle, the 3-edge 2-uniform example",
-    "claim1": "10-edge 3-uniform example on 8 vertices",
-    "general": "k-uniform family (requires --k)",
-    "h1": "18-edge 3-uniform example on the minimum of 6 vertices",
-    "h2": "10-edge 3-uniform example on 6 vertices",
+    "cyclic2": (
+        "cyclic_triangle",
+        "cyclically ordered triangle, the 3-edge 2-uniform example",
+    ),
+    "claim1": ("ten_edge_3graph", "10-edge 3-uniform example on 8 vertices"),
+    "general": ("general_construction", "k-uniform family (requires --k)"),
+    "h1": (
+        "double_cycle_3graph",
+        "18-edge 3-uniform example on the minimum of 6 vertices",
+    ),
+    "h2": ("merged_ten_edge_3graph", "10-edge 3-uniform example on 6 vertices"),
 }
 
 _METHODS = {"brute": EXHAUSTIVE, "dfs": BACKTRACKING, "auto": AUTO}
@@ -99,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         required=True,
         choices=sorted(_FAMILIES),
-        help="; ".join(f"{name}: {blurb}" for name, blurb in sorted(_FAMILIES.items())),
+        help="; ".join(
+            f"{name}: {blurb}" for name, (_, blurb) in sorted(_FAMILIES.items())
+        ),
     )
     p.add_argument("--k", type=int, help="uniformity, for --family general only")
     p.add_argument("--out", required=True, help="output file path")
@@ -142,31 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    _load(
-        "general_construction",
-        "cyclic_triangle",
-        "ten_edge_3graph",
-        "double_cycle_3graph",
-        "merged_ten_edge_3graph",
-    )
+    builder = _FAMILIES[args.family][0]
     if args.family == "general":
         if args.k is None:
             print("construct: --family general requires --k", file=sys.stderr)
             return EXIT_USAGE
-        graph = general_construction(args.k)
+        params = (args.k,)
     else:
         if args.k is not None:
             print(
                 "construct: --k only applies to --family general", file=sys.stderr
             )
             return EXIT_USAGE
-        graph = {
-            "cyclic2": cyclic_triangle,
-            "claim1": ten_edge_3graph,
-            "h1": double_cycle_3graph,
-            "h2": merged_ten_edge_3graph,
-        }[args.family]()
-    write_hypergraph(graph, args.out)
+        params = ()
+    _load(builder)
+    write_hypergraph(globals()[builder](*params), args.out)
     return EXIT_OK
 
 
@@ -233,9 +232,8 @@ def _cmd_minimality(args) -> int:
 
 def _cmd_census(args) -> int:
     _load("prove_vertex_lower_bound")
-    jobs = max(1, args.jobs)
     report = prove_vertex_lower_bound(
-        args.n, args.k, jobs=jobs, progress_interval=args.progress
+        args.n, args.k, jobs=args.jobs, progress_interval=args.progress
     )
     print(f"n={report.n}")
     print(f"k={report.k}")
@@ -249,7 +247,7 @@ def _cmd_census(args) -> int:
         )
         print(f"first_witness={edges}")
     print(f"elapsed_seconds={report.elapsed_seconds:.3f}")
-    print(f"parallel_partitions={jobs}")
+    print(f"parallel_partitions={report.runs}")
     # every CLI census is a first-witness sweep, which skips non-leaders
     print("symmetry_pruning=true")
     return EXIT_OK if report.property_o_found == 0 else EXIT_NEGATIVE

@@ -25,19 +25,13 @@ import math
 from typing import Sequence
 
 from .core import (
-    PROPERTY_O,
-    STRUCTURED,
+    _MAX_EDGES,
     BudgetExceededError,
     InternalError,
     OrientedHypergraph,
     Record,
-    VerificationCertificate,
     require_valid,
 )
-
-# general_construction refuses to build more edges than this (k >= 9);
-# the same figure as the subset budget of a random tournament.
-_MAX_EDGES = 1_000_000
 
 
 class GeneralLayout(Record):
@@ -251,10 +245,14 @@ def min_edges_lower_bound(k: int) -> int:
 
 
 class CaseCoverageReport(Record):
-    """Outcome of :func:`structured_coverage_check`.
+    """Outcome of :func:`structured_coverage_check`: a report, not a
+    certificate, since only :func:`propertyo.core.check_property_o` makes
+    verdicts.
 
     ``cases`` is the number of cases checked, (k-1)!*(1 + (k-1)*(k+1)), and
-    ``problems`` names each case that no edge of the graph covers.
+    ``problems`` names each case that no edge of the graph covers.  ``ok``
+    (no problems) shows that the graph has Property O by the case analysis;
+    a failing report names the uncovered cases but no violating order.
     """
 
     __slots__ = ("k", "ok", "problems", "cases")
@@ -262,25 +260,6 @@ class CaseCoverageReport(Record):
     ok: bool
     problems: tuple[str, ...]
     cases: int
-
-    def to_certificate(self) -> VerificationCertificate:
-        """Certificate that the construction has Property O, no orders examined.
-
-        Only a passing report certifies anything; a failing one pinpoints
-        problems but produces no violating order, so it has no certificate
-        form.
-        """
-        if not self.ok:
-            raise ValueError(
-                "case coverage did not hold: " + "; ".join(self.problems)
-            )
-        return VerificationCertificate(
-            verdict=PROPERTY_O,
-            method=STRUCTURED,
-            violating_order=None,
-            orders_examined=0,
-            nodes_expanded=None,
-        )
 
 
 def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:

@@ -52,7 +52,6 @@ VIOLATED = "violated"
 
 EXHAUSTIVE = "exhaustive"
 BACKTRACKING = "backtracking"
-STRUCTURED = "structured"
 AUTO = "auto"
 
 # Exhaustive verify and the histogram refuse graphs above this vertex count.
@@ -68,6 +67,10 @@ AUTO_EXHAUSTIVE_MAX_VERTICES = 9
 # lower_bound_audit refuses a graph whose cost k!*(n + |E|*k) exceeds this:
 # general(6) costs 1.1e7 and takes 0.5 s, general(7) 6.6e8 and 17.8 s (2 vCPUs).
 _MAX_AUDIT_COST = 10**8
+
+# general_construction refuses to build more edges, and random_tournament
+# to orient more k-subsets, than this (general(9) would have 1,653,120 edges).
+_MAX_EDGES = 1_000_000
 
 # Order-coverage masks are built on at most this many vertices (9! bits,
 # 45 KB); larger vertex sets are walked one lex block at a time.
@@ -259,20 +262,6 @@ def unrank_permutation(rank: int, items: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rank_permutation(sequence: Sequence[int]) -> int:
-    """Lexicographic rank of ``sequence`` among permutations of its sorted values."""
-    pool = sorted(sequence)
-    if len(set(pool)) != len(pool):
-        raise ValueError("sequence has repeated values")
-    rank = 0
-    f = math.factorial(len(pool))
-    for v in sequence:
-        f //= len(pool)
-        rank += pool.index(v) * f
-        pool.remove(v)
-    return rank
-
-
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colexicographic order."""
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
@@ -289,6 +278,12 @@ def oriented_subset_tables(
     return subsets, tuple(tuple(itertools.permutations(s)) for s in subsets)
 
 
+def run_count(jobs: int, size: int) -> int:
+    """How many runs :func:`ordered_map` deals ``size`` items into:
+    min(``jobs``, CPUs, ``size``), with ``jobs`` raised to at least 1."""
+    return min(max(jobs, 1), os.cpu_count() or 1, size)
+
+
 def ordered_map(
     func: Callable[[Sequence[Any]], Any],
     items: Sequence[Any],
@@ -297,10 +292,10 @@ def ordered_map(
 ) -> list:
     """``func`` over contiguous runs of ``items``, results in run order.
 
-    ``items`` are dealt into min(``jobs``, CPUs, len(``items``)) runs of
-    near-equal length, and ``func`` is called once with each run; no items
-    means no call.  Every run but the first starts at once in a child of its
-    own (``os.fork``), which pickles its outcome into a pipe of its own and
+    ``items`` are dealt into :func:`run_count` runs of near-equal length,
+    and ``func`` is called once with each run; no items means no call.
+    Every run but the first starts at once in a child of its own
+    (``os.fork``), which pickles its outcome into a pipe of its own and
     leaves through ``os._exit``; this process walks the first run, then
     reads the pipes to EOF in run order.  The map ends after the first
     result that ``until`` accepts; that result is the last in the list, and
@@ -311,7 +306,7 @@ def ordered_map(
     :class:`InternalError`.  Results are pickled, so keep them small.
     """
     size = len(items)
-    count = min(max(jobs, 1), os.cpu_count() or 1, size)
+    count = run_count(jobs, size)
     runs = [items[size * i // count : size * (i + 1) // count] for i in range(count)]
     if count > 1:
         import pickle

@@ -24,6 +24,7 @@ import functools
 import math
 
 from .core import (
+    _MAX_EDGES,
     BudgetExceededError,
     OrientedHypergraph,
     Record,
@@ -37,9 +38,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # the two multipliers of the splitmix64 finaliser
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# random_tournament refuses more k-subsets than this
-_MAX_SUBSETS = 1_000_000
 
 
 def mix64(x: int) -> int:
@@ -81,9 +79,9 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     subset_count = math.comb(n, k)
-    if subset_count > _MAX_SUBSETS:
+    if subset_count > _MAX_EDGES:
         raise BudgetExceededError(
-            f"{subset_count} subsets exceed the {_MAX_SUBSETS} budget"
+            f"{subset_count} subsets exceed the {_MAX_EDGES} budget"
         )
     fact_k = math.factorial(k)
     _, oriented = oriented_subset_tables(n, k)

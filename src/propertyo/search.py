@@ -3,8 +3,9 @@
 A k-tournament assigns one of the k! orientations to each of the C(n,k)
 k-subsets of the vertex set.  The census identifies a tournament with its
 mixed-radix counter: subsets are taken in colexicographic order, the
-orientation of a subset is the lexicographic rank of its edge tuple among
-the permutations of the sorted subset, and the first subset is the most
+digit of a subset is its edge's index in the subset's row of
+:func:`propertyo.core.oriented_subset_tables` (the lexicographic rank among
+the permutations of the sorted subset), and the first subset is the most
 significant digit.  That makes the space trivially partitionable into
 contiguous counter ranges for parallel workers, and makes "first witness"
 well defined as the witness with the smallest counter.
@@ -58,7 +59,7 @@ from .core import (
     check_property_o,
     ordered_map,
     oriented_subset_tables,
-    rank_permutation,
+    run_count,
 )
 
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
@@ -79,7 +80,10 @@ class SearchReport(Record):
     first-witness sweep skips count as decided.  None of it depends on the
     number of workers.  ``property_o_found`` is the exact count in a full
     census and 0 or 1 in a first-witness search, and ``first_witness`` is
-    the smallest-counter witness.
+    the smallest-counter witness.  ``runs`` is the number of runs the
+    prefixes were dealt into (:func:`propertyo.core.run_count`), 0 when the
+    edge-count rejection applies; like ``elapsed_seconds`` it depends on
+    the worker count and the machine.
     """
 
     __slots__ = (
@@ -89,6 +93,7 @@ class SearchReport(Record):
         "property_o_found",
         "first_witness",
         "elapsed_seconds",
+        "runs",
     )
     n: int
     k: int
@@ -96,9 +101,10 @@ class SearchReport(Record):
     property_o_found: int
     first_witness: OrientedHypergraph | None
     elapsed_seconds: float
+    runs: int
 
     def matches(self, other: "SearchReport") -> bool:
-        """Equality of everything except the wall-clock time."""
+        """Equality of everything except the wall-clock time and the runs."""
         return (
             self.n == other.n
             and self.k == other.k
@@ -175,17 +181,16 @@ def _leader_prefixes(n: int, k: int) -> list[tuple[int, ...]]:
     pass over the k!**(k+1) prefixes keeps each that is not yet marked, the
     smallest of its orbit, and marks its image under every relabelling of
     vertices 0..k, with and without reversal."""
-    subsets, oriented = oriented_subset_tables(n, k)
-    head = oriented[: k + 1]
+    head = oriented_subset_tables(n, k)[1][: k + 1]
     fact_k = math.factorial(k)
-    weight = {s: fact_k ** (k - t) for t, s in enumerate(subsets[: k + 1])}
-
-    def term(edge: tuple[int, ...]) -> int:
-        """The edge's digit times its subset's place value in the counter."""
-        return weight[tuple(sorted(edge))] * rank_permutation(edge)
-
+    # each edge on 0..k: its digit (index in its row) times its place value
+    term = {
+        edge: fact_k ** (k - t) * digit
+        for t, row in enumerate(head)
+        for digit, edge in enumerate(row)
+    }
     images = [
-        [[term(tuple(rho[v] for v in e)[::step]) for e in row] for row in head]
+        [[term[tuple(rho[v] for v in e)[::step]] for e in row] for row in head]
         for rho in itertools.permutations(range(k + 1))
         for step in (1, -1)
     ]
@@ -394,6 +399,7 @@ def census_property_o(
             None if first is None else _tournament_from_counter(n, k, first)
         ),
         elapsed_seconds=elapsed,
+        runs=run_count(jobs, len(prefixes)),
     )
 
 
@@ -406,10 +412,11 @@ def prove_vertex_lower_bound(
     Property O graph would extend to a Property O tournament.  When
     C(n,k) <= k!, every n-vertex oriented k-graph falls below the k!+1 edge
     lower bound, so the census is skipped entirely and the report shows
-    total_enumerated=0.  Otherwise this is :func:`census_property_o` with
-    ``stop_at_first``: the counter-ordered sweep stops at the first witness
-    and skips the prefixes that are not lex-leaders (see the module
-    docstring).  ``jobs`` and ``progress_interval`` are passed on.
+    total_enumerated=0 and runs=0.  Otherwise this is
+    :func:`census_property_o` with ``stop_at_first``: the counter-ordered
+    sweep stops at the first witness and skips the prefixes that are not
+    lex-leaders (see the module docstring).  ``jobs`` and
+    ``progress_interval`` are passed on.
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
@@ -422,18 +429,11 @@ def prove_vertex_lower_bound(
             property_o_found=0,
             first_witness=None,
             elapsed_seconds=0.0,
+            runs=0,
         )
     return census_property_o(
         n, k, jobs=jobs, progress_interval=progress_interval, stop_at_first=True
     )
-
-
-def violating_order_for_counter(n: int, k: int, counter: int) -> LinearOrder | None:
-    """A violating order of the counter's tournament, or None if it has
-    Property O; used to spot-check census verdicts."""
-    tournament = _tournament_from_counter(n, k, counter)
-    cert = check_property_o(tournament, method="backtracking")
-    return cert.violating_order
 
 
 def edge_minimality(graph: OrientedHypergraph) -> MinimalityReport:

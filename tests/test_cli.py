@@ -315,6 +315,15 @@ class TestCensus:
         assert captured.out == ""
         assert "internal error: injected" in captured.err
 
+    def test_parallel_partitions_counts_the_runs_dealt(self, capsys, monkeypatch):
+        # at most one run per CPU, whatever --jobs asks for; the k!+1 edge
+        # bound settles (4, 3) without a sweep, so no run is dealt there
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for n, jobs, runs in [("5", "8", 2), ("5", "0", 1), ("4", "8", 0)]:
+            assert run_cli("census", "--n", n, "--k", "3", "--jobs", jobs) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert f"parallel_partitions={runs}" in out, (n, jobs)
+
     def test_progress_lines(self, capfd):
         # two workers share stderr; every line must arrive whole.  Each
         # walks 18 leader prefixes of 6**6 tournaments, so each reports

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from propertyo import (
+    CaseCoverageReport,
     GeneralLayout,
     OrientedHypergraph,
     ReplacementPlan,
@@ -317,17 +318,15 @@ class TestStructuredCoverageCheck:
         assert structured_coverage_check(graph).ok
         assert check_property_o(graph).holds
 
-    def test_certificate_form(self):
-        cert = structured_coverage_check(general_construction(5)).to_certificate()
-        assert cert.holds
-        assert cert.method == "structured"
-        assert cert.orders_examined == 0
-        assert cert.violating_order is None
-
-    def test_failing_report_has_no_certificate(self):
+    def test_report_form(self):
+        # a report, not a certificate: a passing one names no case, a
+        # failing one names the uncovered cases but no violating order
+        report = structured_coverage_check(general_construction(5))
+        assert report == CaseCoverageReport(k=5, ok=True, problems=(), cases=600)
         dropped, _ = _patch_mutants(3)
-        with pytest.raises(ValueError, match="case coverage did not hold"):
-            structured_coverage_check(dropped).to_certificate()
+        failing = structured_coverage_check(dropped)
+        assert (failing.ok, failing.cases) == (False, 18)
+        assert failing.problems[0].startswith("case (j=2, i=1, rank=0): ")
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):

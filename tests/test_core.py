@@ -32,7 +32,7 @@ from propertyo import (
     validate,
 )
 from propertyo import core
-from propertyo.core import unrank_permutation, rank_permutation
+from propertyo.core import unrank_permutation
 from propertyo.search import _coverage_masks, oriented_subset_tables
 
 from conftest import fixture_graphs
@@ -452,19 +452,26 @@ class TestCheckPropertyO:
             check_property_o(graph, method)
 
     def test_kernels_are_called_only_from_check_property_o(self):
-        kernels = {"_exhaustive_search", "_backtracking_search"}
+        # the two deciding kernels, and the certificate they end in
+        kernels = {
+            "_exhaustive_search", "_backtracking_search", "VerificationCertificate"
+        }
         calls = []
         for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
-            for func in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(func, ast.FunctionDef):
+            tree = ast.parse(path.read_text())
+            # ast.walk is breadth first, so a nested function's name wins
+            owner = {}
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update(dict.fromkeys(ast.walk(func), func.name))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
                     continue
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in kernels:
-                        calls.append((path.name, func.name, name))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in kernels:
+                    calls.append((path.name, owner.get(node, "<module>"), name))
         assert sorted(calls) == [
+            ("core.py", "check_property_o", "VerificationCertificate"),
             ("core.py", "check_property_o", "_backtracking_search"),
             ("core.py", "check_property_o", "_exhaustive_search"),
         ]
@@ -677,14 +684,12 @@ class TestInvariantProperties:
 
 class TestPermutationUtilities:
     def test_unrank_rank_roundtrip(self):
+        # rank r is the r-th of itertools.permutations, the row order of
+        # oriented_subset_tables, whose row index is an edge's census digit
         items = (0, 1, 2, 3)
-        seen = []
-        for rank in range(24):
-            perm = unrank_permutation(rank, items)
-            assert rank_permutation(perm) == rank
-            seen.append(perm)
-        assert seen == sorted(seen)
-        assert len(set(seen)) == 24
+        seen = [unrank_permutation(rank, items) for rank in range(24)]
+        assert seen == list(itertools.permutations(items))
+        assert [seen.index(perm) for perm in seen] == list(range(24))
 
 
 def reference_mask(n, edge):

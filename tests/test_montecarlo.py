@@ -13,6 +13,7 @@ from propertyo import (
     validate,
 )
 from propertyo.core import colex_subsets, unrank_permutation
+from propertyo import montecarlo
 from propertyo.montecarlo import mix64, value_at
 
 
@@ -134,21 +135,37 @@ class TestRateEstimation:
         assert large.successes == 48
         assert large.rate == 0.0048
 
-    def test_seed_1_sample_work_regression(self):
+    def test_seed_1_sample_work_regression(self, monkeypatch):
         # the trials of `sample --n 7 --k 3 --trials 500 --seed 1` and
         # `--n 8 ... --trials 200`: their successes, their placements and a
-        # sha256 of the repr of the list of their edge tuples, trial by trial
+        # sha256 of the repr of the list of their edge tuples, trial by trial.
+        # Each trial is exactly one montecarlo.check_property_o call on its
+        # own tournament, the rule a wrapper of that name relies on to record
+        # the trials; every recorded tournament is decided again by the
+        # exhaustive decider, the path sampling does not take
+        calls = []
+
+        def recording(graph, method):
+            cert = check_property_o(graph, method)
+            calls.append((graph, method, cert))
+            return cert
+
+        monkeypatch.setattr(montecarlo, "check_property_o", recording)
         successes, placements, edges = [], 0, []
         for n, trials in [(7, 500), (8, 200)]:
-            holds = 0
-            for t in range(trials):
-                tournament = random_tournament(n, 3, value_at(1, t))
-                cert = check_property_o(tournament, method="backtracking")
-                holds += cert.holds
-                placements += cert.nodes_expanded
-                edges.append(tournament.edges)
-            assert estimate_property_o_rate(n, 3, trials, 1).successes == holds
-            successes.append(holds)
+            calls.clear()
+            summary = estimate_property_o_rate(n, 3, trials, 1)
+            tournaments = [
+                random_tournament(n, 3, value_at(1, t)) for t in range(trials)
+            ]
+            assert [graph for graph, _, _ in calls] == tournaments
+            assert {method for _, method, _ in calls} == {"backtracking"}
+            assert summary.successes == sum(cert.holds for _, _, cert in calls)
+            for graph, _, cert in calls:
+                assert check_property_o(graph, method="exhaustive").holds == cert.holds
+            successes.append(summary.successes)
+            placements += sum(cert.nodes_expanded for _, _, cert in calls)
+            edges += [graph.edges for graph in tournaments]
         assert successes == [95, 144]
         assert placements == 104_322
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == (

@@ -31,8 +31,14 @@ from propertyo.search import (
     _leader_prefixes,
     _tournament_from_counter,
     oriented_subset_tables,
-    violating_order_for_counter,
 )
+
+
+def violating_order_for_counter(n, k, counter):
+    """A violating order of the counter's tournament, or None if it has
+    Property O; used to spot-check census verdicts."""
+    tournament = _tournament_from_counter(n, k, counter)
+    return check_property_o(tournament, method="backtracking").violating_order
 
 
 def _visitor_census(n, k):
@@ -132,6 +138,7 @@ class TestCensusEngine:
         assert all(p[0] == 0 for p in leaders)
         runs = sorted(ast.literal_eval(line) for line in log.read_text().splitlines())
         assert runs == [leaders[:18], leaders[18:]]
+        assert report.runs == 2
 
     @pytest.mark.parametrize("n, k, calls", [(5, 3, 10392), (6, 3, 11321)])
     def test_cover_reach_calls_regression(self, monkeypatch, n, k, calls):
