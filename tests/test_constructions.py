@@ -318,15 +318,28 @@ class TestStructuredCoverageCheck:
         assert structured_coverage_check(graph).ok
         assert check_property_o(graph).holds
 
-    def test_report_form(self):
-        # a report, not a certificate: a passing one names no case, a
-        # failing one names the uncovered cases but no violating order
+    def test_certificate_form(self):
+        # the coverage check returns a report; a certificate for the same
+        # graph comes only from check_property_o
         report = structured_coverage_check(general_construction(5))
         assert report == CaseCoverageReport(k=5, ok=True, problems=(), cases=600)
+        assert not hasattr(report, "to_certificate")
+        cert = check_property_o(general_construction(3), method="backtracking")
+        assert cert.holds
+        assert cert.method == "backtracking"
+        assert cert.violating_order is None
+
+    def test_failing_report_has_no_certificate(self):
+        # a failing report names the uncovered cases but no violating order;
+        # the order verifier supplies one
         dropped, _ = _patch_mutants(3)
         failing = structured_coverage_check(dropped)
         assert (failing.ok, failing.cases) == (False, 18)
         assert failing.problems[0].startswith("case (j=2, i=1, rank=0): ")
+        assert not hasattr(failing, "to_certificate")
+        cert = check_property_o(dropped, method="exhaustive")
+        assert not cert.holds
+        assert cert.violating_order is not None
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
