@@ -12,7 +12,10 @@ reports its vertex placements as ``nodes=N``: at the end of the
        Property O tournament
     2  usage error (unknown subcommand or flag, missing argument)
     3  invalid input data (malformed hypergraph file, bad index, ...)
-    4  enumeration budget refused
+    4  work budget refused, before any output: n! orders over 12 vertices,
+       a search over 10**8 placements or deeper than the recursion limit,
+       an audit, census or construction over its budget, or a stats number
+       longer than Python prints
     5  I/O failure
     6  internal error: a self-check failed or an unexpected exception was
        raised, so no result was reported
@@ -270,8 +273,19 @@ def _cmd_sample(args) -> int:
 
 def _cmd_stats(args) -> int:
     _load("GeneralLayout", "min_edges_upper_bound", "min_edges_lower_bound")
+    from .constructions import _edge_count_digits
+
     k = args.k
-    # raises ValueError for k < 3 before anything is printed
+    # the upper bound is the longest number printed, and Python refuses to
+    # print an int of more digits than its limit (a limit of 0, and Pythons
+    # before 3.10.7, print any int)
+    digits = _edge_count_digits(k)  # ValueError for k < 3, before any print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise BudgetExceededError(
+            f"--k {k} gives a {digits}-digit edge bound, over the {limit}-digit "
+            f"limit on printing an int"
+        )
     upper = min_edges_upper_bound(k)
     print(f"upper_bound_edges={upper}")
     print(f"construction_vertices={GeneralLayout(k).vertex_count}")

@@ -120,9 +120,9 @@ def ten_edge_3graph() -> OrientedHypergraph:
 
     Layout: the two core vertices are 0 and 1, the anchor vertices for the
     orders (0,1) and (1,0) are 2 and 3, and 4..7 are the fresh patch
-    vertices, one per (anchor, insertion position) pair.  This is
-    :func:`general_construction` at k=3 up to the relabelling documented in
-    the tests.
+    vertices, one per (anchor, insertion position) pair.  This layout is
+    :func:`general_construction`'s at k=3 index for index, so the edges are
+    those of ``general_construction(3)``, listed in another order.
     """
     return OrientedHypergraph(
         3,
@@ -197,8 +197,15 @@ def general_construction(k: int) -> OrientedHypergraph:
     of ``base = insert_at(core, a_j, i)`` with the fresh vertex of (j, i)
     substituted at each replacement slot, in plan order.
     Raises :class:`BudgetExceededError`, before building anything, when the
-    family has more than 1,000,000 edges (k >= 9).
+    family has more than 1,000,000 edges (k >= 9); a count with more digits
+    than that budget is not computed.
     """
+    digits = _edge_count_digits(k)
+    if digits > len(str(_MAX_EDGES)):
+        raise BudgetExceededError(
+            f"general_construction({k}) would build a {digits}-digit number of "
+            f"edges, over the {_MAX_EDGES} budget"
+        )
     count = min_edges_upper_bound(k)
     if count > _MAX_EDGES:
         raise BudgetExceededError(
@@ -235,6 +242,21 @@ def min_edges_upper_bound(k: int) -> int:
             f"internal error: closed forms disagree at k={k}: {value} != {alternative}"
         )
     return value
+
+
+def _edge_count_digits(k: int) -> int:
+    """Decimal digits of ``min_edges_upper_bound(k)``, without computing it.
+
+    The count is ((k-1)*(floor(k/2)+1)+1)*(k-1)!, and its log10 comes from
+    ``math.lgamma``, so a k whose count is too big to build or to print is
+    refused at once (k = 10**6 has a count of over 5.5 million digits).  The
+    1e-9 absorbs rounding at k=3, whose count is 10; every k below 2,500
+    matches the digits of the exact count.
+    """
+    if k < 3:
+        raise ValueError(f"uniformity must be at least 3, got {k}")
+    log10 = math.log10((k - 1) * (k // 2 + 1) + 1) + math.lgamma(k) / math.log(10)
+    return int(log10 + 1e-9) + 1
 
 
 def min_edges_lower_bound(k: int) -> int:

@@ -54,7 +54,8 @@ EXHAUSTIVE = "exhaustive"
 BACKTRACKING = "backtracking"
 AUTO = "auto"
 
-# Exhaustive verify and the histogram refuse graphs above this vertex count.
+# The lex-block walk behind exhaustive verify and the histogram refuses
+# graphs above this vertex count.
 # Memory does not set it, since no mask is wider than 9! bits; time does,
 # since a graph with Property O on n > 9 vertices takes n!/9! lex blocks
 # (1320 at n = 12, 17160 at n = 13).
@@ -71,6 +72,11 @@ _MAX_AUDIT_COST = 10**8
 # general_construction refuses to build more edges, and random_tournament
 # to orient more k-subsets, than this (general(9) would have 1,653,120 edges).
 _MAX_EDGES = 1_000_000
+
+# The backtracking search refuses to try more vertex placements than this:
+# claim1 takes 8,010 and all 700 seed-1 sample trials 104,322 together, while
+# `verify` on general(4) reaches it in about 21 s (2 vCPUs, Python 3.11).
+_MAX_PLACEMENTS = 10**8
 
 # Order-coverage masks are built on at most this many vertices (9! bits,
 # 45 KB); larger vertex sets are walked one lex block at a time.
@@ -557,9 +563,22 @@ def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
 _memo_edge_mask = functools.lru_cache(maxsize=None)(_edge_mask)
 
 
-def _lex_blocks(n: int, edges: Sequence[OrientedEdge]) -> Iterator[list[int]]:
-    """Masks of the edges alive in each lex block of ``_BLOCK_VERTICES``
-    vertices, block by block in rank order; together they cover all n! orders."""
+def _lex_blocks(
+    n: int, edges: Sequence[OrientedEdge]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """The lex blocks of at most ``_BLOCK_VERTICES`` vertices that together
+    cover all n! orders, in rank order: each block's first rank, its full
+    mask, and the masks of the edges alive in it.
+
+    Raises :class:`BudgetExceededError` for n > ``EXHAUSTIVE_MAX_VERTICES``
+    before any mask is built.
+    """
+    if n > EXHAUSTIVE_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"refusing to enumerate {n}! orders (limit n <= {EXHAUSTIVE_MAX_VERTICES})"
+        )
+    width = math.factorial(min(n, _BLOCK_VERTICES))
+    full = (1 << width) - 1
 
     def walk(j: int, alive: list[tuple[int, ...]]) -> Iterator[list[int]]:
         if j <= _BLOCK_VERTICES:
@@ -569,25 +588,18 @@ def _lex_blocks(n: int, edges: Sequence[OrientedEdge]) -> Iterator[list[int]]:
             inner = (_descend(ranks, i) for ranks in alive)
             yield from walk(j - 1, [r for r in inner if r is not None])
 
-    return walk(n, [tuple(e) for e in edges])
+    for block, masks in enumerate(walk(n, [tuple(e) for e in edges])):
+        yield block * width, full, masks
 
 
 def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, int]:
     """Return (lex-first violating order or None, its rank + 1 or n!)."""
-    n = graph.n
-    if n > EXHAUSTIVE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"refusing to enumerate {n}! orders (limit n <= "
-            f"{EXHAUSTIVE_MAX_VERTICES}); use the backtracking method"
-        )
-    width = math.factorial(min(n, _BLOCK_VERTICES))
-    full = (1 << width) - 1
-    for block, masks in enumerate(_lex_blocks(n, graph.edges)):
+    for first, full, masks in _lex_blocks(graph.n, graph.edges):
         covered = functools.reduce(operator.or_, masks, 0)
         if covered != full:
-            rank = block * width + (~covered & (covered + 1)).bit_length() - 1
-            return unrank_permutation(rank, range(n)), rank + 1
-    return None, math.factorial(n)
+            rank = first + (~covered & (covered + 1)).bit_length() - 1
+            return unrank_permutation(rank, range(graph.n)), rank + 1
+    return None, math.factorial(graph.n)
 
 
 def _backtracking_search(
@@ -612,6 +624,11 @@ def _backtracking_search(
     some edge are placed, tried in ascending order; the others are appended
     to the violating order found, also ascending.  Every placement tried
     counts, rejected ones included.
+
+    Raises :class:`BudgetExceededError` once the exhausted prefixes have
+    cost more than ``_MAX_PLACEMENTS`` placements, and when the support has
+    too many vertices for one interpreter frame per placed vertex (a
+    ``RecursionError``).
     """
     n, k, m = graph.n, graph.k, len(graph.edges)
     has = [0] * n  # has[v]: edges containing v
@@ -627,6 +644,8 @@ def _backtracking_search(
     every_level = sum(1 << (i * m) for i in range(k - 1))
     full = (1 << ((k - 1) * m)) - 1
     keep = [full ^ has_v * every_level for has_v in has]
+    support = tuple(v for v in range(n) if has[v])
+    budget = _MAX_PLACEMENTS
     nodes = 0
 
     def search(state: int, rest: tuple[int, ...]) -> LinearOrder | None:
@@ -643,13 +662,24 @@ def _backtracking_search(
                     nodes += j + 1
                     return (v,) + order
         nodes += len(rest)
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"search over {len(support)} support vertices refused after "
+                f"{budget} placements"
+            )
         return None
 
-    support = tuple(v for v in range(n) if has[v])
-    order = search((1 << m) - 1, support)
-    # search refers to itself through its cell: emptying the cell frees the
-    # closure and its words now, not at the next cyclic garbage collection
-    del search
+    try:
+        order = search((1 << m) - 1, support)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"search over {len(support)} support vertices refused: one "
+            f"interpreter frame per placed vertex goes past the recursion limit"
+        ) from None
+    finally:
+        # search refers to itself through its cell: emptying the cell frees
+        # the closure and its words now, not at the next cyclic collection
+        del search
     if order is not None:
         order += tuple(v for v in range(n) if not has[v])
     return order, nodes
@@ -666,6 +696,11 @@ def check_property_o(
     violating order is re-checked to list each vertex once and to leave
     every edge inconsistent, from one position table, and a failed
     re-check raises :class:`InternalError`.
+
+    Each kernel refuses work over its budget with
+    :class:`BudgetExceededError`: the exhaustive cover a graph of more than
+    ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search more than
+    ``_MAX_PLACEMENTS`` placements or a support too large for its recursion.
     """
     require_valid(graph)
     if method == AUTO:
@@ -712,9 +747,12 @@ def find_violating_order_backtracking(
 
     The order of ``check_property_o(graph, BACKTRACKING)``, so it is
     re-checked against every edge.  Same decision as
-    :func:`find_violating_order_exhaustive` but without the n! budget; the
-    order need not be the lexicographically first.  Vertices are tried in
-    ascending index order, so the result is deterministic.
+    :func:`find_violating_order_exhaustive`, under the search's budgets
+    instead of the n! one: :class:`BudgetExceededError` after
+    ``_MAX_PLACEMENTS`` placements, or for a support too large for the
+    interpreter's recursion limit (about 1,000 vertices).  The order need
+    not be the lexicographically first.  Vertices are tried in ascending
+    index order, so the result is deterministic.
     """
     return check_property_o(graph, BACKTRACKING).violating_order
 
@@ -728,18 +766,14 @@ def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
     """Histogram of consistent-edge counts over all n! linear orders.
 
     The counts are read off a bit-sliced counter that adds up the edges'
-    order-coverage masks, one lex block at a time.
+    order-coverage masks, one lex block at a time.  Like the exhaustive
+    decider, it refuses more than ``EXHAUSTIVE_MAX_VERTICES`` vertices.
     """
     require_valid(graph)
     n = graph.n
-    if n > EXHAUSTIVE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"refusing to enumerate {n}! orders (limit n <= {EXHAUSTIVE_MAX_VERTICES})"
-        )
-    full = (1 << math.factorial(min(n, _BLOCK_VERTICES))) - 1
     counts: dict[int, int] = {}
     edges = graph.edges
-    for masks in _lex_blocks(n, edges):
+    for _, full, masks in _lex_blocks(n, edges):
         # bit-sliced counter: bit p of planes[b] is bit b of order p's count
         planes: list[int] = []
         for carry in masks:

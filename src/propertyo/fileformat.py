@@ -47,10 +47,10 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
         fields = line.split()
         tag = fields[0]
         if tag == "k":
+            # an n header or an edge needs k first, so a second k is the
+            # only k out of place
             if k is not None:
                 raise HypergraphFormatError(f"duplicate k header, line {lineno}")
-            if n is not None or edges:
-                raise HypergraphFormatError(f"k header out of order, line {lineno}")
             k = _int_field(fields, 1, lineno, expected=2)
             if k < 2:
                 raise HypergraphFormatError(f"k must be at least 2, line {lineno}")

@@ -1,9 +1,11 @@
 import ast
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -18,7 +20,7 @@ from propertyo import (
     ten_edge_3graph,
 )
 import propertyo
-from propertyo import cli
+from propertyo import cli, constructions, core, search
 from propertyo.cli import main
 
 
@@ -103,6 +105,18 @@ class TestConstruct:
         assert "1653120 edges" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["1600", "1000000"])
+    def test_general_far_over_edge_budget_exits_4_uncounted(self, tmp_path, capsys, k):
+        # a count of thousands of digits is neither computed nor printed
+        out = tmp_path / "g.hg"
+        start = time.perf_counter()
+        assert run_cli("construct", "--family", "general", "--k", k, "--out", str(out)) == 4
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-digit number of edges, over the 1000000 budget" in captured.err
+        assert not out.exists()
+
     def test_general_k_below_three_exits_3(self, tmp_path, capsys):
         out = tmp_path / "g2.hg"
         argv = ("construct", "--family", "general", "--k", "2", "--out", str(out))
@@ -173,6 +187,35 @@ class TestVerify:
         lines = ["k 2", "n 13", "e 0 1"]
         path = write(tmp_path, "big.hg", "\n".join(lines) + "\n")
         assert run_cli("verify", path, "--method", "brute") == 4
+
+    @pytest.mark.parametrize("command", ["verify", "minimality"])
+    def test_search_budget_exits_4(self, tmp_path, capsys, monkeypatch, command):
+        # verify on general(4) reaches the real budget, 10**8, in about 21 s
+        # on 2 vCPUs
+        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 10_000)
+        path = write(tmp_path, "g4.hg", serialize_hypergraph(general_construction(4)))
+        assert run_cli(command, path) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: search over 27 support vertices refused after "
+            "10000 placements\n"
+        )
+
+    def test_search_deeper_than_the_recursion_limit_exits_4(self, tmp_path, capsys):
+        path_graph = "k 2\nn 1500\n" + "".join(f"e {i} {i + 1}\n" for i in range(1499))
+        graphs = {
+            "1500": path_graph,
+            "5046": serialize_hypergraph(general_construction(7)),
+        }
+        for support, text in graphs.items():
+            path = write(tmp_path, f"{support}.hg", text)
+            start = time.perf_counter()
+            assert run_cli("verify", path) == 4, support
+            assert time.perf_counter() - start < 5, support
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"search over {support} support vertices refused" in captured.err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("verify", str(tmp_path / "absent.hg")) == 5
@@ -279,6 +322,17 @@ class TestMinimality:
         for i, line in enumerate(lines):
             assert line.startswith(f"edge={i} essential witness=")
 
+    def test_redundant_edge(self, tmp_path, capsys):
+        # claim1 uses no edge on the vertex set {5, 6, 7}, so an edge there
+        # adds nothing to its Property O
+        graph = ten_edge_3graph()
+        text = serialize_hypergraph(graph) + "e 5 6 7\n"
+        path = write(tmp_path, "c1x.hg", text)
+        assert run_cli("minimality", path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11
+        assert lines[10] == "edge=10 redundant"
+
     def test_input_without_property_o(self, tmp_path):
         path = write(tmp_path, "single.hg", "k 2\nn 2\ne 0 1\n")
         assert run_cli("minimality", path) == 3
@@ -366,11 +420,132 @@ class TestStats:
         assert "lower_bound_edges=25" in out
         assert any(l.startswith("asymptotic_reference_vertices=") for l in out)
 
+    @pytest.fixture
+    def default_print_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_k_at_the_print_limit(self, capsys, default_print_limit):
+        # 1557 is the largest k whose upper bound, 4300 digits, Python prints
+        # under its default limit
+        for k in (1500, 1557):
+            assert run_cli("stats", "--k", str(k)) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == f"upper_bound_edges={constructions.min_edges_upper_bound(k)}"
+        assert len(out[0]) == len("upper_bound_edges=") + 4300
+
+    @pytest.mark.parametrize("k", ["1558", "1600", "1000000"])
+    def test_k_over_the_print_limit_exits_4(self, capsys, default_print_limit, k):
+        start = time.perf_counter()
+        assert run_cli("stats", "--k", k) == 4
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-digit edge bound, over the 4300-digit limit" in captured.err
+
     def test_k_too_small(self, capsys):
         assert run_cli("stats", "--k", "2") == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "uniformity must be at least 3, got 2" in captured.err
+
+
+def double_walk(monkeypatch):
+    walk = core._lex_blocks
+    monkeypatch.setattr(
+        core, "_lex_blocks", lambda n, edges: [*walk(n, edges), *walk(n, edges)]
+    )
+
+
+def no_consistent_orders(monkeypatch):
+    monkeypatch.setattr(core, "count_consistent_orders", lambda k, n: 0)
+
+
+def every_edge_consistent(monkeypatch):
+    monkeypatch.setattr(
+        core, "_consistent_edges", lambda order, edges, n: list(range(len(edges)))
+    )
+
+
+def base_edge_never_consistent(monkeypatch):
+    consistent = core._consistent_edges
+    monkeypatch.setattr(
+        core,
+        "_consistent_edges",
+        lambda order, edges, n: [i for i in consistent(order, edges, n) if i != 0],
+    )
+
+
+def extra_mask_bit(monkeypatch):
+    mask = search._edge_mask
+    monkeypatch.setattr(search, "_edge_mask", lambda j, ranks: mask(j, ranks) | 1)
+
+
+def ascending_masks_only(monkeypatch):
+    # each orientation gets the ascending one's mask: right popcount, no cover
+    mask = search._edge_mask
+    monkeypatch.setattr(
+        search, "_edge_mask", lambda j, ranks: mask(j, tuple(sorted(ranks)))
+    )
+
+
+def one_tournament_too_many(monkeypatch):
+    unit = search._census_unit
+    monkeypatch.setattr(
+        search, "_census_unit", lambda *args: (lambda r: (r[0] + 1, *r[1:]))(unit(*args))
+    )
+
+
+def factorial_off_at_4(monkeypatch):
+    off = dict(vars(math), factorial=lambda x: math.factorial(x) + (x == 4))
+    monkeypatch.setattr(constructions, "math", types.SimpleNamespace(**off))
+
+
+SELF_CHECK_MUTANTS = [
+    (double_walk, ["histogram", "c1"], "histogram covers 80640 orders"),
+    (no_consistent_orders, ["histogram", "c1"], "weighted histogram total"),
+    (
+        every_edge_consistent,
+        ["audit", "c1", "--base-edge", "0"],
+        "class size 6 for edge 0 is neither 0 nor 1",
+    ),
+    (
+        base_edge_never_consistent,
+        ["audit", "c1", "--base-edge", "0"],
+        "base edge class size must be 1",
+    ),
+    (extra_mask_bit, ["census", "--n", "5", "--k", "3"], "bad coverage mask popcount"),
+    (
+        ascending_masks_only,
+        ["census", "--n", "5", "--k", "3"],
+        "subset orientations do not cover",
+    ),
+    (
+        one_tournament_too_many,
+        ["census", "--n", "5", "--k", "3"],
+        "census decided 60466177 tournaments, expected 60466176",
+    ),
+    (factorial_off_at_4, ["stats", "--k", "4"], "closed forms disagree at k=4"),
+]
+
+
+class TestSelfChecks:
+    """Each self-check, tripped by a mutant, exits 6 with nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "mutant,argv,message",
+        SELF_CHECK_MUTANTS,
+        ids=[mutant.__name__ for mutant, _, _ in SELF_CHECK_MUTANTS],
+    )
+    def test_mutant_exits_6(self, tmp_path, capsys, monkeypatch, mutant, argv, message):
+        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        mutant(monkeypatch)
+        assert run_cli(*[path if a == "c1" else a for a in argv]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[0]}: internal error: {message}" in captured.err
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -258,6 +259,19 @@ class TestExhaustiveFinder:
         with pytest.raises(BudgetExceededError):
             find_violating_order_exhaustive(graph)
 
+    def test_order_walk_refuses_before_any_mask(self, monkeypatch):
+        # the decider and the histogram share the walk's one n! refusal
+        def no_masks(j, ranks):
+            raise AssertionError("mask built")
+
+        monkeypatch.setattr(core, "_edge_mask", no_masks)
+        graph = OrientedHypergraph(2, 13, ((0, 1),))
+        message = r"^refusing to enumerate 13! orders \(limit n <= 12\)$"
+        with pytest.raises(BudgetExceededError, match=message):
+            check_property_o(graph, method="exhaustive")
+        with pytest.raises(BudgetExceededError, match=message):
+            coverage_histogram(graph)
+
 
 class TestBacktrackingFinder:
     def test_ten_edge_graph_has_property_o(self):
@@ -383,6 +397,25 @@ class TestBacktrackingFinder:
             assert cert.nodes_expanded == 8010, n
 
 
+    def test_placement_budget(self, monkeypatch):
+        # claim1 holds after exactly 8010 placements, all of exhausted prefixes
+        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 8010)
+        assert check_property_o(ten_edge_3graph(), "backtracking").nodes_expanded == 8010
+        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 8009)
+        with pytest.raises(
+            BudgetExceededError,
+            match="^search over 8 support vertices refused after 8009 placements$",
+        ):
+            find_violating_order_backtracking(ten_edge_3graph())
+
+    def test_search_deeper_than_the_recursion_limit_is_refused(self):
+        # a directed path places its vertices last first, one frame each
+        n = sys.getrecursionlimit() + 500
+        graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
+        with pytest.raises(BudgetExceededError, match=f"over {n} support vertices"):
+            find_violating_order_backtracking(graph)
+
+
 class TestCheckPropertyO:
     def test_double_cycle_auto_examines_all_orders(self):
         cert = check_property_o(double_cycle_3graph(), method="auto")
@@ -457,24 +490,43 @@ class TestCheckPropertyO:
             "_exhaustive_search", "_backtracking_search", "VerificationCertificate"
         }
         calls = []
-        for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            # ast.walk is breadth first, so a nested function's name wins
-            owner = {}
-            for func in ast.walk(tree):
-                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    owner.update(dict.fromkeys(ast.walk(func), func.name))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in kernels:
-                    calls.append((path.name, owner.get(node, "<module>"), name))
+        for file, owner, node in source_nodes():
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in kernels:
+                calls.append((file, owner, name))
         assert sorted(calls) == [
             ("core.py", "check_property_o", "VerificationCertificate"),
             ("core.py", "check_property_o", "_backtracking_search"),
             ("core.py", "check_property_o", "_exhaustive_search"),
         ]
+
+
+    def test_each_work_limit_is_read_by_its_owner_alone(self):
+        # the code that does the bounded work is the one reader of its limit
+        owners = {
+            "EXHAUSTIVE_MAX_VERTICES": {("core.py", "_lex_blocks")},
+            "_MAX_PLACEMENTS": {("core.py", "_backtracking_search")},
+            "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
+            "_MAX_SPACE_BITS": {("search.py", "_check_space")},
+            "_MAX_MASK_BYTES": {("search.py", "_check_space")},
+            "_MAX_EDGES": {
+                ("constructions.py", "general_construction"),
+                ("montecarlo.py", "random_tournament"),
+            },
+        }
+        readers = {name: set() for name in owners}
+        for file, owner, node in source_nodes():
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in readers:
+                readers[name].add((file, owner))
+        assert readers == owners
 
 
 class TestCoverageHistogram:
@@ -699,6 +751,20 @@ def reference_mask(n, edge):
         for p, order in enumerate(itertools.permutations(range(n)))
         if is_consistent(edge, order)
     )
+
+
+def source_nodes():
+    """(file name, innermost enclosing function or "<module>", node) for
+    every AST node of the package's modules."""
+    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk is breadth first, so a nested function's name wins
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            yield path.name, owner.get(node, "<module>"), node
 
 
 def reference_cover(graph):

@@ -94,6 +94,26 @@ class TestParse:
         with pytest.raises(HypergraphFormatError, match="unknown line tag"):
             parse_hypergraph("k 2\nn 3\nv 0\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# c\nk 1\nn 3\n", "k must be at least 2, line 2"),
+            ("k 2\nn 3\n\nn 3\n", "duplicate n header, line 4"),
+            ("k 2\nn -1\n", "n must be non-negative, line 2"),
+            ("k 2\n# c\ne 0 1\n", "edge before k and n headers, line 3"),
+            ("k 2\nn 3 4\n", "header needs exactly one value, line 2"),
+            ("k 2\nn\n", "header needs exactly one value, line 2"),
+            ("k 2\nn three\n", "non-integer header value, line 2"),
+        ],
+        ids=[
+            "k_below_two", "duplicate_n", "negative_n", "edge_before_n",
+            "two_values", "no_value", "non_integer_value",
+        ],
+    )
+    def test_header_error_reports_line(self, text, message):
+        with pytest.raises(HypergraphFormatError, match=f"^{message}$"):
+            parse_hypergraph(text)
+
     def test_non_integer_vertex(self):
         with pytest.raises(HypergraphFormatError, match="non-integer"):
             parse_hypergraph("k 2\nn 3\ne 0 x\n")
