@@ -13,7 +13,8 @@ reports its vertex placements as ``nodes=N``: at the end of the
     2  usage error (unknown subcommand or flag, missing argument)
     3  invalid input data (malformed hypergraph file, bad index, ...)
     4  work budget refused, before any output: n! orders over 12 vertices,
-       a search over 10**8 placements or deeper than the recursion limit,
+       a search on over 10**6 vertices, over 10**8 placements or deeper
+       than the recursion limit,
        an audit, census or construction over its budget, or a stats number
        longer than Python prints
     5  I/O failure

@@ -78,6 +78,12 @@ _MAX_EDGES = 1_000_000
 # `verify` on general(4) reaches it in about 21 s (2 vCPUs, Python 3.11).
 _MAX_PLACEMENTS = 10**8
 
+# The backtracking search refuses graphs on more vertices than this before
+# it builds its per-vertex words: `verify` on a one-edge 2-graph on 10**6
+# vertices takes 0.6-0.7 s and 130 MB (2 vCPUs, Python 3.11), and the cost
+# grows with n whether or not the vertices lie in an edge.
+_MAX_VERTICES = 1_000_000
+
 # Order-coverage masks are built on at most this many vertices (9! bits,
 # 45 KB); larger vertex sets are walked one lex block at a time.
 _BLOCK_VERTICES = 9
@@ -625,12 +631,17 @@ def _backtracking_search(
     to the violating order found, also ascending.  Every placement tried
     counts, rejected ones included.
 
-    Raises :class:`BudgetExceededError` once the exhausted prefixes have
+    Raises :class:`BudgetExceededError` for more than ``_MAX_VERTICES``
+    vertices before any word is built, once the exhausted prefixes have
     cost more than ``_MAX_PLACEMENTS`` placements, and when the support has
     too many vertices for one interpreter frame per placed vertex (a
     ``RecursionError``).
     """
     n, k, m = graph.n, graph.k, len(graph.edges)
+    if n > _MAX_VERTICES:
+        raise BudgetExceededError(
+            f"search over {n} vertices refused (limit n <= {_MAX_VERTICES})"
+        )
     has = [0] * n  # has[v]: edges containing v
     at = [0] * n
     reject = [0] * n
@@ -641,7 +652,8 @@ def _backtracking_search(
         for i in range(k - 2):
             at[e[i]] |= bit << i * m
         reject[e[k - 2]] |= bit << (k - 2) * m
-    every_level = sum(1 << (i * m) for i in range(k - 1))
+    # with no edge the words are all 0, whatever k is
+    every_level = sum(1 << (i * m) for i in range(k - 1)) if m else 0
     full = (1 << ((k - 1) * m)) - 1
     keep = [full ^ has_v * every_level for has_v in has]
     support = tuple(v for v in range(n) if has[v])
@@ -699,8 +711,9 @@ def check_property_o(
 
     Each kernel refuses work over its budget with
     :class:`BudgetExceededError`: the exhaustive cover a graph of more than
-    ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search more than
-    ``_MAX_PLACEMENTS`` placements or a support too large for its recursion.
+    ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search a graph of more than
+    ``_MAX_VERTICES`` vertices, more than ``_MAX_PLACEMENTS`` placements or
+    a support too large for its recursion.
     """
     require_valid(graph)
     if method == AUTO:
@@ -748,10 +761,10 @@ def find_violating_order_backtracking(
     The order of ``check_property_o(graph, BACKTRACKING)``, so it is
     re-checked against every edge.  Same decision as
     :func:`find_violating_order_exhaustive`, under the search's budgets
-    instead of the n! one: :class:`BudgetExceededError` after
-    ``_MAX_PLACEMENTS`` placements, or for a support too large for the
-    interpreter's recursion limit (about 1,000 vertices).  The order need
-    not be the lexicographically first.  Vertices are tried in ascending
+    instead of the n! one: :class:`BudgetExceededError` for more than
+    ``_MAX_VERTICES`` vertices, after ``_MAX_PLACEMENTS`` placements, or
+    for a support too large for the interpreter's recursion limit (about
+    1,000 vertices).  The order need not be the lexicographically first.  Vertices are tried in ascending
     index order, so the result is deterministic.
     """
     return check_property_o(graph, BACKTRACKING).violating_order

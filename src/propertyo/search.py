@@ -64,8 +64,9 @@ from .core import (
 
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
 # masks that would take more than _MAX_MASK_BYTES in each worker: each
-# worker holds 2*C(n,k)*k! masks (every orientation's and its complement)
-# of n! bits.  (10,2) needs 78 MiB of them, (11,2) would need 1 GiB.
+# worker holds C(n,k)*k! masks of n! bits, one per orientation, of the
+# orders it leaves uncovered.  (10,2) needs 38 MiB of them, (11,2) would
+# need 523 MiB.
 _MAX_SPACE_BITS = 64
 _MAX_MASK_BYTES = 256 << 20
 
@@ -144,7 +145,7 @@ def _check_space(n: int, k: int) -> int:
             f"census space is (k!)^C(n,k) ~ 2^{bits:.1f}, over the "
             f"{_MAX_SPACE_BITS}-bit budget"
         )
-    mask_bytes = subset_count * math.factorial(k) * math.factorial(n) // 4
+    mask_bytes = subset_count * math.factorial(k) * math.factorial(n) // 8
     if mask_bytes > _MAX_MASK_BYTES:
         raise BudgetExceededError(
             f"census masks take {mask_bytes >> 20} MiB per worker, over the "
@@ -154,24 +155,25 @@ def _check_space(n: int, k: int) -> int:
 
 
 def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
-    """Per (subset, orientation) bitmask of consistent order ranks.
+    """Per (subset, orientation) bitmask of the order ranks it leaves
+    uncovered.
 
-    Returns (masks, full_mask).  Order rank p is the lexicographic
-    rank of the ascending sequence; each linear order is consistent with
-    exactly one orientation of each subset, so each mask has n!/k! bits and
-    the k! masks of one subset partition the full mask.
+    Returns (masks, full_mask).  Order rank p is the lexicographic rank of
+    the ascending sequence; each linear order is consistent with exactly one
+    orientation of each subset, so each mask has n! - n!/k! bits and the k!
+    masks of one subset AND to 0.
     """
     _, oriented = oriented_subset_tables(n, k)
-    masks = [[_edge_mask(n, edge) for edge in row] for row in oriented]
     full = (1 << math.factorial(n)) - 1
-    per_edge = math.factorial(n) // math.factorial(k)
+    masks = [[full ^ _edge_mask(n, edge) for edge in row] for row in oriented]
+    per_edge = math.factorial(n) - math.factorial(n) // math.factorial(k)
     for row in masks:
-        combined = 0
+        common = full
         for mask in row:
             if mask.bit_count() != per_edge:
                 raise InternalError("internal error: bad coverage mask popcount")
-            combined |= mask
-        if combined != full:
+            common &= mask
+        if common:
             raise InternalError("internal error: subset orientations do not cover")
     return masks, full
 
@@ -205,19 +207,19 @@ def _leader_prefixes(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
-    """How many orders of ``uncovered`` one mask from each row can cover
-    at most: the sum over rows of max_o |uncovered & row[o]|, cut off once
-    it reaches |uncovered|.
+    """How many orders of ``uncovered`` one orientation from each row can
+    cover at most: the sum over rows of |uncovered| - min_o |uncovered &
+    row[o]|, cut off once it reaches |uncovered|.
 
-    Each row holds one remaining subset's k! orientation masks.  The bound
-    is admissible: when it falls short of |uncovered|, no choice of one
-    orientation per remaining subset covers every uncovered order.  Reaching
-    |uncovered| does not promise such a choice.
+    Each row holds one remaining subset's k! uncovered-order masks.  The
+    bound is admissible: when it falls short of |uncovered|, no choice of
+    one orientation per remaining subset covers every uncovered order.
+    Reaching |uncovered| does not promise such a choice.
     """
     need = uncovered.bit_count()
     reach = 0
     for row in rows:
-        reach += max(map(int.bit_count, map(uncovered.__and__, row)))
+        reach += need - min(map(int.bit_count, map(uncovered.__and__, row)))
         if reach >= need:
             break
     return reach
@@ -233,27 +235,27 @@ def _census_unit(
     """Walk the census tournaments under one worker's run of prefixes.
 
     The prefixes are digit tuples of one length below C(n,k), in counter
-    order.  Each prefix's masks are intersected up front and the recursion
-    walks the remaining digits, so a prefix that already covers every order
+    order.  Each prefix's uncovered-order masks are intersected up front
+    and the recursion walks the remaining digits, so a prefix that already covers every order
     is reported by the recursion's next digit like any other witness.  A
     child subtree is counted as decided without a walk when its uncovered
     orders outnumber what the remaining subsets could cover of them: the
     sum over those subsets of the most uncovered orders one orientation
     covers (:func:`_cover_reach`).  No completion of such a child has
     Property O.  At the last digit no subset remains, so every child that
-    is not a witness is discarded this way.  Each worker, the caller too,
-    builds its own masks from (n, k).  Returns (enumerated, found,
-    first_witness_counter), counting only the tournaments under
-    ``prefixes``.  In stop_first mode the walk ends at the run's first
-    witness and ``enumerated`` only covers what was decided before it.
+    is not a witness is discarded this way.  A witness child counts its
+    subtree as decided and found; in stop_first mode the walk then ends.
+    Each worker, the caller too, builds its own masks from (n, k), and
+    writes its progress lines between prefixes.  Returns (enumerated,
+    found, first_witness_counter), counting only the tournaments under
+    ``prefixes`` that were decided.
     """
     masks, full = _coverage_masks(n, k)
     m = len(masks)
     fact_k = math.factorial(k)
-    not_masks = [[full ^ mask for mask in row] for row in masks]
     pow_fk = [fact_k**i for i in range(m + 1)]
-    # rests[d] holds the masks of subsets d..m-1.  One subset's k! masks
-    # partition the orders, so the best of them covers at least 1/k! of any
+    # rests[d] holds the masks of subsets d..m-1.  One subset's k!
+    # orientations partition the orders, so the best of them covers at least 1/k! of any
     # uncovered set, and the bound can only fire once fewer than k! subsets
     # remain.
     rests = [masks[d:] if m - d < fact_k else None for d in range(m + 1)]
@@ -262,25 +264,12 @@ def _census_unit(
     enumerated = 0
     found = 0
     first_counter: int | None = None
-    start_time = time.perf_counter()
-    next_report = progress_interval if progress_interval > 0 else math.inf
-
-    def report_progress() -> None:
-        nonlocal next_report
-        elapsed = time.perf_counter() - start_time
-        # one write per line, so lines from several workers stay whole
-        sys.stderr.write(
-            f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
-        )
-        sys.stderr.flush()
-        while next_report <= enumerated:
-            next_report += progress_interval
 
     def rec(d: int, uncovered: int, base_counter: int) -> bool:
         """Returns True to stop the walk (witness found in stop_first mode)."""
         nonlocal enumerated, found, first_counter
-        row = not_masks[d]
-        step = pow_fk[m - 1 - d]
+        row = masks[d]
+        step = pow_fk[last - d]
         rest = rests[d + 1]
         if rest is not None:
             # a child's uncovered orders are some of this node's, so what
@@ -290,35 +279,41 @@ def _census_unit(
         for o in range(fact_k):
             shrunk = uncovered & row[o]
             if shrunk == 0:
-                if stop_first:
-                    found += 1
-                    first_counter = base_counter + o * step
-                    return True
                 found += step
                 enumerated += step
                 if first_counter is None:
                     first_counter = base_counter + o * step
-                if enumerated >= next_report:
-                    report_progress()
+                if stop_first:
+                    return True
             elif rest is not None and (
                 reach < (left := shrunk.bit_count())
                 or _cover_reach(shrunk, rest) < left
             ):
                 enumerated += step
-                if enumerated >= next_report:
-                    report_progress()
-            else:
-                if rec(d + 1, shrunk, base_counter + o * step):
-                    return True
+            elif rec(d + 1, shrunk, base_counter + o * step):
+                return True
         return False
 
+    start_time = time.perf_counter()
+    next_report = progress_interval if progress_interval > 0 else math.inf
     for prefix in prefixes:
         uncovered = full
         base_counter = 0
         for d, o in enumerate(prefix):
-            uncovered &= not_masks[d][o]
+            uncovered &= masks[d][o]
             base_counter += o * pow_fk[last - d]
-        if rec(len(prefix), uncovered, base_counter):
+        stop = rec(len(prefix), uncovered, base_counter)
+        if enumerated >= next_report:
+            elapsed = time.perf_counter() - start_time
+            # one write per line, so lines from several workers stay whole
+            sys.stderr.write(
+                f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
+            )
+            sys.stderr.flush()
+            next_report += (
+                (enumerated - next_report) // progress_interval + 1
+            ) * progress_interval
+        if stop:
             break
 
     return enumerated, found, first_counter
@@ -353,9 +348,10 @@ def census_property_o(
     :func:`ordered_map` deals them in counter order into at most ``jobs``
     runs (no more than CPUs): this process walks the first, and each other
     gets a forked child.  So the report is identical for any ``jobs``.
-    ``progress_interval`` > 0 makes each worker write "examined=...
-    found=... elapsed=..." lines to stderr roughly every that many walked
-    tournaments.
+    ``progress_interval`` > 0 makes each worker write an "examined=...
+    found=... elapsed=..." line to stderr between prefixes, after each
+    prefix whose walk takes the worker's decided count to the next multiple
+    of that interval or past it.
     """
     subset_count = _check_space(n, k)
     fact_k = math.factorial(k)
@@ -416,7 +412,8 @@ def prove_vertex_lower_bound(
     :func:`census_property_o` with ``stop_at_first``: the counter-ordered
     sweep stops at the first witness and skips the prefixes that are not
     lex-leaders (see the module docstring).  ``jobs`` and
-    ``progress_interval`` are passed on.
+    ``progress_interval`` are passed on; a progress line is written between
+    prefixes, never from inside one prefix's walk.
     """
     if k < 2 or n < k:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")

@@ -217,6 +217,29 @@ class TestVerify:
             assert captured.out == ""
             assert f"search over {support} support vertices refused" in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "minimality"])
+    def test_search_over_the_vertex_budget_exits_4(self, tmp_path, capsys, command):
+        # refused before any per-vertex word is built, so at once
+        path = write(tmp_path, "wide.hg", "k 2\nn 1000001\ne 0 1\n")
+        start = time.perf_counter()
+        assert run_cli(command, path) == 4
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: search over 1000001 vertices refused (limit n <= 1000000)\n"
+        )
+
+    def test_edgeless_graph_with_a_huge_k_is_decided_at_once(self, tmp_path, capsys):
+        # no edge, so the search builds no level of its state for the k
+        path = write(tmp_path, "edgeless.hg", "k 100000000\nn 10\n")
+        start = time.perf_counter()
+        assert run_cli("verify", path) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == (
+            "VIOLATION order=0 1 2 3 4 5 6 7 8 9\nnodes=0\n"
+        )
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("verify", str(tmp_path / "absent.hg")) == 5
 

@@ -508,6 +508,7 @@ class TestCheckPropertyO:
         owners = {
             "EXHAUSTIVE_MAX_VERTICES": {("core.py", "_lex_blocks")},
             "_MAX_PLACEMENTS": {("core.py", "_backtracking_search")},
+            "_MAX_VERTICES": {("core.py", "_backtracking_search")},
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
             "_MAX_MASK_BYTES": {("search.py", "_check_space")},
@@ -785,7 +786,7 @@ class TestCoverageKernel:
         _, oriented = oriented_subset_tables(n, k)
         assert full == (1 << math.factorial(n)) - 1
         for row, edges in zip(masks, oriented):
-            assert row == [reference_mask(n, e) for e in edges]
+            assert row == [full ^ reference_mask(n, e) for e in edges]
 
     def test_block_walk_matches_reference(self, monkeypatch):
         # with 4-vertex blocks the walk runs on every graph with n > 4

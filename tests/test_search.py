@@ -1,6 +1,7 @@
 import ast
 import collections
 import functools
+import inspect
 import itertools
 import math
 import operator
@@ -233,14 +234,15 @@ class TestCensusEngine:
             for prefix in prefixes:
                 uncovered = full
                 for t, o in enumerate(prefix):
-                    uncovered &= full ^ masks[t][o]
+                    uncovered &= masks[t][o]
                 size = uncovered.bit_count()
                 covered = any(
-                    uncovered & ~functools.reduce(operator.or_, choice) == 0
+                    uncovered & functools.reduce(operator.and_, choice) == 0
                     for choice in itertools.product(*rows)
                 )
+                # each orientation covers what its mask leaves out
                 total = sum(
-                    max((uncovered & mask).bit_count() for mask in row)
+                    max((uncovered & ~mask).bit_count() for mask in row)
                     for row in rows
                 )
                 reach = _cover_reach(uncovered, rows)
@@ -253,6 +255,25 @@ class TestCensusEngine:
         # (5, 2) it keeps prefixes that have one
         assert outcomes[True, False] > 0
         assert outcomes[False, k == 2] > 0
+
+    def test_census_recursion_does_no_io(self):
+        # progress is written between prefixes, never from the walk itself
+        unit = ast.parse(inspect.getsource(search._census_unit))
+        rec = next(
+            f for f in ast.walk(unit) if isinstance(f, ast.FunctionDef) and f.name == "rec"
+        )
+        offenders = []
+        for node in ast.walk(rec):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if (
+                name == "print"
+                or "progress" in name
+                or ast.unparse(node.func).startswith(("sys.stderr", "sys.stdout"))
+            ):
+                offenders.append(ast.unparse(node))
+        assert offenders == []
 
     def test_first_witness_is_smallest_counter(self):
         report = census_property_o(3, 2, stop_at_first=True)
@@ -269,13 +290,14 @@ class TestCensusEngine:
 
     def test_coverage_masks_popcounts(self):
         masks, full = _coverage_masks(4, 3)
-        per_edge = math.factorial(4) // math.factorial(3)
+        per_edge = math.factorial(4) - math.factorial(4) // math.factorial(3)
         for row in masks:
-            union = 0
+            common = full
             for mask in row:
                 assert mask.bit_count() == per_edge
-                union |= mask
-            assert union == full
+                assert mask & ~full == 0
+                common &= mask
+            assert common == 0
 
 
 class TestVertexLowerBound:
@@ -307,9 +329,9 @@ class TestVertexLowerBound:
             prove_vertex_lower_bound(7, 3)
 
     def test_mask_budget_refusal(self):
-        # 2^55 tournaments fit the space budget, but the 220 masks of
-        # 11! bits (1 GiB) do not; refused before any mask is built
-        with pytest.raises(BudgetExceededError, match="MiB"):
+        # 2^55 tournaments fit the space budget, but the 110 uncovered-order
+        # masks of 11! bits (523 MiB) do not; refused before any is built
+        with pytest.raises(BudgetExceededError, match="523 MiB"):
             prove_vertex_lower_bound(11, 2)
 
     def test_input_validation(self):
