@@ -14,9 +14,9 @@ reports its vertex placements as ``nodes=N``: at the end of the
     3  invalid input data (malformed hypergraph file, bad index, ...)
     4  work budget refused, before any output: n! orders over 12 vertices,
        a search on over 10**6 vertices, over 10**8 placements or deeper
-       than the recursion limit,
-       an audit, census or construction over its budget, or a stats number
-       longer than Python prints
+       than the recursion limit, an audit, census or construction over its
+       budget, a sample whose table holds over 10**6 oriented k-subsets, or
+       a stats number longer than Python prints
     5  I/O failure
     6  internal error: a self-check failed or an unexpected exception was
        raised, so no result was reported

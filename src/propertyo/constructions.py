@@ -43,7 +43,6 @@ class GeneralLayout(Record):
     own counting.
     """
 
-    __slots__ = ("k",)
     k: int
 
     @property
@@ -83,7 +82,6 @@ class ReplacementPlan(Record):
     the plan covers every rank.
     """
 
-    __slots__ = ("k", "positions")
     k: int
     positions: tuple[int, ...]
 
@@ -169,22 +167,9 @@ def merged_ten_edge_3graph() -> OrientedHypergraph:
     minimum vertex count (6) and a small edge count (10) are achievable at
     the same time for k=3.
     """
-    return OrientedHypergraph(
-        3,
-        6,
-        (
-            (0, 1, 2),
-            (2, 0, 4),
-            (4, 0, 1),
-            (0, 2, 5),
-            (5, 2, 1),
-            (1, 0, 3),
-            (3, 1, 5),
-            (5, 1, 0),
-            (1, 3, 4),
-            (4, 3, 0),
-        ),
-    )
+    merge = {6: 5, 7: 4}
+    edges = ten_edge_3graph().edges
+    return OrientedHypergraph(3, 6, [[merge.get(v, v) for v in e] for e in edges])
 
 
 def general_construction(k: int) -> OrientedHypergraph:
@@ -277,7 +262,6 @@ class CaseCoverageReport(Record):
     a failing report names the uncovered cases but no violating order.
     """
 
-    __slots__ = ("k", "ok", "problems", "cases")
     k: int
     ok: bool
     problems: tuple[str, ...]

@@ -69,8 +69,8 @@ AUTO_EXHAUSTIVE_MAX_VERTICES = 9
 # general(6) costs 1.1e7 and takes 0.5 s, general(7) 6.6e8 and 17.8 s (2 vCPUs).
 _MAX_AUDIT_COST = 10**8
 
-# general_construction refuses to build more edges, and random_tournament
-# to orient more k-subsets, than this (general(9) would have 1,653,120 edges).
+# general_construction refuses to build more edges, and oriented_subset_tables
+# to list more oriented k-subsets, than this (general(9) would have 1,653,120).
 _MAX_EDGES = 1_000_000
 
 # The backtracking search refuses to try more vertex placements than this:
@@ -97,9 +97,15 @@ class InternalError(RuntimeError):
     """Raised when a self-check fails: a bug, never a verdict about the input."""
 
 
-class Record:
-    """Immutable record: fields are the class's ``__slots__``, defaults come
-    from ``_defaults``.
+class _RecordMeta(type):
+    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> type:
+        namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordMeta):
+    """Immutable record: fields are the class's annotated names (a class
+    constant stays unannotated), defaults come from ``_defaults``.
 
     Instances compare, hash and print by their fields, pickle and copy by
     rebuilding through ``__init__``, and refuse assignment.  A subclass may
@@ -107,8 +113,7 @@ class Record:
     ``object.__setattr__``.
     """
 
-    __slots__ = ()
-    _defaults: Mapping[str, Any] = {}
+    _defaults = {}  # field name -> default value
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self.__slots__
@@ -163,7 +168,6 @@ class OrientedHypergraph(Record):
     inputs (e.g. from a file) can be diagnosed.
     """
 
-    __slots__ = ("k", "n", "edges")
     k: int
     n: int
     edges: tuple[OrientedEdge, ...]
@@ -177,7 +181,6 @@ class OrientedHypergraph(Record):
 
 
 class ValidationResult(Record):
-    __slots__ = ("ok", "violations")
     _defaults = {"violations": ()}
     ok: bool
     violations: tuple[str, ...]
@@ -193,9 +196,6 @@ class VerificationCertificate(Record):
     work metric recorded in ``nodes_expanded`` (vertex placements tried).
     """
 
-    __slots__ = (
-        "verdict", "method", "violating_order", "orders_examined", "nodes_expanded"
-    )
     _defaults = {"nodes_expanded": None}
     verdict: str
     method: str
@@ -217,7 +217,6 @@ class CoverageHistogram(Record):
     oriented edge is consistent with exactly n!/k! orders.
     """
 
-    __slots__ = ("counts",)
     counts: Mapping[int, int]
 
     def total_orders(self) -> int:
@@ -238,9 +237,6 @@ class AuditReport(Record):
     the k!-edge counting argument checkable.
     """
 
-    __slots__ = (
-        "class_sizes", "intersection_sizes", "total", "residue", "min_coverage"
-    )
     class_sizes: tuple[int, ...]
     intersection_sizes: tuple[int, ...]
     total: int
@@ -279,13 +275,45 @@ def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
 
+def _subset_count(n: int, k: int, limit: int) -> int | None:
+    """C(n,k), or None once a partial count C(n,i), i <= min(k, n-k),
+    passes ``limit`` >= 1: it grows with i up to n/2.  The one check that
+    n >= k >= 2, raising ``ValueError``."""
+    if k < 2 or n < k:
+        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > limit:
+            return None
+    return count
+
+
+def _factorial_upto(k: int, limit: int) -> int | None:
+    """k!, or None once the product passes ``limit``."""
+    product = 1
+    for j in range(2, k + 1):
+        product *= j
+        if product > limit:
+            return None
+    return product
+
+
 @functools.lru_cache(maxsize=16)
 def oriented_subset_tables(
     n: int, k: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
     """Colex subsets of {0..n-1} and, per subset, its k! oriented tuples in
     lexicographic order, so ``oriented[t][r]`` is
-    ``unrank_permutation(r, subsets[t])``.  Memoised per (n, k)."""
+    ``unrank_permutation(r, subsets[t])``.  Memoised per (n, k).  More
+    than ``_MAX_EDGES`` tuples, C(n,k)*k!, are refused before any is built.
+    """
+    count = _subset_count(n, k, _MAX_EDGES)
+    if count is None or _factorial_upto(k, _MAX_EDGES // count) is None:
+        raise BudgetExceededError(
+            f"the oriented {k}-subsets of {n} vertices are over the "
+            f"{_MAX_EDGES}-tuple budget"
+        )
     subsets = tuple(colex_subsets(n, k))
     return subsets, tuple(tuple(itertools.permutations(s)) for s in subsets)
 
@@ -846,12 +874,12 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
             f"{len(graph.edges)} edges"
         )
     k = graph.k
-    fact_k = math.factorial(k)
-    cost = fact_k * (graph.n + len(graph.edges) * k)
-    if cost > _MAX_AUDIT_COST:
+    # a k! over the budget is neither built nor printed
+    fact_k = _factorial_upto(k, _MAX_AUDIT_COST)
+    if fact_k is None or fact_k * (graph.n + len(graph.edges) * k) > _MAX_AUDIT_COST:
         raise BudgetExceededError(
-            f"refusing to check {fact_k} sigma-orders: k!*(n + |E|*k) = {cost} "
-            f"is over the budget of {_MAX_AUDIT_COST}"
+            f"refusing to check {fact_k or f'{k}!'} sigma-orders: "
+            f"k!*(n + |E|*k) is over the budget of {_MAX_AUDIT_COST}"
         )
     base = graph.edges[base_edge_index]
     base_set = set(base)

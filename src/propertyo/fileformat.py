@@ -67,10 +67,6 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
                 raise HypergraphFormatError(
                     f"edge before k and n headers, line {lineno}"
                 )
-            if len(fields) - 1 != k:
-                raise HypergraphFormatError(
-                    f"edge has {len(fields) - 1} vertices, expected {k}, line {lineno}"
-                )
             try:
                 edge = tuple(int(f) for f in fields[1:])
             except ValueError:

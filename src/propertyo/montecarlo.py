@@ -24,8 +24,6 @@ import functools
 import math
 
 from .core import (
-    _MAX_EDGES,
-    BudgetExceededError,
     OrientedHypergraph,
     Record,
     check_property_o,
@@ -59,7 +57,6 @@ def value_at(seed: int, index: int) -> int:
 class TrialSummary(Record):
     """Aggregate of a Monte Carlo run over random tournaments."""
 
-    __slots__ = ("n", "k", "trials", "successes", "rate", "standard_error", "seed")
     n: int
     k: int
     trials: int
@@ -74,17 +71,11 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
 
     Every k-subset (colex order) gets an independent orientation drawn from
     the documented generator; the same (n, k, seed) always produces the
-    identical edge list.
+    identical edge list.  The checks and the edge budget are those of
+    :func:`propertyo.core.oriented_subset_tables`.
     """
-    if k < 2 or n < k:
-        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    subset_count = math.comb(n, k)
-    if subset_count > _MAX_EDGES:
-        raise BudgetExceededError(
-            f"{subset_count} subsets exceed the {_MAX_EDGES} budget"
-        )
-    fact_k = math.factorial(k)
     _, oriented = oriented_subset_tables(n, k)
+    fact_k = math.factorial(k)
     # value_at(seed, i) for i = 0, 1, ..., with mix64 written out inline
     x = seed & _MASK64
     edges = []

@@ -56,6 +56,7 @@ from .core import (
     OrientedHypergraph,
     Record,
     _edge_mask,
+    _subset_count,
     check_property_o,
     ordered_map,
     oriented_subset_tables,
@@ -87,15 +88,6 @@ class SearchReport(Record):
     the worker count and the machine.
     """
 
-    __slots__ = (
-        "n",
-        "k",
-        "total_enumerated",
-        "property_o_found",
-        "first_witness",
-        "elapsed_seconds",
-        "runs",
-    )
     n: int
     k: int
     total_enumerated: int
@@ -116,14 +108,12 @@ class SearchReport(Record):
 
 
 class EdgeVerdict(Record):
-    __slots__ = ("index", "essential", "witness")
     index: int
     essential: bool
     witness: LinearOrder | None
 
 
 class MinimalityReport(Record):
-    __slots__ = ("verdicts",)
     verdicts: tuple[EdgeVerdict, ...]
 
     @property
@@ -136,14 +126,14 @@ class MinimalityReport(Record):
 
 
 def _check_space(n: int, k: int) -> int:
-    if k < 2 or n < k:
-        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    subset_count = math.comb(n, k)
-    bits = subset_count * math.log2(math.factorial(k))
+    """C(n,k), once the census space and masks fit their budgets.  As k! >= 2,
+    a space within budget has C(n,k) <= _MAX_SPACE_BITS; no more is counted."""
+    subset_count = _subset_count(n, k, _MAX_SPACE_BITS)
+    bits = subset_count * math.lgamma(k + 1) / math.log(2) if subset_count else math.inf
     if bits > _MAX_SPACE_BITS:
+        size = f" ~ 2^{bits:.1f}" if bits < math.inf else ""
         raise BudgetExceededError(
-            f"census space is (k!)^C(n,k) ~ 2^{bits:.1f}, over the "
-            f"{_MAX_SPACE_BITS}-bit budget"
+            f"census space is (k!)^C(n,k){size}, over the {_MAX_SPACE_BITS}-bit budget"
         )
     mask_bytes = subset_count * math.factorial(k) * math.factorial(n) // 8
     if mask_bytes > _MAX_MASK_BYTES:
@@ -399,6 +389,19 @@ def census_property_o(
     )
 
 
+def _below_edge_bound(n: int, k: int) -> bool:
+    """Whether C(n,k) <= k!, too few subsets for the k!+1 edges of any
+    Property O k-graph.  Read off ``math.lgamma``; counted exactly only
+    when the logs are too close to call."""
+    # ValueError unless n >= k >= 2; C(n,k) = 1 exactly when n == k
+    if _subset_count(n, k, 1) is not None:
+        return True
+    log_ratio = math.lgamma(n + 1) - math.lgamma(n - k + 1) - 2 * math.lgamma(k + 1)
+    if abs(log_ratio) > 1e-12 * math.lgamma(n + 1):
+        return log_ratio < 0
+    return _subset_count(n, k, math.factorial(k)) is not None
+
+
 def prove_vertex_lower_bound(
     n: int, k: int, *, jobs: int = 1, progress_interval: int = 0
 ) -> SearchReport:
@@ -415,10 +418,7 @@ def prove_vertex_lower_bound(
     ``progress_interval`` are passed on; a progress line is written between
     prefixes, never from inside one prefix's walk.
     """
-    if k < 2 or n < k:
-        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    # every Property O k-graph has at least k!+1 edges
-    if math.comb(n, k) <= math.factorial(k):
+    if _below_edge_bound(n, k):
         return SearchReport(
             n=n,
             k=k,

@@ -28,14 +28,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     """Run ``python ARGS`` in a fresh interpreter that imports the same
-    ``propertyo`` as these tests, installed or not."""
+    ``propertyo`` as these tests, installed or not; a run past ``timeout``
+    seconds raises ``subprocess.TimeoutExpired``."""
     src = os.path.dirname(os.path.dirname(propertyo.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
 
 
@@ -321,6 +323,17 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err.startswith("audit: refusing to check 5040 sigma-orders")
 
+    def test_budget_refusal_with_an_unprintable_k_factorial(self, tmp_path, capsys):
+        # 1600! has 4,434 digits, more than Python prints by default
+        vertices = " ".join(map(str, range(1600)))
+        path = write(tmp_path, "k1600.hg", f"k 1600\nn 1600\ne {vertices}\n")
+        start = time.perf_counter()
+        assert run_cli("audit", path, "--base-edge", "0") == 4
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("audit: refusing to check 1600! sigma-orders")
+
 
 class TestMinimality:
     def test_calls_the_swapped_edge_minimality(self, tmp_path, capsys, monkeypatch):
@@ -381,6 +394,35 @@ class TestCensus:
     def test_mask_budget_refusal(self):
         assert run_cli("census", "--n", "11", "--k", "2") == 4
 
+    @pytest.mark.parametrize(
+        "n,k",
+        [
+            (1_000_000, 1_000_000),
+            (1_000_000, 999_999),
+            (3_000_000, 3_000_000),
+            (2_000_000, 1_000_000),
+        ],
+    )
+    def test_huge_space_below_the_edge_bound_is_answered_at_once(self, n, k):
+        # C(n,k) <= k!, decided without building k! or C(n,k)
+        result = run_python(
+            "-m", "propertyo", "census", "--n", str(n), "--k", str(k), timeout=5
+        )
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.splitlines()
+        assert out[:5] == [
+            f"n={n}", f"k={k}", "total_enumerated=0", "property_o_found=0",
+            "first_witness=none",
+        ]
+        assert out[6:] == ["parallel_partitions=0", "symmetry_pruning=true"]
+
+    def test_huge_space_over_the_edge_bound_exits_4(self, capsys):
+        # C(100000, 100) has 343 digits, too many for a float
+        start = time.perf_counter()
+        assert run_cli("census", "--n", "100000", "--k", "100") == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == ""
+
     def test_internal_error_exit_six(self, capsys, monkeypatch):
         # exit 1 would read as "witness found"; a crash must not
         def broken(*args, **kwargs):
@@ -422,6 +464,15 @@ class TestSample:
         assert "successes=263" in out
         assert "rate=0.263" in out
         assert "seed=2026" in out
+
+    @pytest.mark.parametrize("n,k", [(200_000, 100_000), (10, 9)])
+    def test_table_over_the_edge_budget_exits_4(self, n, k):
+        # C(200000, 100000) has 60,204 digits; (10, 9) has 10 * 9! tuples
+        result = run_python(
+            "-m", "propertyo", "sample", "--n", str(n), "--k", str(k),
+            "--trials", "1", "--seed", "1", timeout=5,
+        )
+        assert (result.returncode, result.stdout) == (4, ""), result.stderr
 
     def test_jobs_identical_output(self, capsys):
         run_cli("sample", "--n", "3", "--k", "2", "--trials", "500", "--seed", "9")

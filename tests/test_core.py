@@ -514,7 +514,7 @@ class TestCheckPropertyO:
             "_MAX_MASK_BYTES": {("search.py", "_check_space")},
             "_MAX_EDGES": {
                 ("constructions.py", "general_construction"),
-                ("montecarlo.py", "random_tournament"),
+                ("core.py", "oriented_subset_tables"),
             },
         }
         readers = {name: set() for name in owners}
@@ -528,6 +528,21 @@ class TestCheckPropertyO:
             if name in readers:
                 readers[name].add((file, owner))
         assert readers == owners
+
+    def test_the_subset_rule_and_count_have_one_owner(self):
+        # n >= k >= 2 is checked, and C(n,k) counted, in _subset_count alone
+        rule, comb = set(), set()
+        for file, owner, node in source_nodes():
+            if isinstance(node, ast.Constant) and "need n >= k >= 2" in str(node.value):
+                rule.add((file, owner))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "comb"
+                and getattr(node.value, "id", None) == "math"
+            ):
+                comb.add((file, owner))
+        assert rule == {("core.py", "_subset_count")}
+        assert comb <= {("core.py", "_subset_count")}
 
 
 class TestCoverageHistogram:
@@ -743,6 +758,39 @@ class TestPermutationUtilities:
         seen = [unrank_permutation(rank, items) for rank in range(24)]
         assert seen == list(itertools.permutations(items))
         assert [seen.index(perm) for perm in seen] == list(range(24))
+
+    @pytest.mark.parametrize("limit", [1, 64, 10**6])
+    def test_counts_stop_past_their_limit(self, limit):
+        for n in range(2, 40):
+            for k in range(2, n + 1):
+                count = math.comb(n, k)
+                expected = count if count <= limit else None
+                assert core._subset_count(n, k, limit) == expected, (n, k)
+        for k in range(12):
+            fact = math.factorial(k)
+            assert core._factorial_upto(k, limit) == (fact if fact <= limit else None)
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (5, 1), (0, 0), (-1, 2)])
+    def test_subset_count_needs_n_at_least_k_at_least_2(self, n, k):
+        with pytest.raises(ValueError, match="need n >= k >= 2"):
+            core._subset_count(n, k, 10**6)
+
+    def test_table_over_the_edge_budget_is_refused_before_it_is_built(self):
+        # (102, 3) has 1,030,200 oriented subsets, (101, 3) 999,900
+        for n, k in [(102, 3), (34, 4), (1001, 2), (10, 9), (10**6, 10**6 - 1)]:
+            with pytest.raises(core.BudgetExceededError, match="tuple budget"):
+                oriented_subset_tables(n, k)
+
+    def test_table_at_the_edge_budget_is_built(self, monkeypatch):
+        # C(6,3)*3! = 120 oriented subsets, and (7, 3) has 210
+        oriented_subset_tables.cache_clear()
+        monkeypatch.setattr(core, "_MAX_EDGES", 120)
+        try:
+            assert sum(map(len, oriented_subset_tables(6, 3)[1])) == 120
+            with pytest.raises(core.BudgetExceededError):
+                oriented_subset_tables(7, 3)
+        finally:
+            oriented_subset_tables.cache_clear()
 
 
 def reference_mask(n, edge):

@@ -1,8 +1,10 @@
 """The report and data types: immutable records that compare, hash, print,
 pickle and copy by their fields; and the package's lazily resolved exports."""
 
+import ast
 import copy
 import importlib
+import pathlib
 import pickle
 
 import pytest
@@ -111,6 +113,20 @@ def test_fields_cannot_be_assigned_or_deleted(record, expected):
     with pytest.raises(AttributeError):
         record.unknown_field = 1
     assert repr(record) == expected
+
+
+@pytest.mark.parametrize("record,expected", RECORDS, ids=IDS)
+def test_fields_are_the_annotated_names(record, expected):
+    assert type(record).__slots__ == tuple(type(record).__annotations__)
+
+
+def test_no_class_lists_its_slots():
+    # a record's fields are declared once, as annotations
+    package = pathlib.Path(propertyo.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id != "__slots__", path.name
 
 
 def test_defaults():

@@ -308,6 +308,14 @@ class TestVertexLowerBound:
             assert report.property_o_found == 0
             assert report.total_enumerated == 0
 
+    def test_edge_bound_shortcut_agrees_with_exact_counts(self, monkeypatch):
+        pairs = [(n, k) for n in range(2, 60) for k in range(2, n + 1)]
+        exact = {(n, k): math.comb(n, k) <= math.factorial(k) for n, k in pairs}
+        assert {p: search._below_edge_bound(*p) for p in pairs} == exact
+        # with logs that are never far enough apart, every pair is counted
+        monkeypatch.setattr(search.math, "lgamma", lambda x: 0.0)
+        assert {p: search._below_edge_bound(*p) for p in pairs} == exact
+
     def test_lower_bound_consistency_k3(self):
         results = [prove_vertex_lower_bound(n, 3).property_o_found for n in (3, 4)]
         assert results == [0, 0]
