@@ -24,7 +24,7 @@ _EXPORTS = {
         "relabel", "reverse", "support_restriction", "validate",
     ),
     "constructions": (
-        "CaseCoverageReport", "GeneralLayout", "ReplacementPlan", "cyclic_triangle",
+        "CaseCoverageReport", "GeneralLayout", "cyclic_triangle",
         "double_cycle_3graph", "general_construction", "insert_at",
         "merged_ten_edge_3graph", "min_edges_lower_bound", "min_edges_upper_bound",
         "structured_coverage_check", "ten_edge_3graph",

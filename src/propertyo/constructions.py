@@ -35,15 +35,20 @@ from .core import (
 
 
 class GeneralLayout(Record):
-    """Vertex index layout of :func:`general_construction` for uniformity k.
+    """Vertex layout and replacement slots of :func:`general_construction`
+    for uniformity k, the one owner of the family's rule that k >= 3.
 
-    Core vertices x_1..x_{k-1} come first, then the anchor trailing
-    vertices a_1..a_{(k-1)!}, then one fresh vertex per (anchor, insertion
-    position) pair.  All arguments are 1-based, matching the construction's
-    own counting.
+    Core vertices x_1..x_{k-1} come first, as 0..k-2, then the anchor
+    trailing vertices a_1..a_{(k-1)!}, then one fresh vertex per (anchor,
+    insertion position) pair.  All arguments are 1-based, matching the
+    construction's own counting.
     """
 
     k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 3:
+            raise ValueError(f"uniformity must be at least 3, got {self.k}")
 
     @property
     def permutation_count(self) -> int:
@@ -54,10 +59,14 @@ class GeneralLayout(Record):
         # (k-1) core + (k-1)! anchors + (k-1)!*(k-1) fresh = (k-1) + k*(k-1)!
         return (self.k - 1) + self.k * self.permutation_count
 
-    def x_index(self, i: int) -> int:
-        if not 1 <= i <= self.k - 1:
-            raise ValueError(f"core position {i} out of range")
-        return i - 1
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The 1-based slots of a k-tuple where the fresh vertex is
+        substituted, {odd l in 1..k-1} plus {k}.  A fresh vertex of rank r
+        among the k tuple elements (r in 0..k) makes the slot-l patched edge
+        consistent exactly when r is l-1 or l, and {l-1, l} over the slots
+        covers every rank: the heart of the construction."""
+        return tuple(range(1, self.k, 2)) + (self.k,)
 
     def a_index(self, j: int) -> int:
         if not 1 <= j <= self.permutation_count:
@@ -70,27 +79,6 @@ class GeneralLayout(Record):
         if not 1 <= i <= self.k - 1:
             raise ValueError(f"insertion position {i} out of range")
         return (self.k - 1) + self.permutation_count + (j - 1) * (self.k - 1) + (i - 1)
-
-
-class ReplacementPlan(Record):
-    """The slots of a k-tuple where the fresh vertex is substituted.
-
-    ``positions`` is the 1-based set {odd l in 1..k-1} plus {k}.  Its rank
-    coverage is the heart of the construction: a fresh vertex of rank r
-    among the k tuple elements (r in 0..k) makes the slot-l patched edge
-    consistent exactly when r is l-1 or l, and the union of {l-1, l} over
-    the plan covers every rank.
-    """
-
-    k: int
-    positions: tuple[int, ...]
-
-    @classmethod
-    def for_uniformity(cls, k: int) -> "ReplacementPlan":
-        if k < 3:
-            raise ValueError(f"uniformity must be at least 3, got {k}")
-        positions = tuple(l for l in range(1, k) if l % 2 == 1) + (k,)
-        return cls(k=k, positions=positions)
 
 
 def insert_at(values: Sequence[int], item: int, position: int) -> tuple[int, ...]:
@@ -180,7 +168,7 @@ def general_construction(k: int) -> OrientedHypergraph:
     the (k-1)! anchor edges ``core + (a_j,)`` for j ascending, then for each
     j ascending and each insertion position i ascending, the patched edges
     of ``base = insert_at(core, a_j, i)`` with the fresh vertex of (j, i)
-    substituted at each replacement slot, in plan order.
+    substituted at each slot of :attr:`GeneralLayout.positions`, ascending.
     Raises :class:`BudgetExceededError`, before building anything, when the
     family has more than 1,000,000 edges (k >= 9); a count with more digits
     than that budget is not computed.
@@ -198,7 +186,6 @@ def general_construction(k: int) -> OrientedHypergraph:
             f"over the {_MAX_EDGES} budget"
         )
     layout = GeneralLayout(k)
-    plan = ReplacementPlan.for_uniformity(k)
     cores = list(itertools.permutations(range(k - 1)))
 
     edges = [core + (layout.a_index(j),) for j, core in enumerate(cores, start=1)]
@@ -207,21 +194,21 @@ def general_construction(k: int) -> OrientedHypergraph:
         for i in range(1, k):
             base = insert_at(core, a, i)
             f = layout.fresh_index(j, i)
-            edges.extend(base[: p - 1] + (f,) + base[p:] for p in plan.positions)
+            edges.extend(base[: p - 1] + (f,) + base[p:] for p in layout.positions)
     return OrientedHypergraph(k, layout.vertex_count, tuple(edges))
 
 
 def min_edges_upper_bound(k: int) -> int:
     """Edge count of :func:`general_construction`, in exact arithmetic.
 
-    Evaluates (floor(k/2)+1)*k! - floor(k/2)*(k-1)! and cross-checks the
-    equivalent product form ((k-1)*(floor(k/2)+1)+1)*(k-1)!.
+    Evaluates (floor(k/2)+1)*k! - floor(k/2)*(k-1)! and cross-checks it
+    against the layout's count: (k-1)! anchor edges, and one patched edge per
+    slot for each of the (k-1)!*(k-1) (anchor, insertion position) pairs.
     """
-    if k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {k}")
+    layout = GeneralLayout(k)
     half = k // 2
     value = (half + 1) * math.factorial(k) - half * math.factorial(k - 1)
-    alternative = ((k - 1) * (half + 1) + 1) * math.factorial(k - 1)
+    alternative = layout.permutation_count * (1 + (k - 1) * len(layout.positions))
     if value != alternative:
         raise InternalError(
             f"internal error: closed forms disagree at k={k}: {value} != {alternative}"
@@ -236,11 +223,16 @@ def _edge_count_digits(k: int) -> int:
     ``math.lgamma``, so a k whose count is too big to build or to print is
     refused at once (k = 10**6 has a count of over 5.5 million digits).  The
     1e-9 absorbs rounding at k=3, whose count is 10; every k below 2,500
-    matches the digits of the exact count.
+    matches the digits of the exact count.  A k past ``math.lgamma``'s range
+    (about 2.5e305) raises :class:`BudgetExceededError`.
     """
-    if k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {k}")
-    log10 = math.log10((k - 1) * (k // 2 + 1) + 1) + math.lgamma(k) / math.log(10)
+    GeneralLayout(k)  # refuses k < 3
+    try:
+        log10 = math.log10((k - 1) * (k // 2 + 1) + 1) + math.lgamma(k) / math.log(10)
+    except OverflowError:
+        raise BudgetExceededError(
+            f"the edge count of general_construction({k}) has too many digits to count"
+        ) from None
     return int(log10 + 1e-9) + 1
 
 
@@ -284,8 +276,6 @@ def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
     """
     require_valid(graph)
     k = graph.k
-    if k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {k}")
     layout = GeneralLayout(k)
     if graph.n != layout.vertex_count:
         raise ValueError(

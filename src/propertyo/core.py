@@ -548,10 +548,7 @@ def count_consistent_orders(k: int, n: int) -> int:
     A fixed oriented k-edge is consistent with exactly C(n,k)*(n-k)! = n!/k!
     of the n! orders.  Computed in exact integer arithmetic.
     """
-    if k < 2:
-        raise ValueError(f"uniformity must be at least 2, got {k}")
-    if k > n:
-        raise ValueError(f"need n >= k, got k={k}, n={n}")
+    _subset_count(n, k, 1)  # ValueError unless n >= k >= 2
     return math.factorial(n) // math.factorial(k)
 
 

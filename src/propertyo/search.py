@@ -56,6 +56,7 @@ from .core import (
     OrientedHypergraph,
     Record,
     _edge_mask,
+    _factorial_upto,
     _subset_count,
     check_property_o,
     ordered_map,
@@ -391,13 +392,23 @@ def census_property_o(
 
 def _below_edge_bound(n: int, k: int) -> bool:
     """Whether C(n,k) <= k!, too few subsets for the k!+1 edges of any
-    Property O k-graph.  Read off ``math.lgamma``; counted exactly only
-    when the logs are too close to call."""
+    Property O k-graph.  Counted exactly when k! <= n, whatever n is;
+    otherwise read off ``math.lgamma`` (an n past its range, about 2.5e305,
+    is refused), and counted exactly when the logs are too close to call."""
     # ValueError unless n >= k >= 2; C(n,k) = 1 exactly when n == k
     if _subset_count(n, k, 1) is not None:
         return True
-    log_ratio = math.lgamma(n + 1) - math.lgamma(n - k + 1) - 2 * math.lgamma(k + 1)
-    if abs(log_ratio) > 1e-12 * math.lgamma(n + 1):
+    factorial = _factorial_upto(k, n)
+    if factorial is not None:  # k! <= n: the count passes k! within two steps
+        return _subset_count(n, k, factorial) is not None
+    try:
+        log_n = math.lgamma(n + 1)
+    except OverflowError:
+        raise BudgetExceededError(
+            f"C({n},{k}) and {k}! are too large to compare in floats"
+        ) from None
+    log_ratio = log_n - math.lgamma(n - k + 1) - 2 * math.lgamma(k + 1)
+    if abs(log_ratio) > 1e-12 * log_n:
         return log_ratio < 0
     return _subset_count(n, k, math.factorial(k)) is not None
 

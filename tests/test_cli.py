@@ -526,6 +526,52 @@ class TestStats:
         assert "uniformity must be at least 3, got 2" in captured.err
 
 
+BIG = str(10**309)  # too large for a float
+
+
+class TestSizeFlags:
+    """Every size flag of the commands that take one, at 10**309: a refusal
+    (or an answer) within 1 s, never an internal error."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            pytest.param(
+                ["construct", "--family", "general", "--k", BIG], 4, id="construct-k"
+            ),
+            pytest.param(["stats", "--k", BIG], 4, id="stats-k"),
+            pytest.param(["census", "--n", BIG, "--k", "5"], 4, id="census-n"),
+            pytest.param(["census", "--n", "5", "--k", BIG], 3, id="census-k"),
+            pytest.param(
+                ["sample", "--n", BIG, "--k", "3", "--trials", "1", "--seed", "1"],
+                4,
+                id="sample-n",
+            ),
+            pytest.param(
+                ["sample", "--n", "7", "--k", BIG, "--trials", "1", "--seed", "1"],
+                3,
+                id="sample-k",
+            ),
+            pytest.param(
+                ["sample", "--n", "7", "--k", "3", "--trials", BIG, "--seed", "1"],
+                4,
+                id="sample-trials",
+                # len(range(trials)) overflows, so this exits 6 at once;
+                # 10**18 trials would run until the timeout kills them
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 5: sample's trial count has no budget",
+                ),
+            ),
+        ],
+    )
+    def test_flag_at_10_to_the_309(self, tmp_path, argv, code):
+        if argv[0] == "construct":
+            argv = [*argv, "--out", str(tmp_path / "g.hg")]
+        result = run_python("-m", "propertyo", *argv, timeout=1)
+        assert (result.returncode, result.stdout) == (code, ""), result.stderr
+
+
 def double_walk(monkeypatch):
     walk = core._lex_blocks
     monkeypatch.setattr(

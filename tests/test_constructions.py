@@ -9,7 +9,6 @@ from propertyo import (
     CaseCoverageReport,
     GeneralLayout,
     OrientedHypergraph,
-    ReplacementPlan,
     check_property_o,
     cyclic_triangle,
     double_cycle_3graph,
@@ -150,7 +149,7 @@ class TestGeneralConstruction:
     def test_k4_worked_example_rows(self):
         graph = general_construction(4)
         layout = GeneralLayout(4)
-        x = [layout.x_index(i) for i in (1, 2, 3)]
+        x = [0, 1, 2]  # the core vertices come first
         a1 = layout.a_index(1)
         fresh = [layout.fresh_index(1, i) for i in (1, 2, 3)]
         # patched edges for the identity anchor at insertion positions 1..3
@@ -213,21 +212,20 @@ class TestEdgeCountBounds:
 
 
 class TestReplacementPlan:
+    """The replacement slots, ``GeneralLayout(k).positions``."""
+
     def test_size(self):
         for k in range(3, 65):
-            plan = ReplacementPlan.for_uniformity(k)
-            assert len(plan.positions) == k // 2 + 1, k
+            assert len(GeneralLayout(k).positions) == k // 2 + 1, k
 
     def test_rank_coverage_up_to_64(self):
         for k in range(3, 65):
             # the slot-l patched edge covers the fresh-vertex ranks l-1 and l
-            plan = ReplacementPlan.for_uniformity(k)
-            covered = {r for l in plan.positions for r in (l - 1, l)}
+            covered = {r for l in GeneralLayout(k).positions for r in (l - 1, l)}
             assert covered == set(range(k + 1)), k
 
     def test_positions_are_odd_plus_final(self):
-        plan = ReplacementPlan.for_uniformity(6)
-        assert plan.positions == (1, 3, 5, 6)
+        assert GeneralLayout(6).positions == (1, 3, 5, 6)
 
 
 def _without(graph, edge):
@@ -353,7 +351,6 @@ class TestStructuredCoverageCheck:
 class TestGeneralLayout:
     def test_index_formulas(self):
         layout = GeneralLayout(4)
-        assert [layout.x_index(i) for i in (1, 2, 3)] == [0, 1, 2]
         assert layout.a_index(1) == 3
         assert layout.a_index(6) == 8
         assert layout.fresh_index(1, 1) == 9
@@ -367,17 +364,21 @@ class TestGeneralLayout:
 
     def test_indices_partition_vertex_range(self):
         layout = GeneralLayout(4)
-        indices = [layout.x_index(i) for i in (1, 2, 3)]
+        indices = [0, 1, 2]  # the core vertices
         indices += [layout.a_index(j) for j in range(1, 7)]
         indices += [
             layout.fresh_index(j, i) for j in range(1, 7) for i in (1, 2, 3)
         ]
         assert sorted(indices) == list(range(layout.vertex_count))
 
+    @pytest.mark.parametrize("k", [2, 0])
+    def test_k_below_three_rejected(self, k):
+        # the layout owns the rule; below 3 there is no family to lay out
+        with pytest.raises(ValueError, match=f"at least 3, got {k}$"):
+            GeneralLayout(k)
+
     def test_range_checks(self):
         layout = GeneralLayout(3)
-        with pytest.raises(ValueError):
-            layout.x_index(3)
         with pytest.raises(ValueError):
             layout.a_index(0)
         with pytest.raises(ValueError):

@@ -529,6 +529,16 @@ class TestCheckPropertyO:
                 readers[name].add((file, owner))
         assert readers == owners
 
+    def test_the_general_family_rule_has_one_owner(self):
+        # k >= 3 for the general family is checked in GeneralLayout alone
+        rule = {
+            (file, owner)
+            for file, owner, node in source_nodes()
+            if isinstance(node, ast.Constant)
+            and "uniformity must be at least 3" in str(node.value)
+        }
+        assert rule == {("constructions.py", "__post_init__")}
+
     def test_the_subset_rule_and_count_have_one_owner(self):
         # n >= k >= 2 is checked, and C(n,k) counted, in _subset_count alone
         rule, comb = set(), set()

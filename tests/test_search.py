@@ -316,6 +316,15 @@ class TestVertexLowerBound:
         monkeypatch.setattr(search.math, "lgamma", lambda x: 0.0)
         assert {p: search._below_edge_bound(*p) for p in pairs} == exact
 
+    def test_edge_bound_past_the_float_range(self):
+        # a k with k! <= n is counted exactly, so it needs no float however
+        # large n is; a larger k with an n past lgamma's range is refused
+        n = 10**309
+        assert search._below_edge_bound(n, 5) is False
+        assert search._below_edge_bound(n, n) is True
+        with pytest.raises(BudgetExceededError, match="too large to compare"):
+            search._below_edge_bound(n, 200)
+
     def test_lower_bound_consistency_k3(self):
         results = [prove_vertex_lower_bound(n, 3).property_o_found for n in (3, 4)]
         assert results == [0, 0]
