@@ -15,8 +15,9 @@ reports its vertex placements as ``nodes=N``: at the end of the
     4  work budget refused, before any output: n! orders over 12 vertices,
        a search on over 10**6 vertices, over 10**8 placements or deeper
        than the recursion limit, an audit, census or construction over its
-       budget, a sample whose table holds over 10**6 oriented k-subsets, or
-       a stats number longer than Python prints
+       budget, a sample of over 10**7 orientation draws (trials * C(n,k)) or
+       whose table holds over 10**6 oriented k-subsets, or a stats edge
+       bound longer than Python prints
     5  I/O failure
     6  internal error: a self-check failed or an unexpected exception was
        raised, so no result was reported
@@ -274,22 +275,20 @@ def _cmd_sample(args) -> int:
 
 def _cmd_stats(args) -> int:
     _load("GeneralLayout", "min_edges_upper_bound", "min_edges_lower_bound")
-    from .constructions import _edge_count_digits
-
     k = args.k
     # the upper bound is the longest number printed, and Python refuses to
     # print an int of more digits than its limit (a limit of 0, and Pythons
     # before 3.10.7, print any int)
-    digits = _edge_count_digits(k)  # ValueError for k < 3, before any print
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
+    cap = 10**limit if limit else math.inf
+    counts = GeneralLayout(k).counts(cap)  # ValueError for k < 3, before any print
+    if counts is None or counts[2] >= cap:
         raise BudgetExceededError(
-            f"--k {k} gives a {digits}-digit edge bound, over the {limit}-digit "
-            f"limit on printing an int"
+            f"--k {k} gives a more-than-{limit}-digit edge bound, over the "
+            f"{limit}-digit limit on printing an int"
         )
-    upper = min_edges_upper_bound(k)
-    print(f"upper_bound_edges={upper}")
-    print(f"construction_vertices={GeneralLayout(k).vertex_count}")
+    print(f"upper_bound_edges={min_edges_upper_bound(k)}")
+    print(f"construction_vertices={counts[1]}")
     print(f"lower_bound_edges={min_edges_lower_bound(k)}")
     leading = (k / math.e) ** 2
     refined = leading * (

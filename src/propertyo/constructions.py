@@ -30,6 +30,7 @@ from .core import (
     InternalError,
     OrientedHypergraph,
     Record,
+    _factorial_upto,
     require_valid,
 )
 
@@ -50,14 +51,25 @@ class GeneralLayout(Record):
         if self.k < 3:
             raise ValueError(f"uniformity must be at least 3, got {self.k}")
 
+    def counts(self, limit: float = math.inf) -> tuple[int, int, int] | None:
+        """(core orders, vertices, edges): (k-1)!, (k-1) + k*(k-1)!, and
+        (k-1)!*(1 + (k-1)*|positions|), an anchor edge per core order plus a
+        patched edge per slot and (anchor, insertion position).  None, with
+        nothing larger built, once (k-1)!, at most each count, passes ``limit``."""
+        orders = _factorial_upto(self.k - 1, limit)
+        if orders is None:
+            return None
+        k = self.k
+        edges = orders * (1 + (k - 1) * len(self.positions))
+        return orders, (k - 1) + k * orders, edges
+
     @property
     def permutation_count(self) -> int:
-        return math.factorial(self.k - 1)
+        return self.counts()[0]
 
     @property
     def vertex_count(self) -> int:
-        # (k-1) core + (k-1)! anchors + (k-1)!*(k-1) fresh = (k-1) + k*(k-1)!
-        return (self.k - 1) + self.k * self.permutation_count
+        return self.counts()[1]
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -74,11 +86,12 @@ class GeneralLayout(Record):
         return (self.k - 1) + (j - 1)
 
     def fresh_index(self, j: int, i: int) -> int:
-        if not 1 <= j <= self.permutation_count:
+        orders = self.permutation_count
+        if not 1 <= j <= orders:
             raise ValueError(f"anchor index {j} out of range")
         if not 1 <= i <= self.k - 1:
             raise ValueError(f"insertion position {i} out of range")
-        return (self.k - 1) + self.permutation_count + (j - 1) * (self.k - 1) + (i - 1)
+        return (self.k - 1) + orders + (j - 1) * (self.k - 1) + (i - 1)
 
 
 def insert_at(values: Sequence[int], item: int, position: int) -> tuple[int, ...]:
@@ -170,22 +183,18 @@ def general_construction(k: int) -> OrientedHypergraph:
     of ``base = insert_at(core, a_j, i)`` with the fresh vertex of (j, i)
     substituted at each slot of :attr:`GeneralLayout.positions`, ascending.
     Raises :class:`BudgetExceededError`, before building anything, when the
-    family has more than 1,000,000 edges (k >= 9); a count with more digits
-    than that budget is not computed.
+    family has more than 1,000,000 edges (k >= 9); the count is not computed
+    when (k-1)! alone is over that budget (k >= 11).
     """
-    digits = _edge_count_digits(k)
-    if digits > len(str(_MAX_EDGES)):
+    layout = GeneralLayout(k)
+    counts = layout.counts(_MAX_EDGES)
+    if counts is None or counts[2] > _MAX_EDGES:
+        digits = len(str(_MAX_EDGES)) - 1
+        size = counts[2] if counts else f"a more-than-{digits}-digit number of"
         raise BudgetExceededError(
-            f"general_construction({k}) would build a {digits}-digit number of "
-            f"edges, over the {_MAX_EDGES} budget"
-        )
-    count = min_edges_upper_bound(k)
-    if count > _MAX_EDGES:
-        raise BudgetExceededError(
-            f"general_construction({k}) would build {count} edges, "
+            f"general_construction({k}) would build {size} edges, "
             f"over the {_MAX_EDGES} budget"
         )
-    layout = GeneralLayout(k)
     cores = list(itertools.permutations(range(k - 1)))
 
     edges = [core + (layout.a_index(j),) for j, core in enumerate(cores, start=1)]
@@ -195,45 +204,23 @@ def general_construction(k: int) -> OrientedHypergraph:
             base = insert_at(core, a, i)
             f = layout.fresh_index(j, i)
             edges.extend(base[: p - 1] + (f,) + base[p:] for p in layout.positions)
-    return OrientedHypergraph(k, layout.vertex_count, tuple(edges))
+    return OrientedHypergraph(k, counts[1], tuple(edges))
 
 
 def min_edges_upper_bound(k: int) -> int:
     """Edge count of :func:`general_construction`, in exact arithmetic.
 
     Evaluates (floor(k/2)+1)*k! - floor(k/2)*(k-1)! and cross-checks it
-    against the layout's count: (k-1)! anchor edges, and one patched edge per
-    slot for each of the (k-1)!*(k-1) (anchor, insertion position) pairs.
+    against the layout's own count, :meth:`GeneralLayout.counts`.
     """
-    layout = GeneralLayout(k)
     half = k // 2
     value = (half + 1) * math.factorial(k) - half * math.factorial(k - 1)
-    alternative = layout.permutation_count * (1 + (k - 1) * len(layout.positions))
+    alternative = GeneralLayout(k).counts()[2]
     if value != alternative:
         raise InternalError(
             f"internal error: closed forms disagree at k={k}: {value} != {alternative}"
         )
     return value
-
-
-def _edge_count_digits(k: int) -> int:
-    """Decimal digits of ``min_edges_upper_bound(k)``, without computing it.
-
-    The count is ((k-1)*(floor(k/2)+1)+1)*(k-1)!, and its log10 comes from
-    ``math.lgamma``, so a k whose count is too big to build or to print is
-    refused at once (k = 10**6 has a count of over 5.5 million digits).  The
-    1e-9 absorbs rounding at k=3, whose count is 10; every k below 2,500
-    matches the digits of the exact count.  A k past ``math.lgamma``'s range
-    (about 2.5e305) raises :class:`BudgetExceededError`.
-    """
-    GeneralLayout(k)  # refuses k < 3
-    try:
-        log10 = math.log10((k - 1) * (k // 2 + 1) + 1) + math.lgamma(k) / math.log(10)
-    except OverflowError:
-        raise BudgetExceededError(
-            f"the edge count of general_construction({k}) has too many digits to count"
-        ) from None
-    return int(log10 + 1e-9) + 1
 
 
 def min_edges_lower_bound(k: int) -> int:
@@ -277,9 +264,11 @@ def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
     require_valid(graph)
     k = graph.k
     layout = GeneralLayout(k)
-    if graph.n != layout.vertex_count:
+    counts = layout.counts(graph.n)  # (k-1)! is built only up to n
+    if counts is None or counts[1] != graph.n:
+        vertices = counts[1] if counts else f"more than {graph.n}"
         raise ValueError(
-            f"the general layout for k={k} has {layout.vertex_count} vertices, "
+            f"the general layout for k={k} has {vertices} vertices, "
             f"the graph has {graph.n}"
         )
     edges = set(graph.edges)
@@ -302,5 +291,5 @@ def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
         k=k,
         ok=not problems,
         problems=tuple(problems),
-        cases=layout.permutation_count * (1 + (k - 1) * (k + 1)),
+        cases=counts[0] * (1 + (k - 1) * (k + 1)),
     )

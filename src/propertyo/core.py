@@ -528,9 +528,7 @@ def reverse(graph: OrientedHypergraph) -> OrientedHypergraph:
     the reversed order, and order reversal is a bijection on linear orders,
     so the reversal has Property O iff the input does.
     """
-    return OrientedHypergraph(
-        graph.k, graph.n, tuple(tuple(elem for elem in e[::-1]) for e in graph.edges)
-    )
+    return OrientedHypergraph(graph.k, graph.n, tuple(e[::-1] for e in graph.edges))
 
 
 def relabel(graph: OrientedHypergraph, mapping: Sequence[int]) -> OrientedHypergraph:
@@ -789,8 +787,9 @@ def find_violating_order_backtracking(
     instead of the n! one: :class:`BudgetExceededError` for more than
     ``_MAX_VERTICES`` vertices, after ``_MAX_PLACEMENTS`` placements, or
     for a support too large for the interpreter's recursion limit (about
-    1,000 vertices).  The order need not be the lexicographically first.  Vertices are tried in ascending
-    index order, so the result is deterministic.
+    1,000 vertices).  The order need not be the lexicographically first.
+    Vertices are tried in ascending index order, so the result is
+    deterministic.
     """
     return check_property_o(graph, BACKTRACKING).violating_order
 
@@ -836,7 +835,8 @@ def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
     expected_total = math.factorial(n)
     if total != expected_total:
         raise InternalError(
-            f"internal error: histogram covers {total} orders, expected {expected_total}"
+            f"internal error: histogram covers {total} orders, "
+            f"expected {expected_total}"
         )
     weighted = sum(c * m for c, m in counts.items())
     expected_weighted = len(edges) * (

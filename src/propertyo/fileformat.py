@@ -51,7 +51,7 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
             # only k out of place
             if k is not None:
                 raise HypergraphFormatError(f"duplicate k header, line {lineno}")
-            k = _int_field(fields, 1, lineno, expected=2)
+            k = _int_field(fields, lineno)
             if k < 2:
                 raise HypergraphFormatError(f"k must be at least 2, line {lineno}")
         elif tag == "n":
@@ -59,7 +59,7 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
                 raise HypergraphFormatError(f"duplicate n header, line {lineno}")
             if k is None or edges:
                 raise HypergraphFormatError(f"n header out of order, line {lineno}")
-            n = _int_field(fields, 1, lineno, expected=2)
+            n = _int_field(fields, lineno)
             if n < 0:
                 raise HypergraphFormatError(f"n must be non-negative, line {lineno}")
         elif tag == "e":
@@ -90,15 +90,13 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
     return graph
 
 
-def _int_field(fields: list[str], index: int, lineno: int, expected: int) -> int:
-    if len(fields) != expected:
-        raise HypergraphFormatError(
-            f"header needs exactly one value, line {lineno}"
-        )
+def _int_field(fields: list[str], line: int) -> int:
+    if len(fields) != 2:
+        raise HypergraphFormatError(f"header needs exactly one value, line {line}")
     try:
-        return int(fields[index])
+        return int(fields[1])
     except ValueError:
-        raise HypergraphFormatError(f"non-integer header value, line {lineno}") from None
+        raise HypergraphFormatError(f"non-integer header value, line {line}") from None
 
 
 def read_hypergraph(path: str) -> OrientedHypergraph:

@@ -11,11 +11,11 @@ result is bit-identical across platforms and worker counts:
 
 A random tournament draws, for the subset with colex index i, the
 orientation ``value_at(seed, i) mod k!`` and unranks it to the permutation
-of the sorted subset with that lexicographic rank (k! is at most a few
-hundred here, so the modulo bias of below 2**-54 is irrelevant; there is no
-rejection loop).  Trial t of a rate estimate uses the derived seed
-``value_at(seed, t)``, which makes trials independent of execution order
-and of how they are assigned to workers.
+of the sorted subset with that lexicographic rank (no rejection loop: each
+probability is within 2**-64 of 1/k!, and the table budget keeps k <= 9, so
+the relative bias is below 9!/2**64, about 2**-45.5).  Trial t of a rate
+estimate uses the derived seed ``value_at(seed, t)``, which makes trials
+independent of execution order and of how they are assigned to workers.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import functools
 import math
 
 from .core import (
+    BudgetExceededError,
     OrientedHypergraph,
     Record,
+    _subset_count,
     check_property_o,
     ordered_map,
     oriented_subset_tables,
@@ -36,6 +38,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # the two multipliers of the splitmix64 finaliser
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# estimate_property_o_rate refuses more orientation draws, trials * C(n,k),
+# than this; one (101,3) trial, 166,650 draws, takes about 3 s (2 vCPUs).
+_MAX_DRAWS = 10**7
 
 
 def mix64(x: int) -> int:
@@ -106,9 +112,16 @@ def estimate_property_o_rate(
     Trial t checks ``random_tournament(n, k, value_at(seed, t))`` with the
     backtracking decider.  The summary is identical for any ``jobs``: trial
     outcomes depend only on (seed, t), and the aggregation is a plain sum.
+    More than ``_MAX_DRAWS`` orientation draws, ``trials`` * C(n,k), raise
+    :class:`BudgetExceededError` before any trial or table is built.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    draws = _subset_count(n, k, _MAX_DRAWS)  # ValueError unless n >= k >= 2
+    if draws is None or trials > _MAX_DRAWS // draws:
+        raise BudgetExceededError(
+            f"{trials} trials of C({n},{k}) draws are over the {_MAX_DRAWS}-draw budget"
+        )
     count = functools.partial(_count_successes, n, k, seed)
     successes = sum(ordered_map(count, range(trials), jobs))
     rate = successes / trials

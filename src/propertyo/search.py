@@ -126,23 +126,25 @@ class MinimalityReport(Record):
         return all(v.essential for v in self.verdicts)
 
 
-def _check_space(n: int, k: int) -> int:
-    """C(n,k), once the census space and masks fit their budgets.  As k! >= 2,
-    a space within budget has C(n,k) <= _MAX_SPACE_BITS; no more is counted."""
+def _check_space(n: int, k: int) -> tuple[int, int, int]:
+    """(C(n,k), k!, the space (k!)^C(n,k)), once the space and masks fit their
+    budgets.  As k! >= 2, C(n,k) is counted only up to _MAX_SPACE_BITS."""
+    budget = 1 << _MAX_SPACE_BITS
     subset_count = _subset_count(n, k, _MAX_SPACE_BITS)
-    bits = subset_count * math.lgamma(k + 1) / math.log(2) if subset_count else math.inf
-    if bits > _MAX_SPACE_BITS:
-        size = f" ~ 2^{bits:.1f}" if bits < math.inf else ""
+    fact_k = _factorial_upto(k, budget)
+    space = fact_k**subset_count if subset_count and fact_k else None
+    if space is None or space > budget:
+        size = f" ~ 2^{math.log2(space):.1f}" if space else ""
         raise BudgetExceededError(
             f"census space is (k!)^C(n,k){size}, over the {_MAX_SPACE_BITS}-bit budget"
         )
-    mask_bytes = subset_count * math.factorial(k) * math.factorial(n) // 8
+    mask_bytes = subset_count * fact_k * math.factorial(n) // 8
     if mask_bytes > _MAX_MASK_BYTES:
         raise BudgetExceededError(
             f"census masks take {mask_bytes >> 20} MiB per worker, over the "
             f"{_MAX_MASK_BYTES >> 20} MiB budget"
         )
-    return subset_count
+    return subset_count, fact_k, space
 
 
 def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
@@ -227,7 +229,7 @@ def _census_unit(
 
     The prefixes are digit tuples of one length below C(n,k), in counter
     order.  Each prefix's uncovered-order masks are intersected up front
-    and the recursion walks the remaining digits, so a prefix that already covers every order
+    and the recursion walks the rest, so a prefix that covers every order
     is reported by the recursion's next digit like any other witness.  A
     child subtree is counted as decided without a walk when its uncovered
     orders outnumber what the remaining subsets could cover of them: the
@@ -344,9 +346,7 @@ def census_property_o(
     prefix whose walk takes the worker's decided count to the next multiple
     of that interval or past it.
     """
-    subset_count = _check_space(n, k)
-    fact_k = math.factorial(k)
-    space = fact_k**subset_count
+    subset_count, fact_k, space = _check_space(n, k)
     start = time.perf_counter()
 
     # the same prefixes for every jobs value.  A first-witness walk takes

@@ -119,6 +119,17 @@ class TestConstruct:
         assert "-digit number of edges, over the 1000000 budget" in captured.err
         assert not out.exists()
 
+    def test_general_over_edge_budget_names_a_count_it_builds(self, tmp_path, capsys):
+        # 9! is within the budget, so k = 10's count is computed and named;
+        # 10! is not, so k = 11's count, 221356800, is never built
+        argv = ("construct", "--family", "general", "--out", str(tmp_path / "g.hg"))
+        assert run_cli(*argv, "--k", "10") == 4
+        assert "would build 19958400 edges" in capsys.readouterr().err
+        assert run_cli(*argv, "--k", "11") == 4
+        err = capsys.readouterr().err
+        assert "a more-than-6-digit number of edges" in err
+        assert "221356800" not in err
+
     def test_general_k_below_three_exits_3(self, tmp_path, capsys):
         out = tmp_path / "g2.hg"
         argv = ("construct", "--family", "general", "--k", "2", "--out", str(out))
@@ -556,12 +567,12 @@ class TestSizeFlags:
                 ["sample", "--n", "7", "--k", "3", "--trials", BIG, "--seed", "1"],
                 4,
                 id="sample-trials",
-                # len(range(trials)) overflows, so this exits 6 at once;
-                # 10**18 trials would run until the timeout kills them
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 5: sample's trial count has no budget",
-                ),
+            ),
+            pytest.param(
+                ["sample", "--n", "7", "--k", "3", "--trials", str(10**18),
+                 "--seed", "1"],
+                4,
+                id="sample-trials-10**18",
             ),
         ],
     )

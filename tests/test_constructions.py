@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -346,6 +347,15 @@ class TestStructuredCoverageCheck:
     def test_wrong_vertex_count_rejected(self):
         with pytest.raises(ValueError, match="8 vertices, the graph has 6"):
             structured_coverage_check(merged_ten_edge_3graph())
+
+    @pytest.mark.parametrize("k", [3000, 10**6])
+    def test_too_few_vertices_rejected_uncounted(self, k):
+        # (k-1)! is built only up to n, so the refusal is at once
+        graph = OrientedHypergraph(k, k, (tuple(range(k)),))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has more than {k} vertices, the graph"):
+            structured_coverage_check(graph)
+        assert time.perf_counter() - start < 1
 
 
 class TestGeneralLayout:

@@ -510,6 +510,7 @@ class TestCheckPropertyO:
             "_MAX_PLACEMENTS": {("core.py", "_backtracking_search")},
             "_MAX_VERTICES": {("core.py", "_backtracking_search")},
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
+            "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
             "_MAX_MASK_BYTES": {("search.py", "_check_space")},
             "_MAX_EDGES": {
@@ -528,6 +529,20 @@ class TestCheckPropertyO:
             if name in readers:
                 readers[name].add((file, owner))
         assert readers == owners
+
+    def test_lgamma_is_read_by_the_edge_bound_alone(self):
+        # every other size refusal is an exact count capped at its budget
+        readers = {
+            (file, owner)
+            for file, owner, node in source_nodes()
+            if isinstance(node, ast.Attribute) and node.attr == "lgamma"
+        }
+        assert readers == {("search.py", "_below_edge_bound")}
+
+    def test_no_source_line_is_longer_than_88_columns(self):
+        for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                assert len(line) <= 88, f"{path.name}:{number}"
 
     def test_the_general_family_rule_has_one_owner(self):
         # k >= 3 for the general family is checked in GeneralLayout alone

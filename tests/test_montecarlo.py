@@ -176,6 +176,17 @@ class TestRateEstimation:
         with pytest.raises(ValueError):
             estimate_property_o_rate(3, 2, 0, 1)
 
+    def test_draw_budget(self, monkeypatch):
+        # trials * C(n,k) over 10**7 is refused before any trial is dealt;
+        # an invalid (n, k) is still invalid input, whatever the trials
+        monkeypatch.setattr(montecarlo, "ordered_map", lambda func, items, jobs: [0])
+        assert estimate_property_o_rate(7, 3, 10**7 // 35, 1).successes == 0
+        for n, trials in [(7, 10**7 // 35 + 1), (7, 10**18), (5000, 1)]:
+            with pytest.raises(BudgetExceededError, match="10000000-draw budget"):
+                estimate_property_o_rate(n, 3, trials, 1)
+        with pytest.raises(ValueError):
+            estimate_property_o_rate(2, 3, 10**18, 1)
+
     def test_successes_verify_individually(self):
         summary = estimate_property_o_rate(6, 3, 300, 321)
         recount = 0

@@ -345,6 +345,22 @@ class TestVertexLowerBound:
         with pytest.raises(BudgetExceededError):
             prove_vertex_lower_bound(7, 3)
 
+    def test_space_budget_is_the_exact_space(self):
+        # refused exactly when (k!)^C(n,k) > 2^64; as k! >= 2, C(n,k) > 64
+        # is over it without the power being built
+        for n in range(2, 40):
+            for k in range(2, n + 1):
+                c = math.comb(n, k)
+                over = c > 64 or math.factorial(k) ** c > 2**64
+                try:
+                    search._check_space(n, k)
+                    refused = False
+                except BudgetExceededError as exc:
+                    refused = "census space" in str(exc)
+                assert refused == over, (n, k)
+        with pytest.raises(BudgetExceededError, match=r"\(k!\)\^C\(n,k\) ~ 2\^90\.5,"):
+            search._check_space(7, 3)  # 6^35
+
     def test_mask_budget_refusal(self):
         # 2^55 tournaments fit the space budget, but the 110 uncovered-order
         # masks of 11! bits (523 MiB) do not; refused before any is built
