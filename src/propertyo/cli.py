@@ -15,9 +15,10 @@ reports its vertex placements as ``nodes=N``: at the end of the
     4  work budget refused, before any output: n! orders over 12 vertices,
        a search on over 10**6 vertices, over 10**8 placements or deeper
        than the recursion limit, an audit, census or construction over its
-       budget, a sample of over 10**7 orientation draws (trials * C(n,k)) or
+       budget, a sample of over 10**6 orientation draws (trials * C(n,k)) or
        whose table holds over 10**6 oriented k-subsets, or a stats edge
-       bound longer than Python prints
+       bound of over 4300 digits, or over Python's int print limit when
+       that is lower
     5  I/O failure
     6  internal error: a self-check failed or an unexpected exception was
        raised, so no result was reported
@@ -276,11 +277,11 @@ def _cmd_sample(args) -> int:
 def _cmd_stats(args) -> int:
     _load("GeneralLayout", "min_edges_upper_bound", "min_edges_lower_bound")
     k = args.k
-    # the upper bound is the longest number printed, and Python refuses to
-    # print an int of more digits than its limit (a limit of 0, and Pythons
-    # before 3.10.7, print any int)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    cap = 10**limit if limit else math.inf
+    # the upper bound is the longest number printed.  It may have 4300
+    # digits, CPython's default limit on printing an int, or fewer when the
+    # set limit is lower (0 means no limit, as in Pythons before 3.10.7)
+    limit = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
+    cap = 10**limit
     counts = GeneralLayout(k).counts(cap)  # ValueError for k < 3, before any print
     if counts is None or counts[2] >= cap:
         raise BudgetExceededError(
@@ -322,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

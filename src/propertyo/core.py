@@ -866,7 +866,7 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     """
     require_valid(graph)
     if not 0 <= base_edge_index < len(graph.edges):
-        raise IndexError(
+        raise ValueError(
             f"base edge index {base_edge_index} out of range for "
             f"{len(graph.edges)} edges"
         )

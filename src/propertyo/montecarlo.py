@@ -40,8 +40,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # estimate_property_o_rate refuses more orientation draws, trials * C(n,k),
-# than this; one (101,3) trial, 166,650 draws, takes about 3 s (2 vCPUs).
-_MAX_DRAWS = 10**7
+# than this.  On 2 vCPUs one (1000,2) trial, 499,500 draws, takes 17-22 s
+# and one (101,3) trial, 166,650 draws, 3-5 s: 2 and 6 of them are
+# admitted.
+_MAX_DRAWS = 10**6
 
 
 def mix64(x: int) -> int:

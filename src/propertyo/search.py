@@ -16,26 +16,27 @@ orienting the missing subsets arbitrarily; a census over tournaments
 therefore settles whether *any* oriented k-graph on n vertices has the
 property.
 
-The census engine works on order-coverage bitmasks: bit p of the mask of an
-oriented subset marks the p-th linear order (lexicographic rank) as
-consistent with that edge.  Walking the subsets most-significant-first
-while intersecting the set of still-uncovered orders decides every
-tournament of a subtree in one sweep; a tournament has Property O exactly
-when no uncovered order remains, and any remaining bit unranks to a
-verified violating order.  A subtree is discarded in bulk when its
-uncovered orders outnumber what the remaining subsets could cover of them:
-the sum, over the remaining subsets, of the most uncovered orders one
-orientation of the subset covers.  The masks, n! bits each, come from the
-order-coverage kernel in :mod:`propertyo.core`.
+The census is a first-witness sweep: it decides the tournaments in counter
+order and ends at the first one with Property O, or after the last.  It
+works on order-coverage bitmasks: bit p of the mask of an oriented subset
+marks the p-th linear order (lexicographic rank) as consistent with that
+edge.  Walking the subsets most-significant-first while intersecting the
+set of still-uncovered orders decides every tournament of a subtree in one
+walk; a tournament has Property O exactly when no uncovered order remains,
+and any remaining bit unranks to a verified violating order.  A subtree is
+discarded in bulk when its uncovered orders outnumber what the remaining
+subsets could cover of them: the sum, over the remaining subsets, of the
+most uncovered orders one orientation of the subset covers.  The masks,
+n! bits each, come from the order-coverage kernel in :mod:`propertyo.core`.
 
-A first-witness sweep walks only the leader prefixes of the first k+1
-digits: the smallest of each orbit under the maps g that relabel vertices
-0..k and may reverse every edge (lex-leader pruning: Crawford, Ginsberg,
-Luks & Roy, KR 1996).  Such a g maps the first k+1 colex subsets (the
-k-subsets of {0..k}) onto themselves and each later subset onto a later
-one, so the image gP of a prefix P does not depend on the later digits.
-If gP < P, each tournament T under P has an image gT with a smaller
-counter, and gT has Property O exactly when T does (for reversal, see
+The sweep walks only the leader prefixes of the first k+1 digits: the
+smallest of each orbit under the maps g that relabel vertices 0..k and may
+reverse every edge (lex-leader pruning: Crawford, Ginsberg, Luks & Roy, KR
+1996).  Such a g maps the first k+1 colex subsets (the k-subsets of
+{0..k}) onto themselves and each later subset onto a later one, so the
+image gP of a prefix P does not depend on the later digits.  If gP < P,
+each tournament T under P has an image gT with a smaller counter, and gT
+has Property O exactly when T does (for reversal, see
 :func:`propertyo.core.reverse`).  So the smallest-counter witness has a
 leader prefix.  The caller lists the leaders (36 of 1,296 at (5,3)) and
 counts the tournaments under the other prefixes as decided, unwalked.
@@ -77,25 +78,28 @@ class SearchReport(Record):
     """Result of a census run.
 
     ``total_enumerated`` is the number of tournaments decided: the full
-    space size (k!)**C(n,k) when every tournament was decided, the witness
-    counter plus one when a first-witness search found one, and 0 when the
-    edge-count rejection applies.  Tournaments under the prefixes a
-    first-witness sweep skips count as decided.  None of it depends on the
-    number of workers.  ``property_o_found`` is the exact count in a full
-    census and 0 or 1 in a first-witness search, and ``first_witness`` is
-    the smallest-counter witness.  ``runs`` is the number of runs the
-    prefixes were dealt into (:func:`propertyo.core.run_count`), 0 when the
-    edge-count rejection applies; like ``elapsed_seconds`` it depends on
-    the worker count and the machine.
+    space size (k!)**C(n,k) when the sweep found no witness, the witness
+    counter plus one when it found one, and 0 when the edge-count rejection
+    applies.  Tournaments under the prefixes the sweep skips count as
+    decided.  None of it depends on the number of workers.
+    ``first_witness`` is the smallest-counter witness.  ``runs`` is the
+    number of runs the prefixes were dealt into
+    (:func:`propertyo.core.run_count`), 0 when the edge-count rejection
+    applies; like ``elapsed_seconds`` it depends on the worker count and the
+    machine.
     """
 
     n: int
     k: int
     total_enumerated: int
-    property_o_found: int
     first_witness: OrientedHypergraph | None
     elapsed_seconds: float
     runs: int
+
+    @property
+    def property_o_found(self) -> int:
+        """1 when the sweep found a witness, else 0: it stops at the first."""
+        return int(self.first_witness is not None)
 
     def matches(self, other: "SearchReport") -> bool:
         """Equality of everything except the wall-clock time and the runs."""
@@ -103,7 +107,6 @@ class SearchReport(Record):
             self.n == other.n
             and self.k == other.k
             and self.total_enumerated == other.total_enumerated
-            and self.property_o_found == other.property_o_found
             and self.first_witness == other.first_witness
         )
 
@@ -219,13 +222,10 @@ def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
 
 
 def _census_unit(
-    n: int,
-    k: int,
-    stop_first: bool,
-    progress_interval: int,
-    prefixes: list[tuple[int, ...]],
-) -> tuple[int, int, int | None]:
-    """Walk the census tournaments under one worker's run of prefixes.
+    n: int, k: int, progress_interval: int, prefixes: list[tuple[int, ...]]
+) -> tuple[int, int | None]:
+    """Walk the census tournaments under one worker's run of prefixes, up
+    to the first witness.
 
     The prefixes are digit tuples of one length below C(n,k), in counter
     order.  Each prefix's uncovered-order masks are intersected up front
@@ -236,12 +236,12 @@ def _census_unit(
     sum over those subsets of the most uncovered orders one orientation
     covers (:func:`_cover_reach`).  No completion of such a child has
     Property O.  At the last digit no subset remains, so every child that
-    is not a witness is discarded this way.  A witness child counts its
-    subtree as decided and found; in stop_first mode the walk then ends.
-    Each worker, the caller too, builds its own masks from (n, k), and
-    writes its progress lines between prefixes.  Returns (enumerated,
-    found, first_witness_counter), counting only the tournaments under
-    ``prefixes`` that were decided.
+    is not a witness is discarded this way.  The walk ends at the first
+    witness, the smallest counter under ``prefixes``.  Each worker, the
+    caller too, builds its own masks from (n, k), and writes its progress
+    lines between prefixes.  Returns (decided, first_witness_counter):
+    ``decided`` counts the tournaments under ``prefixes`` decided before
+    the witness, or all of them when there is none.
     """
     masks, full = _coverage_masks(n, k)
     m = len(masks)
@@ -254,13 +254,12 @@ def _census_unit(
     rests = [masks[d:] if m - d < fact_k else None for d in range(m + 1)]
     last = m - 1
 
-    enumerated = 0
-    found = 0
+    decided = 0
     first_counter: int | None = None
 
     def rec(d: int, uncovered: int, base_counter: int) -> bool:
-        """Returns True to stop the walk (witness found in stop_first mode)."""
-        nonlocal enumerated, found, first_counter
+        """Returns True at a witness, which ends the walk."""
+        nonlocal decided, first_counter
         row = masks[d]
         step = pow_fk[last - d]
         rest = rests[d + 1]
@@ -272,17 +271,13 @@ def _census_unit(
         for o in range(fact_k):
             shrunk = uncovered & row[o]
             if shrunk == 0:
-                found += step
-                enumerated += step
-                if first_counter is None:
-                    first_counter = base_counter + o * step
-                if stop_first:
-                    return True
+                first_counter = base_counter + o * step
+                return True
             elif rest is not None and (
                 reach < (left := shrunk.bit_count())
                 or _cover_reach(shrunk, rest) < left
             ):
-                enumerated += step
+                decided += step
             elif rec(d + 1, shrunk, base_counter + o * step):
                 return True
         return False
@@ -296,20 +291,20 @@ def _census_unit(
             uncovered &= masks[d][o]
             base_counter += o * pow_fk[last - d]
         stop = rec(len(prefix), uncovered, base_counter)
-        if enumerated >= next_report:
+        if decided >= next_report:
             elapsed = time.perf_counter() - start_time
             # one write per line, so lines from several workers stay whole
             sys.stderr.write(
-                f"examined={enumerated} found={found} elapsed={elapsed:.1f}\n"
+                f"examined={decided} found={int(stop)} elapsed={elapsed:.1f}\n"
             )
             sys.stderr.flush()
             next_report += (
-                (enumerated - next_report) // progress_interval + 1
+                (decided - next_report) // progress_interval + 1
             ) * progress_interval
         if stop:
             break
 
-    return enumerated, found, first_counter
+    return decided, first_counter
 
 
 def _tournament_from_counter(n: int, k: int, counter: int) -> OrientedHypergraph:
@@ -325,53 +320,48 @@ def _tournament_from_counter(n: int, k: int, counter: int) -> OrientedHypergraph
 
 
 def census_property_o(
-    n: int,
-    k: int,
-    *,
-    jobs: int = 1,
-    progress_interval: int = 0,
-    stop_at_first: bool = True,
+    n: int, k: int, *, jobs: int = 1, progress_interval: int = 0
 ) -> SearchReport:
-    """Sweep every k-tournament on n vertices for Property O.
+    """Sweep the k-tournaments on n vertices for Property O, up to the
+    smallest-counter witness.
 
-    With ``stop_at_first`` the sweep walks only the leader prefixes (see
-    the module docstring) and ends at the smallest-counter witness;
-    otherwise every tournament is walked and ``property_o_found`` is the
-    exact count.  The prefixes are the same for any ``jobs``, and
-    :func:`ordered_map` deals them in counter order into at most ``jobs``
-    runs (no more than CPUs): this process walks the first, and each other
-    gets a forked child.  So the report is identical for any ``jobs``.
-    ``progress_interval`` > 0 makes each worker write an "examined=...
-    found=... elapsed=..." line to stderr between prefixes, after each
-    prefix whose walk takes the worker's decided count to the next multiple
-    of that interval or past it.
+    The sweep walks only the leader prefixes (see the module docstring),
+    and ends at the first witness.  The prefixes are the same for any
+    ``jobs``, and :func:`ordered_map` deals them in counter order into at
+    most ``jobs`` runs (no more than CPUs): this process walks the first,
+    and each other gets a forked child.  So the report is identical for any
+    ``jobs``.  ``progress_interval`` > 0 makes each worker write an
+    "examined=... found=... elapsed=..." line to stderr between prefixes,
+    after each prefix whose walk takes the worker's decided count to the
+    next multiple of that interval or past it; ``found`` is 1 after the
+    worker's witness, else 0.
     """
     subset_count, fact_k, space = _check_space(n, k)
     start = time.perf_counter()
 
-    # the same prefixes for every jobs value.  A first-witness walk takes
-    # the leaders on the first k+1 subsets; every prefix leaves the
-    # recursion a digit to walk, and with k+1 subsets or fewer one digit is
-    # enough (k! prefixes, not k!**(C(n,k)-1))
+    # the same prefixes for every jobs value: the leaders on the first k+1
+    # subsets.  Every prefix leaves the recursion a digit to walk, and with
+    # k+1 subsets or fewer one digit is enough (k! prefixes, not
+    # k!**(C(n,k)-1))
     depth = k + 1 if subset_count > k + 1 else min(1, subset_count - 1)
-    if stop_at_first and depth > k:
+    if depth > k:
         prefixes = _leader_prefixes(n, k)
     else:
         prefixes = list(itertools.product(range(fact_k), repeat=depth))
-    skipped = (fact_k**depth - len(prefixes)) * fact_k ** (subset_count - depth)
     results = ordered_map(
-        functools.partial(_census_unit, n, k, stop_at_first, progress_interval),
+        functools.partial(_census_unit, n, k, progress_interval),
         prefixes,
         jobs,
-        until=(lambda r: r[2] is not None) if stop_at_first else None,
+        until=lambda r: r[1] is not None,
     )
 
-    first = min((r[2] for r in results if r[2] is not None), default=None)
-    if stop_at_first and first is not None:
-        total, found = first + 1, 1
+    # runs are in counter order and the map ends at the first witness
+    first = results[-1][1]
+    if first is not None:
+        total = first + 1
     else:
+        skipped = (fact_k**depth - len(prefixes)) * fact_k ** (subset_count - depth)
         total = skipped + sum(r[0] for r in results)
-        found = sum(r[1] for r in results)
         if total != space:
             raise InternalError(
                 f"internal error: census decided {total} tournaments, expected {space}"
@@ -381,7 +371,6 @@ def census_property_o(
         n=n,
         k=k,
         total_enumerated=total,
-        property_o_found=found,
         first_witness=(
             None if first is None else _tournament_from_counter(n, k, first)
         ),
@@ -423,9 +412,9 @@ def prove_vertex_lower_bound(
     C(n,k) <= k!, every n-vertex oriented k-graph falls below the k!+1 edge
     lower bound, so the census is skipped entirely and the report shows
     total_enumerated=0 and runs=0.  Otherwise this is
-    :func:`census_property_o` with ``stop_at_first``: the counter-ordered
-    sweep stops at the first witness and skips the prefixes that are not
-    lex-leaders (see the module docstring).  ``jobs`` and
+    :func:`census_property_o`: the counter-ordered sweep stops at the first
+    witness and skips the prefixes that are not lex-leaders (see the
+    module docstring).  ``jobs`` and
     ``progress_interval`` are passed on; a progress line is written between
     prefixes, never from inside one prefix's walk.
     """
@@ -434,14 +423,11 @@ def prove_vertex_lower_bound(
             n=n,
             k=k,
             total_enumerated=0,
-            property_o_found=0,
             first_witness=None,
             elapsed_seconds=0.0,
             runs=0,
         )
-    return census_property_o(
-        n, k, jobs=jobs, progress_interval=progress_interval, stop_at_first=True
-    )
+    return census_property_o(n, k, jobs=jobs, progress_interval=progress_interval)
 
 
 def edge_minimality(graph: OrientedHypergraph) -> MinimalityReport:

@@ -35,6 +35,7 @@ from propertyo import (
     support_restriction,
     ten_edge_3graph,
 )
+from propertyo import search
 from propertyo.montecarlo import value_at
 
 
@@ -87,11 +88,11 @@ def test_criterion_03_five_vertex_census():
         assert report.first_witness is None
         assert elapsed < 1800.0, f"took {elapsed:.0f}s"
 
-        # the verdict above skips non-leader prefixes; the full count
-        # decides every tournament and must agree
-        full = census_property_o(5, 3, jobs=2, stop_at_first=False)
-        assert full.total_enumerated == 6**10
-        assert full.property_o_found == 0
+        # the verdict above skips non-leader prefixes; the walk under every
+        # prefix of the first four digits decides every tournament and must
+        # agree
+        every_prefix = list(itertools.product(range(6), repeat=4))
+        assert search._census_unit(5, 3, 0, every_prefix) == (6**10, None)
 
         # determinism: identical reports with 1 and 8 workers on the n=4
         # census, both at the lower-bound wrapper and at the engine level

@@ -324,6 +324,20 @@ class TestAudit:
         assert captured.err.startswith("audit: ")
         assert "out of range" in captured.err
 
+    def test_unexpected_index_error_exits_6(self, tmp_path, capsys, monkeypatch):
+        # only ValueError is bad input; an IndexError from a handler's callee
+        # is a bug, reported with its traceback
+        def broken(*args):
+            raise IndexError("injected")
+
+        path = write(tmp_path, "ct.hg", serialize_hypergraph(cyclic_triangle()))
+        monkeypatch.setattr(cli, "lower_bound_audit", broken)
+        assert run_cli("audit", path, "--base-edge", "0") == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "audit: internal error: IndexError('injected')" in captured.err
+
     def test_budget_refusal_general_7(self, tmp_path, capsys):
         graph = general_construction(7)
         path = write(tmp_path, "g7.hg", serialize_hypergraph(graph))
@@ -465,6 +479,14 @@ class TestCensus:
         for line in lines:
             assert re.fullmatch(r"examined=\d+ found=\d+ elapsed=\d+\.\d", line), line
 
+    def test_progress_found_is_0_or_1(self, capfd):
+        # a sweep stops at its first witness, so a worker has found 0 or 1
+        assert run_cli(
+            "census", "--n", "10", "--k", "2", "--jobs", "2", "--progress", "1000000"
+        ) == 1
+        found = re.findall(r"found=(\d+)", capfd.readouterr().err)
+        assert all(int(f) <= 1 for f in found), found
+
 
 class TestSample:
     def test_key_value_output(self, capsys):
@@ -484,6 +506,18 @@ class TestSample:
             "--trials", "1", "--seed", "1", timeout=5,
         )
         assert (result.returncode, result.stdout) == (4, ""), result.stderr
+
+    def test_over_the_draw_budget_exits_4_at_once(self, capsys):
+        # 3 trials of C(1000, 2) = 499,500 draws; one such trial takes
+        # seconds, so the budget admits 2
+        start = time.perf_counter()
+        assert run_cli(
+            "sample", "--n", "1000", "--k", "2", "--trials", "3", "--seed", "1"
+        ) == 4
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the 1000000-draw budget" in captured.err
 
     def test_jobs_identical_output(self, capsys):
         run_cli("sample", "--n", "3", "--k", "2", "--trials", "500", "--seed", "9")
@@ -529,6 +563,16 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "-digit edge bound, over the 4300-digit limit" in captured.err
+
+    def test_no_print_limit_keeps_the_4300_digit_budget(self, monkeypatch):
+        # with Python's limit off, the bound is still refused past 4300
+        # digits, before (k-1)! is built
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        start = time.perf_counter()
+        result = run_python("-m", "propertyo", "stats", "--k", "100000", timeout=5)
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (4, ""), result.stderr
+        assert "-digit edge bound, over the 4300-digit limit" in result.stderr
 
     def test_k_too_small(self, capsys):
         assert run_cli("stats", "--k", "2") == 3

@@ -676,7 +676,7 @@ class TestLowerBoundAudit:
             assert report.total >= math.factorial(graph.k), name
 
     def test_bad_index(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="out of range"):
             lower_bound_audit(cyclic_triangle(), 3)
 
     def test_budget_refuses_general_7_before_any_order(self, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from propertyo import (
     BudgetExceededError,
+    OrientedHypergraph,
     check_property_o,
     estimate_property_o_rate,
     prove_vertex_lower_bound,
@@ -96,10 +98,14 @@ class TestRateEstimation:
         assert abs(summary.rate - 0.25) <= 0.05
 
     def test_true_rate_by_full_enumeration(self):
-        from propertyo import census_property_o
-
-        report = census_property_o(3, 2, stop_at_first=False)
-        assert report.property_o_found / report.total_enumerated == 0.25
+        # the 8 2-tournaments on 3 vertices, one orientation per pair
+        pairs = [((a, b), (b, a)) for a, b in itertools.combinations(range(3), 2)]
+        tournaments = [
+            OrientedHypergraph(2, 3, edges) for edges in itertools.product(*pairs)
+        ]
+        assert len(tournaments) == 8
+        holds = sum(check_property_o(t).holds for t in tournaments)
+        assert holds / len(tournaments) == 0.25
 
     def test_zero_rate_matches_census(self):
         # spaces where the census reports zero must estimate exactly zero
@@ -177,12 +183,12 @@ class TestRateEstimation:
             estimate_property_o_rate(3, 2, 0, 1)
 
     def test_draw_budget(self, monkeypatch):
-        # trials * C(n,k) over 10**7 is refused before any trial is dealt;
+        # trials * C(n,k) over 10**6 is refused before any trial is dealt;
         # an invalid (n, k) is still invalid input, whatever the trials
         monkeypatch.setattr(montecarlo, "ordered_map", lambda func, items, jobs: [0])
-        assert estimate_property_o_rate(7, 3, 10**7 // 35, 1).successes == 0
-        for n, trials in [(7, 10**7 // 35 + 1), (7, 10**18), (5000, 1)]:
-            with pytest.raises(BudgetExceededError, match="10000000-draw budget"):
+        assert estimate_property_o_rate(7, 3, 10**6 // 35, 1).successes == 0
+        for n, trials in [(7, 10**6 // 35 + 1), (7, 10**18), (5000, 1)]:
+            with pytest.raises(BudgetExceededError, match="1000000-draw budget"):
                 estimate_property_o_rate(n, 3, trials, 1)
         with pytest.raises(ValueError):
             estimate_property_o_rate(2, 3, 10**18, 1)

@@ -59,9 +59,9 @@ def _records():
             "CaseCoverageReport(k=3, ok=True, problems=(), cases=18)",
         ),
         (
-            SearchReport(3, 2, 8, 2, g, 0.5, 2),
-            f"SearchReport(n=3, k=2, total_enumerated=8, property_o_found=2, "
-            f"first_witness={g_repr}, elapsed_seconds=0.5, runs=2)",
+            SearchReport(3, 2, 8, g, 0.5, 2),
+            f"SearchReport(n=3, k=2, total_enumerated=8, first_witness={g_repr}, "
+            "elapsed_seconds=0.5, runs=2)",
         ),
         (minimality.verdicts[0], verdict_repr),
         (
@@ -171,7 +171,7 @@ def test_constructor_rejects_missing_extra_and_repeated_fields():
     with pytest.raises(TypeError):
         OrientedHypergraph(3, 4, (), ())
     with pytest.raises(TypeError):
-        SearchReport(3, 2, 8, 2, None, 0.5, 1, options=None)
+        SearchReport(3, 2, 8, None, 0.5, 1, options=None)
     with pytest.raises(TypeError):
         GeneralLayout(3, k=3)
     with pytest.raises(TypeError):

@@ -6,7 +6,10 @@ import itertools
 import math
 import operator
 import os
+import pathlib
 import random
+import re
+import time
 
 import pytest
 
@@ -43,53 +46,79 @@ def violating_order_for_counter(n, k, counter):
 
 
 def _visitor_census(n, k):
-    """Tests-only census: decide every counter with the backtracking
-    decider.  Returns (space size, witness count, first witness counter)."""
+    """Tests-only census: decide the counters in order with the
+    backtracking decider, up to the first witness.  Returns (space size,
+    first witness counter or None)."""
     space = math.factorial(k) ** math.comb(n, k)
-    witnesses = [
+    witnesses = (
         c for c in range(space) if violating_order_for_counter(n, k, c) is None
-    ]
-    return space, len(witnesses), min(witnesses, default=None)
+    )
+    return space, next(witnesses, None)
+
+
+def _every_prefix_walk(n, k):
+    """The census walk without leader skipping: every first digit is a
+    prefix.  Returns (decided, first witness counter or None)."""
+    return _census_unit(n, k, 0, [(o,) for o in range(math.factorial(k))])
 
 
 class TestCensusEngine:
     def test_matches_visitor_census_on_small_spaces(self):
         for n, k in [(3, 2), (4, 2), (4, 3)]:
-            fast = census_property_o(n, k, stop_at_first=False)
-            space, found, first = _visitor_census(n, k)
-            assert fast.total_enumerated == space
-            assert fast.property_o_found == found
+            fast = census_property_o(n, k)
+            space, first = _visitor_census(n, k)
+            assert fast.total_enumerated == (space if first is None else first + 1)
+            assert fast.property_o_found == (first is not None)
             assert fast.first_witness == (
                 None if first is None else _tournament_from_counter(n, k, first)
             )
 
-    def test_exact_counts(self):
-        # 2-tournaments on n vertices violate Property O exactly when they
-        # are transitive; there are n! transitive ones
-        for n in (3, 4, 5):
-            report = census_property_o(n, 2, stop_at_first=False)
-            total = 2 ** math.comb(n, 2)
-            assert report.total_enumerated == total
-            assert report.property_o_found == total - math.factorial(n)
-
     def test_first_witness_agrees_between_modes(self):
-        # the first-witness sweep skips non-leader prefixes; the full count
-        # skips nothing
-        for n, k in [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3)]:
-            full = census_property_o(n, k, stop_at_first=False)
-            assert (full.property_o_found == 0) == (full.first_witness is None)
+        # the sweep skips non-leader prefixes; the every-prefix walk skips
+        # nothing
+        for n, k in [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3)]:
+            decided, first = _every_prefix_walk(n, k)
+            space = math.factorial(k) ** math.comb(n, k)
+            assert (decided == space) == (first is None), (n, k)
+            witness = None if first is None else _tournament_from_counter(n, k, first)
             for jobs in (1, 2, 3, 7, 40):
-                stop = census_property_o(n, k, jobs=jobs, stop_at_first=True)
-                assert stop.first_witness == full.first_witness, (n, k, jobs)
+                sweep = census_property_o(n, k, jobs=jobs)
+                assert sweep.first_witness == witness, (n, k, jobs)
+                assert sweep.total_enumerated == (
+                    space if first is None else first + 1
+                ), (n, k, jobs)
 
     def test_few_subsets_walk_one_digit(self):
         # with C(n,k) <= k+1 the prefixes are the k! first digits: at (6,5)
         # all but one digit would be 120**5 prefixes
-        for stop in (True, False):
-            for jobs in (1, 2):
-                report = census_property_o(6, 5, jobs=jobs, stop_at_first=stop)
-                assert report.total_enumerated == 120**6
-                assert report.property_o_found == 0
+        for jobs in (1, 2):
+            report = census_property_o(6, 5, jobs=jobs)
+            assert report.total_enumerated == 120**6
+            assert report.property_o_found == 0
+
+    def test_every_admitted_space_ends(self):
+        # a sweep ends at its first witness or after its last tournament;
+        # every size the budgets admit ends within seconds
+        admitted = []
+        for k in range(2, 10):
+            for n in range(k, 14):
+                try:
+                    search._check_space(n, k)
+                except BudgetExceededError:
+                    continue
+                admitted.append((n, k))
+                start = time.perf_counter()
+                census_property_o(n, k, jobs=1)
+                assert time.perf_counter() - start < 5, (n, k)
+        assert (5, 3) in admitted and (10, 2) in admitted
+
+    def test_property_o_found_is_read_off_the_witness(self):
+        # not a field: 1 exactly when a witness is set
+        assert "property_o_found" not in search.SearchReport.__slots__
+        witness = census_property_o(3, 2)
+        assert (witness.property_o_found, witness.first_witness is None) == (1, False)
+        none = census_property_o(4, 3)
+        assert (none.property_o_found, none.first_witness) == (0, None)
 
     def test_leaders_are_orbit_minima(self):
         # brute force: map the first k+1 subsets' edges by every
@@ -124,12 +153,12 @@ class TestCensusEngine:
         log = tmp_path / "runs"
         real_unit = search._census_unit
 
-        def recording_unit(n, k, stop_first, progress_interval, prefixes):
+        def recording_unit(n, k, progress_interval, prefixes):
             # the second run is walked in a forked child, so every run is
             # logged to a file
             with open(log, "a") as f:
                 f.write(repr(prefixes) + "\n")
-            return real_unit(n, k, stop_first, progress_interval, prefixes)
+            return real_unit(n, k, progress_interval, prefixes)
 
         monkeypatch.setattr(search, "_census_unit", recording_unit)
         report = census_property_o(5, 3, jobs=2)
@@ -155,40 +184,33 @@ class TestCensusEngine:
             return real_reach(uncovered, rows)
 
         monkeypatch.setattr(search, "_cover_reach", counting_reach)
-        census_property_o(n, k, jobs=1, stop_at_first=True)
+        census_property_o(n, k, jobs=1)
         assert count == calls
 
     def test_no_witness_on_4_3(self):
-        report = census_property_o(4, 3, stop_at_first=True)
+        report = census_property_o(4, 3)
         assert report.property_o_found == 0
         assert report.first_witness is None
         assert report.total_enumerated == 6**4
 
     def test_partition_determinism(self):
         for jobs in (1, 4, 16):
-            report = census_property_o(4, 3, jobs=jobs, stop_at_first=True)
-            baseline = census_property_o(4, 3, stop_at_first=True)
+            report = census_property_o(4, 3, jobs=jobs)
+            baseline = census_property_o(4, 3)
             assert report.matches(baseline), jobs
 
     def test_partition_determinism_with_witness(self):
-        baseline = census_property_o(3, 2, stop_at_first=True)
+        baseline = census_property_o(3, 2)
         assert baseline.property_o_found == 1
         for jobs in (2, 4, 16):
-            report = census_property_o(3, 2, jobs=jobs, stop_at_first=True)
+            report = census_property_o(3, 2, jobs=jobs)
             assert report.matches(baseline), jobs
 
-    def test_partition_determinism_full_count(self):
-        for n, k in [(3, 2), (4, 2), (4, 3)]:
-            base = census_property_o(n, k, stop_at_first=False)
-            for jobs in (2, 3, 7, 16, 40):
-                report = census_property_o(n, k, jobs=jobs, stop_at_first=False)
-                assert report.matches(base), (n, k, jobs)
-
     def test_partition_counts_and_witness_counters(self, monkeypatch):
-        # every worker reports its own prefixes' counts and smallest
-        # witness counter, not only the globally first witness; at (5, 2)
-        # the cover bound discards subtrees in bulk, and each of their
-        # counters is checked on its own
+        # every worker reports its own prefixes' first witness, with the
+        # tournaments before it as decided, not only the globally first
+        # witness; at (5, 2) the cover bound discards subtrees in bulk, and
+        # each of their counters is checked on its own
         fired = []
         real_reach = search._cover_reach
 
@@ -201,12 +223,14 @@ class TestCensusEngine:
         for n, k, depth in [(4, 2, 3), (5, 2, 3)]:
             suffix = 2 ** (math.comb(n, k) - depth)
             for rank, prefix in enumerate(itertools.product(range(2), repeat=depth)):
-                counters = range(rank * suffix, (rank + 1) * suffix)
-                witnesses = [
-                    c for c in counters if violating_order_for_counter(n, k, c) is None
-                ]
-                result = _census_unit(n, k, False, 0, [prefix])
-                expected = (suffix, len(witnesses), min(witnesses, default=None))
+                base = rank * suffix
+                counters = range(base, base + suffix)
+                first = next(
+                    (c for c in counters if violating_order_for_counter(n, k, c) is None),
+                    None,
+                )
+                result = _census_unit(n, k, 0, [prefix])
+                expected = (suffix, None) if first is None else (first - base, first)
                 assert result == expected, (n, k, prefix)
         assert any(fired)
 
@@ -276,7 +300,7 @@ class TestCensusEngine:
         assert offenders == []
 
     def test_first_witness_is_smallest_counter(self):
-        report = census_property_o(3, 2, stop_at_first=True)
+        report = census_property_o(3, 2)
         counter = report.total_enumerated - 1
         # every smaller counter is a tournament without Property O
         for c in range(counter):
@@ -285,7 +309,7 @@ class TestCensusEngine:
         assert _tournament_from_counter(3, 2, counter) == report.first_witness
 
     def test_witness_verifies_independently(self):
-        report = census_property_o(3, 2, stop_at_first=True)
+        report = census_property_o(3, 2)
         assert check_property_o(report.first_witness).holds
 
     def test_coverage_masks_popcounts(self):
@@ -449,3 +473,22 @@ class TestProgressReporting:
         assert lines, err
         for line in lines:
             assert "found=" in line and "elapsed=" in line
+
+
+def _plain_signature(func):
+    """The signature as the README writes it: no annotations."""
+    sig = inspect.signature(func)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return sig.replace(parameters=params, return_annotation=sig.empty)
+
+
+@pytest.mark.parametrize("func", [census_property_o, prove_vertex_lower_bound])
+def test_readme_signature_is_the_real_one(func):
+    # the README spells out these signatures in full; a changed parameter
+    # must change it too
+    readme = (
+        pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    ).read_text()
+    spelled = re.findall(rf"`{func.__name__}(\([^`]*\))`", readme)
+    assert spelled, func.__name__
+    assert set(spelled) == {str(_plain_signature(func))}
