@@ -13,8 +13,8 @@ reports its vertex placements as ``nodes=N``: at the end of the
     2  usage error (unknown subcommand or flag, missing argument)
     3  invalid input data (malformed hypergraph file, bad index, ...)
     4  work budget refused, before any output: n! orders over 12 vertices,
-       a search on over 10**6 vertices, over 10**8 placements or deeper
-       than the recursion limit, an audit, census or construction over its
+       a search on over 10**6 vertices, over 10**8 placements or a prefix
+       of over 500 placed vertices, an audit, census or construction over its
        budget, a sample of over 10**6 orientation draws (trials * C(n,k)) or
        whose table holds over 10**6 oriented k-subsets, or a stats edge
        bound of over 4300 digits, or over Python's int print limit when

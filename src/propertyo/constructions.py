@@ -235,16 +235,23 @@ class CaseCoverageReport(Record):
     certificate, since only :func:`propertyo.core.check_property_o` makes
     verdicts.
 
-    ``cases`` is the number of cases checked, (k-1)!*(1 + (k-1)*(k+1)), and
     ``problems`` names each case that no edge of the graph covers.  ``ok``
     (no problems) shows that the graph has Property O by the case analysis;
     a failing report names the uncovered cases but no violating order.
+    ``cases`` is the number of cases checked, (k-1)!*(1 + (k-1)*(k+1)).
     """
 
     k: int
-    ok: bool
     problems: tuple[str, ...]
-    cases: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    @property
+    def cases(self) -> int:
+        k = self.k
+        return math.factorial(k - 1) * (1 + (k - 1) * (k + 1))
 
 
 def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
@@ -287,9 +294,4 @@ def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
                         f"case (j={j}, i={i}, rank={rank}): "
                         f"no edge is a subsequence of {order}"
                     )
-    return CaseCoverageReport(
-        k=k,
-        ok=not problems,
-        problems=tuple(problems),
-        cases=counts[0] * (1 + (k - 1) * (k + 1)),
-    )
+    return CaseCoverageReport(k=k, problems=tuple(problems))

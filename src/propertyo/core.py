@@ -78,6 +78,13 @@ _MAX_EDGES = 1_000_000
 # `verify` on general(4) reaches it in about 21 s (2 vCPUs, Python 3.11).
 _MAX_PLACEMENTS = 10**8
 
+# The backtracking search refuses to place more vertices than this in one
+# prefix.  The search takes one interpreter frame per placed vertex, so this
+# keeps it far enough under CPython's default recursion limit of 1,000 that
+# the refusal does not depend on how deep the caller's own stack is: a
+# directed 2-path on 502 vertices is decided, one on 503 refused.
+_MAX_DEPTH = 500
+
 # The backtracking search refuses graphs on more vertices than this before
 # it builds its per-vertex words: `verify` on a one-edge 2-graph on 10**6
 # vertices takes 0.6-0.7 s and 130 MB (2 vCPUs, Python 3.11), and the cost
@@ -105,7 +112,9 @@ class _RecordMeta(type):
 
 class Record(metaclass=_RecordMeta):
     """Immutable record: fields are the class's annotated names (a class
-    constant stays unannotated), defaults come from ``_defaults``.
+    constant stays unannotated), each given to the constructor, by position
+    or keyword.  A value that other fields determine is a read-only
+    property, never a field, so no record can contradict itself.
 
     Instances compare, hash and print by their fields, pickle and copy by
     rebuilding through ``__init__``, and refuse assignment.  A subclass may
@@ -113,19 +122,13 @@ class Record(metaclass=_RecordMeta):
     ``object.__setattr__``.
     """
 
-    _defaults = {}  # field name -> default value
-
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self.__slots__
         if kwargs or len(args) != len(names):
-            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-            if (
-                len(args) > len(names)
-                or values.keys() != set(names)
-                or not kwargs.keys().isdisjoint(names[: len(args)])
-            ):
+            rest = names[len(args) :]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
                 raise TypeError(f"{type(self).__name__}() takes the fields {names}")
-            args = tuple(values[name] for name in names)
+            args += tuple(map(kwargs.__getitem__, rest))
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
@@ -181,9 +184,11 @@ class OrientedHypergraph(Record):
 
 
 class ValidationResult(Record):
-    _defaults = {"violations": ()}
-    ok: bool
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class VerificationCertificate(Record):
@@ -193,11 +198,11 @@ class VerificationCertificate(Record):
     for the exhaustive method it is the first violating order's rank + 1
     (n! when Property O holds); for the backtracking method it is the number
     of complete violating-order candidates produced (0 or 1), with the real
-    work metric recorded in ``nodes_expanded`` (vertex placements tried).
+    work metric recorded in ``nodes_expanded`` (vertex placements tried;
+    None for the exhaustive method).  The verdict is read off the violating
+    order: Property O holds exactly when there is none.
     """
 
-    _defaults = {"nodes_expanded": None}
-    verdict: str
     method: str
     violating_order: LinearOrder | None
     orders_examined: int
@@ -205,7 +210,11 @@ class VerificationCertificate(Record):
 
     @property
     def holds(self) -> bool:
-        return self.verdict == PROPERTY_O
+        return self.violating_order is None
+
+    @property
+    def verdict(self) -> str:
+        return PROPERTY_O if self.holds else VIOLATED
 
 
 class CoverageHistogram(Record):
@@ -234,14 +243,23 @@ class AuditReport(Record):
     after them in ascending label order) leaves edge i consistent.  A
     nonzero class size is always k!/m! where m is the edge's intersection
     size with the base edge, which is what makes the divisibility audit of
-    the k!-edge counting argument checkable.
+    the k!-edge counting argument checkable.  ``total`` sums the class
+    sizes, and ``residue`` is that sum mod k.  The base edge meets itself in
+    all k vertices and no other edge has its vertex set, so k is the largest
+    intersection size.
     """
 
     class_sizes: tuple[int, ...]
     intersection_sizes: tuple[int, ...]
-    total: int
-    residue: int
     min_coverage: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.class_sizes)
+
+    @property
+    def residue(self) -> int:
+        return self.total % max(self.intersection_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +431,7 @@ def validate(graph: OrientedHypergraph) -> ValidationResult:
     out-of-range vertex indices, and two edges sharing the same underlying
     k-element set are each reported with the offending edge indices.
     """
-    violations = tuple(message for _, message in _violations(graph))
-    return ValidationResult(ok=not violations, violations=violations)
+    return ValidationResult(tuple(message for _, message in _violations(graph)))
 
 
 def _violations(graph: OrientedHypergraph) -> Iterator[tuple[int, str]]:
@@ -579,16 +596,18 @@ def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
     if not ranks:
         return (1 << math.factorial(j)) - 1
     width = math.factorial(j - 1)
+    inner_mask = _memo_edge_mask if j - 1 < _BLOCK_VERTICES else _edge_mask
     mask = 0
     for i in range(j):
         inner = _descend(ranks, i)
         if inner is not None:
-            mask |= _memo_edge_mask(j - 1, inner) << (i * width)
+            mask |= inner_mask(j - 1, inner) << (i * width)
     return mask
 
 
-# Top-level masks are not cached, so under the block walk no cached mask is
-# wider than 8! bits; there are at most j!/(j-r)! keys of r ranks on j vertices.
+# Only masks on fewer than _BLOCK_VERTICES vertices are cached, whoever asks,
+# so no cached mask is wider than 8! bits; there are at most j!/(j-r)! keys
+# of r ranks on j vertices.
 _memo_edge_mask = functools.lru_cache(maxsize=None)(_edge_mask)
 
 
@@ -656,9 +675,10 @@ def _backtracking_search(
 
     Raises :class:`BudgetExceededError` for more than ``_MAX_VERTICES``
     vertices before any word is built, once the exhausted prefixes have
-    cost more than ``_MAX_PLACEMENTS`` placements, and when the support has
-    too many vertices for one interpreter frame per placed vertex (a
-    ``RecursionError``).
+    cost more than ``_MAX_PLACEMENTS`` placements, and before a prefix
+    that leaves an edge alive would place more than ``_MAX_DEPTH`` vertices,
+    one interpreter frame each; the depth is read off how few vertices are
+    left to place.
     """
     n, k, m = graph.n, graph.k, len(graph.edges)
     if n > _MAX_VERTICES:
@@ -681,13 +701,21 @@ def _backtracking_search(
     keep = [full ^ has_v * every_level for has_v in has]
     support = tuple(v for v in range(n) if has[v])
     budget = _MAX_PLACEMENTS
+    depth_limit = _MAX_DEPTH
     nodes = 0
+    # a prefix of more than depth_limit vertices leaves fewer than this to place
+    fewest_left = len(support) - depth_limit
 
     def search(state: int, rest: tuple[int, ...]) -> LinearOrder | None:
         """A violating order of the ``rest`` vertices, or None."""
         nonlocal nodes
         if not state:
             return rest
+        if len(rest) < fewest_left:
+            raise BudgetExceededError(
+                f"search over {len(support)} support vertices refused: a prefix "
+                f"would place more than {depth_limit} vertices"
+            )
         for j, v in enumerate(rest):
             if not state & reject[v]:
                 order = search(
@@ -706,11 +734,6 @@ def _backtracking_search(
 
     try:
         order = search((1 << m) - 1, support)
-    except RecursionError:
-        raise BudgetExceededError(
-            f"search over {len(support)} support vertices refused: one "
-            f"interpreter frame per placed vertex goes past the recursion limit"
-        ) from None
     finally:
         # search refers to itself through its cell: emptying the cell frees
         # the closure and its words now, not at the next cyclic collection
@@ -736,7 +759,9 @@ def check_property_o(
     :class:`BudgetExceededError`: the exhaustive cover a graph of more than
     ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search a graph of more than
     ``_MAX_VERTICES`` vertices, more than ``_MAX_PLACEMENTS`` placements or
-    a support too large for its recursion.
+    a prefix of more than ``_MAX_DEPTH`` placed vertices, one interpreter
+    frame each.  That depth limit leaves room under the default recursion
+    limit, so the verdict does not depend on the caller's stack depth.
     """
     require_valid(graph)
     if method == AUTO:
@@ -758,7 +783,6 @@ def check_property_o(
                 f"with reported violating order {order}"
             )
     return VerificationCertificate(
-        verdict=PROPERTY_O if order is None else VIOLATED,
         method=method,
         violating_order=order,
         orders_examined=examined,
@@ -786,8 +810,9 @@ def find_violating_order_backtracking(
     :func:`find_violating_order_exhaustive`, under the search's budgets
     instead of the n! one: :class:`BudgetExceededError` for more than
     ``_MAX_VERTICES`` vertices, after ``_MAX_PLACEMENTS`` placements, or
-    for a support too large for the interpreter's recursion limit (about
-    1,000 vertices).  The order need not be the lexicographically first.
+    before a prefix would place more than ``_MAX_DEPTH`` = 500 vertices,
+    whatever the caller's stack depth.  The order need not be the
+    lexicographically first.
     Vertices are tried in ascending index order, so the result is
     deterministic.
     """
@@ -901,11 +926,8 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     if class_sizes[base_edge_index] != 1:
         raise InternalError("internal error: base edge class size must be 1")
 
-    total = sum(class_sizes)
     return AuditReport(
         class_sizes=tuple(class_sizes),
         intersection_sizes=tuple(intersection_sizes),
-        total=total,
-        residue=total % k,
         min_coverage=min(coverage),
     )

@@ -69,9 +69,16 @@ class TrialSummary(Record):
     k: int
     trials: int
     successes: int
-    rate: float
-    standard_error: float
     seed: int
+
+    @property
+    def rate(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def standard_error(self) -> float:
+        rate = self.rate
+        return math.sqrt(rate * (1.0 - rate) / self.trials)
 
 
 def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
@@ -126,13 +133,4 @@ def estimate_property_o_rate(
         )
     count = functools.partial(_count_successes, n, k, seed)
     successes = sum(ordered_map(count, range(trials), jobs))
-    rate = successes / trials
-    return TrialSummary(
-        n=n,
-        k=k,
-        trials=trials,
-        successes=successes,
-        rate=rate,
-        standard_error=math.sqrt(rate * (1.0 - rate) / trials),
-        seed=seed,
-    )
+    return TrialSummary(n=n, k=k, trials=trials, successes=successes, seed=seed)

@@ -68,10 +68,11 @@ from .core import (
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
 # masks that would take more than _MAX_MASK_BYTES in each worker: each
 # worker holds C(n,k)*k! masks of n! bits, one per orientation, of the
-# orders it leaves uncovered.  (10,2) needs 38 MiB of them, (11,2) would
-# need 523 MiB.
+# orders it leaves uncovered.  (10,2) needs 38 MiB of them, the most of any
+# admitted size; (8,8) would need 193 MiB (the k!+1 edge bound answers it
+# at once) and (11,2) 523 MiB.
 _MAX_SPACE_BITS = 64
-_MAX_MASK_BYTES = 256 << 20
+_MAX_MASK_BYTES = 64 << 20
 
 
 class SearchReport(Record):
@@ -112,9 +113,15 @@ class SearchReport(Record):
 
 
 class EdgeVerdict(Record):
+    """Edge ``index`` is essential exactly when removing it leaves a
+    violating order, the ``witness``; a redundant edge has none."""
+
     index: int
-    essential: bool
     witness: LinearOrder | None
+
+    @property
+    def essential(self) -> bool:
+        return self.witness is not None
 
 
 class MinimalityReport(Record):
@@ -445,8 +452,5 @@ def edge_minimality(graph: OrientedHypergraph) -> MinimalityReport:
         reduced = OrientedHypergraph(
             graph.k, graph.n, graph.edges[:i] + graph.edges[i + 1 :]
         )
-        order = check_property_o(reduced).violating_order
-        verdicts.append(
-            EdgeVerdict(index=i, essential=order is not None, witness=order)
-        )
+        verdicts.append(EdgeVerdict(i, check_property_o(reduced).violating_order))
     return MinimalityReport(verdicts=tuple(verdicts))

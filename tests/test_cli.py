@@ -422,6 +422,7 @@ class TestCensus:
     @pytest.mark.parametrize(
         "n,k",
         [
+            (8, 8),  # its 193 MiB of masks are over the census budget
             (1_000_000, 1_000_000),
             (1_000_000, 999_999),
             (3_000_000, 3_000_000),

@@ -415,6 +415,30 @@ class TestBacktrackingFinder:
         with pytest.raises(BudgetExceededError, match=f"over {n} support vertices"):
             find_violating_order_backtracking(graph)
 
+    def test_depth_refusal_does_not_depend_on_the_callers_depth(self):
+        # a directed 2-path on n vertices is placed last vertex first and
+        # keeps an edge alive until n-2 vertices are placed
+        def at_depth(frames, func, *args):
+            return at_depth(frames - 1, func, *args) if frames else func(*args)
+
+        def outcome(n):
+            graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
+            try:
+                cert = check_property_o(graph, "backtracking")
+            except BudgetExceededError as exc:
+                return str(exc)
+            return cert.violating_order, cert.nodes_expanded
+
+        decided = core._MAX_DEPTH + 2
+        for n in (decided, decided + 1, 960):
+            assert at_depth(0, outcome, n) == at_depth(150, outcome, n), n
+        order = tuple(range(decided - 1, -1, -1))
+        assert outcome(decided) == (order, decided * (decided + 1) // 2 - 1)
+        assert outcome(decided + 1) == (
+            f"search over {decided + 1} support vertices refused: a prefix "
+            f"would place more than {core._MAX_DEPTH} vertices"
+        )
+
 
 class TestCheckPropertyO:
     def test_double_cycle_auto_examines_all_orders(self):
@@ -509,6 +533,7 @@ class TestCheckPropertyO:
             "EXHAUSTIVE_MAX_VERTICES": {("core.py", "_lex_blocks")},
             "_MAX_PLACEMENTS": {("core.py", "_backtracking_search")},
             "_MAX_VERTICES": {("core.py", "_backtracking_search")},
+            "_MAX_DEPTH": {("core.py", "_backtracking_search")},
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
@@ -905,6 +930,19 @@ class TestCoverageKernel:
             assert find_violating_order_exhaustive(
                 OrientedHypergraph(graph.k, 11, edges)
             ) == witness + (8, 9, 10)
+
+    def test_no_cached_mask_is_wider_than_8_factorial_bits(self):
+        # the (10,2) census masks recurse on 9 vertices without caching them
+        _coverage_masks(10, 2)
+        memo = core._memo_edge_mask
+        keys = [(r,) for r in range(9)] + list(itertools.permutations(range(9), 2))
+        try:
+            for ranks in keys:
+                misses = memo.cache_info().misses
+                memo(9, ranks)
+                assert memo.cache_info().misses > misses, ranks
+        finally:
+            memo.cache_clear()
 
 
 class TestOrderedMap:

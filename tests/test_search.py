@@ -391,6 +391,14 @@ class TestVertexLowerBound:
         with pytest.raises(BudgetExceededError, match="523 MiB"):
             prove_vertex_lower_bound(11, 2)
 
+    def test_mask_budget_refuses_8_8_which_the_edge_bound_answers(self):
+        # one 8-subset: its 8! orientation masks of 8! bits take 193 MiB
+        with pytest.raises(BudgetExceededError, match="193 MiB"):
+            census_property_o(8, 8)
+        report = prove_vertex_lower_bound(8, 8)
+        assert (report.total_enumerated, report.property_o_found) == (0, 0)
+        assert report.runs == 0
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             prove_vertex_lower_bound(2, 3)
