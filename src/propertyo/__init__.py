@@ -19,8 +19,7 @@ _EXPORTS = {
         "AuditReport", "BudgetExceededError", "CoverageHistogram", "InternalError",
         "LinearOrder", "OrientedEdge", "OrientedHypergraph", "ValidationResult",
         "VerificationCertificate", "check_property_o", "count_consistent_orders",
-        "coverage_histogram", "find_violating_order_backtracking",
-        "find_violating_order_exhaustive", "is_consistent", "lower_bound_audit",
+        "coverage_histogram", "is_consistent", "lower_bound_audit",
         "relabel", "reverse", "support_restriction", "validate",
     ),
     "constructions": (

@@ -194,19 +194,16 @@ class ValidationResult(Record):
 class VerificationCertificate(Record):
     """Outcome of a Property O check.
 
-    ``orders_examined`` counts complete linear orders the decider looked at:
-    for the exhaustive method it is the first violating order's rank + 1
-    (n! when Property O holds); for the backtracking method it is the number
-    of complete violating-order candidates produced (0 or 1), with the real
-    work metric recorded in ``nodes_expanded`` (vertex placements tried;
-    None for the exhaustive method).  The verdict is read off the violating
-    order: Property O holds exactly when there is none.
+    ``work`` is the deciding kernel's own count: for the exhaustive method
+    the orders it examined, the first violating order's rank + 1 (n! when
+    Property O holds); for the backtracking method the vertex placements it
+    tried.  The verdict is read off the violating order: Property O holds
+    exactly when there is none.
     """
 
     method: str
     violating_order: LinearOrder | None
-    orders_examined: int
-    nodes_expanded: int | None
+    work: int
 
     @property
     def holds(self) -> bool:
@@ -215,6 +212,19 @@ class VerificationCertificate(Record):
     @property
     def verdict(self) -> str:
         return PROPERTY_O if self.holds else VIOLATED
+
+    @property
+    def orders_examined(self) -> int:
+        """Complete orders looked at: ``work`` for the exhaustive method,
+        and for the search the one violating order it produced, if any."""
+        if self.method == EXHAUSTIVE:
+            return self.work
+        return int(self.violating_order is not None)
+
+    @property
+    def nodes_expanded(self) -> int | None:
+        """Vertex placements the search tried; None for the exhaustive method."""
+        return self.work if self.method == BACKTRACKING else None
 
 
 class CoverageHistogram(Record):
@@ -767,11 +777,9 @@ def check_property_o(
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
     if method == EXHAUSTIVE:
-        order, examined = _exhaustive_search(graph)
-        nodes = None
+        order, work = _exhaustive_search(graph)
     elif method == BACKTRACKING:
-        order, nodes = _backtracking_search(graph)
-        examined = 0 if order is None else 1
+        order, work = _backtracking_search(graph)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -782,41 +790,7 @@ def check_property_o(
                 f"internal error: edge {graph.edges[consistent[0]]} is consistent "
                 f"with reported violating order {order}"
             )
-    return VerificationCertificate(
-        method=method,
-        violating_order=order,
-        orders_examined=examined,
-        nodes_expanded=nodes,
-    )
-
-
-def find_violating_order_exhaustive(graph: OrientedHypergraph) -> LinearOrder | None:
-    """Lexicographically first order consistent with no edge, or None.
-
-    The order of ``check_property_o(graph, EXHAUSTIVE)``, so it is re-checked
-    against every edge.  Refuses with :class:`BudgetExceededError` when n
-    exceeds ``EXHAUSTIVE_MAX_VERTICES``.
-    """
-    return check_property_o(graph, EXHAUSTIVE).violating_order
-
-
-def find_violating_order_backtracking(
-    graph: OrientedHypergraph,
-) -> LinearOrder | None:
-    """Some order consistent with no edge, or None if every order has one.
-
-    The order of ``check_property_o(graph, BACKTRACKING)``, so it is
-    re-checked against every edge.  Same decision as
-    :func:`find_violating_order_exhaustive`, under the search's budgets
-    instead of the n! one: :class:`BudgetExceededError` for more than
-    ``_MAX_VERTICES`` vertices, after ``_MAX_PLACEMENTS`` placements, or
-    before a prefix would place more than ``_MAX_DEPTH`` = 500 vertices,
-    whatever the caller's stack depth.  The order need not be the
-    lexicographically first.
-    Vertices are tried in ascending index order, so the result is
-    deterministic.
-    """
-    return check_property_o(graph, BACKTRACKING).violating_order
+    return VerificationCertificate(method, order, work)
 
 
 # ---------------------------------------------------------------------------

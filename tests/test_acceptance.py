@@ -13,6 +13,8 @@ from contextlib import contextmanager
 import pytest
 
 from propertyo import (
+    BACKTRACKING,
+    EXHAUSTIVE,
     OrientedHypergraph,
     census_property_o,
     check_property_o,
@@ -20,8 +22,6 @@ from propertyo import (
     double_cycle_3graph,
     edge_minimality,
     estimate_property_o_rate,
-    find_violating_order_backtracking,
-    find_violating_order_exhaustive,
     general_construction,
     is_consistent,
     lower_bound_audit,
@@ -136,7 +136,7 @@ def test_criterion_05_structured_case_coverage():
 def test_criterion_05_stretch_backtracking_agrees_at_k4():
     with criterion(5, "stretch: order search agrees with the case analysis at k=4"):
         start = time.perf_counter()
-        order = find_violating_order_backtracking(general_construction(4))
+        order = check_property_o(general_construction(4), BACKTRACKING).violating_order
         elapsed = time.perf_counter() - start
         assert order is None
         assert elapsed < 3600.0, f"took {elapsed:.0f}s"
@@ -213,7 +213,7 @@ def test_criterion_08_edge_lower_bound_witnesses():
         base = merged_ten_edge_3graph()
         for chosen in itertools.combinations(base.edges, 6):
             subgraph = OrientedHypergraph(3, 6, chosen)
-            assert find_violating_order_exhaustive(subgraph) is not None
+            assert check_property_o(subgraph, EXHAUSTIVE).violating_order is not None
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -246,8 +246,8 @@ def test_criterion_09_decider_agreement_corpus():
         assert len(corpus) >= 200
 
         for graph in corpus:
-            exhaustive = find_violating_order_exhaustive(graph)
-            backtracked = find_violating_order_backtracking(graph)
+            exhaustive = check_property_o(graph, EXHAUSTIVE).violating_order
+            backtracked = check_property_o(graph, BACKTRACKING).violating_order
             assert (exhaustive is None) == (backtracked is None)
             for order in (exhaustive, backtracked):
                 if order is not None:

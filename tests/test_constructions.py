@@ -7,13 +7,13 @@ import time
 import pytest
 
 from propertyo import (
+    EXHAUSTIVE,
     CaseCoverageReport,
     GeneralLayout,
     OrientedHypergraph,
     check_property_o,
     cyclic_triangle,
     double_cycle_3graph,
-    find_violating_order_exhaustive,
     general_construction,
     insert_at,
     merged_ten_edge_3graph,
@@ -62,7 +62,7 @@ class TestCyclicTriangle:
         graph = cyclic_triangle()
         for i in range(3):
             reduced = OrientedHypergraph(2, 3, graph.edges[:i] + graph.edges[i + 1 :])
-            assert find_violating_order_exhaustive(reduced) is not None
+            assert check_property_o(reduced, EXHAUSTIVE).violating_order is not None
 
 
 class TestTenEdge3Graph:
@@ -309,7 +309,7 @@ class TestStructuredCoverageCheck:
             graph = OrientedHypergraph(3, base.n, tuple(edges))
             if structured_coverage_check(graph).ok:
                 passed += 1
-                assert find_violating_order_exhaustive(graph) is None, graph
+                assert check_property_o(graph, EXHAUSTIVE).violating_order is None, graph
         assert 0 < passed < 400
 
     def test_agrees_with_order_verifier_at_k3(self):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propertyo import (
+    BACKTRACKING,
+    EXHAUSTIVE,
     BudgetExceededError,
     OrientedHypergraph,
     check_property_o,
@@ -20,8 +22,6 @@ from propertyo import (
     coverage_histogram,
     cyclic_triangle,
     double_cycle_3graph,
-    find_violating_order_backtracking,
-    find_violating_order_exhaustive,
     general_construction,
     is_consistent,
     lower_bound_audit,
@@ -237,27 +237,27 @@ class TestCountConsistentOrders:
 class TestExhaustiveFinder:
     def test_single_pair_edge(self):
         graph = OrientedHypergraph(2, 2, ((0, 1),))
-        assert find_violating_order_exhaustive(graph) == (1, 0)
+        assert check_property_o(graph, EXHAUSTIVE).violating_order == (1, 0)
 
     def test_cyclic_triangle_has_no_violating_order(self):
-        assert find_violating_order_exhaustive(cyclic_triangle()) is None
+        assert check_property_o(cyclic_triangle(), EXHAUSTIVE).violating_order is None
 
     def test_merged_ten_edge_minus_first_edge_has_violation(self):
         graph = merged_ten_edge_3graph()
         reduced = OrientedHypergraph(graph.k, graph.n, graph.edges[1:])
-        order = find_violating_order_exhaustive(reduced)
+        order = check_property_o(reduced, EXHAUSTIVE).violating_order
         assert order is not None
         assert order in brute_force_violating_orders(reduced)
 
     def test_returns_lexicographically_first(self):
         graph = OrientedHypergraph(3, 4, ((0, 1, 2), (1, 2, 3)))
         expected = brute_force_violating_orders(graph)[0]
-        assert find_violating_order_exhaustive(graph) == expected
+        assert check_property_o(graph, EXHAUSTIVE).violating_order == expected
 
     def test_budget_refusal(self):
         graph = OrientedHypergraph(2, 13, ((0, 1),))
         with pytest.raises(BudgetExceededError):
-            find_violating_order_exhaustive(graph)
+            check_property_o(graph, EXHAUSTIVE)
 
     def test_order_walk_refuses_before_any_mask(self, monkeypatch):
         # the decider and the histogram share the walk's one n! refusal
@@ -275,11 +275,11 @@ class TestExhaustiveFinder:
 
 class TestBacktrackingFinder:
     def test_ten_edge_graph_has_property_o(self):
-        assert find_violating_order_backtracking(ten_edge_3graph()) is None
+        assert check_property_o(ten_edge_3graph(), BACKTRACKING).violating_order is None
 
     def test_single_triple_edge(self):
         graph = OrientedHypergraph(3, 3, ((0, 1, 2),))
-        order = find_violating_order_backtracking(graph)
+        order = check_property_o(graph, BACKTRACKING).violating_order
         assert order is not None
         assert not is_consistent((0, 1, 2), order)
 
@@ -289,8 +289,8 @@ class TestBacktrackingFinder:
                 reduced = OrientedHypergraph(
                     graph.k, graph.n, graph.edges[:i] + graph.edges[i + 1 :]
                 )
-                exhaustive = find_violating_order_exhaustive(reduced)
-                backtracked = find_violating_order_backtracking(reduced)
+                exhaustive = check_property_o(reduced, EXHAUSTIVE).violating_order
+                backtracked = check_property_o(reduced, BACKTRACKING).violating_order
                 assert (exhaustive is None) == (backtracked is None), (name, i)
                 if backtracked is not None:
                     assert all(
@@ -311,7 +311,7 @@ class TestBacktrackingFinder:
                 acyclic = True
             except graphlib.CycleError:
                 acyclic = False
-            order = find_violating_order_backtracking(graph)
+            order = check_property_o(graph, BACKTRACKING).violating_order
             assert (order is None) == (not acyclic), graph
             if order is not None:
                 position = {v: i for i, v in enumerate(order)}
@@ -324,8 +324,8 @@ class TestBacktrackingFinder:
         for _ in range(1000):
             k = rng.randint(2, 4)
             graph = random_graph(rng, k, rng.randint(0, 7))
-            exhaustive = find_violating_order_exhaustive(graph)
-            backtracked = find_violating_order_backtracking(graph)
+            exhaustive = check_property_o(graph, EXHAUSTIVE).violating_order
+            backtracked = check_property_o(graph, BACKTRACKING).violating_order
             assert (exhaustive is None) == (backtracked is None), graph
             if backtracked is not None:
                 assert sorted(backtracked) == list(range(graph.n))
@@ -406,14 +406,14 @@ class TestBacktrackingFinder:
             BudgetExceededError,
             match="^search over 8 support vertices refused after 8009 placements$",
         ):
-            find_violating_order_backtracking(ten_edge_3graph())
+            check_property_o(ten_edge_3graph(), BACKTRACKING)
 
     def test_search_deeper_than_the_recursion_limit_is_refused(self):
         # a directed path places its vertices last first, one frame each
         n = sys.getrecursionlimit() + 500
         graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
         with pytest.raises(BudgetExceededError, match=f"over {n} support vertices"):
-            find_violating_order_backtracking(graph)
+            check_property_o(graph, BACKTRACKING)
 
     def test_depth_refusal_does_not_depend_on_the_callers_depth(self):
         # a directed 2-path on n vertices is placed last vertex first and
@@ -473,19 +473,6 @@ class TestCheckPropertyO:
             check_property_o(cyclic_triangle(), method="guess")
 
     @pytest.mark.parametrize(
-        "kernel,finder",
-        [
-            ("_exhaustive_search", find_violating_order_exhaustive),
-            ("_backtracking_search", find_violating_order_backtracking),
-        ],
-    )
-    def test_finders_recheck_the_kernel_order(self, monkeypatch, kernel, finder):
-        # the identity order is consistent with claim1's edge (0, 1, 2)
-        monkeypatch.setattr(core, kernel, lambda graph: (tuple(range(graph.n)), 1))
-        with pytest.raises(core.InternalError, match=r"edge \(0, 1, 2\)"):
-            finder(ten_edge_3graph())
-
-    @pytest.mark.parametrize(
         "method,kernel",
         [
             ("exhaustive", "_exhaustive_search"),
@@ -494,18 +481,25 @@ class TestCheckPropertyO:
         ids=["exhaustive", "backtracking"],
     )
     @pytest.mark.parametrize(
-        "order",
-        [(2, 1, 0), (2, 1, 0, 0, 4), (2, 1, 0, 3, 5), (2, 1, 0, 3, 4, 5)],
-        ids=["missing", "repeated", "out_of_range", "extra"],
+        "order,message",
+        [
+            ((2, 1, 0), "not an order of the 5 vertices"),
+            ((2, 1, 0, 0, 4), "not an order of the 5 vertices"),
+            ((2, 1, 0, 3, 5), "not an order of the 5 vertices"),
+            ((2, 1, 0, 3, 4, 5), "not an order of the 5 vertices"),
+            ((0, 1, 2, 3, 4), r"edge \(0, 1, 2\)"),
+        ],
+        ids=["missing", "repeated", "out_of_range", "extra", "ident"],
     )
     def test_recheck_rejects_an_order_that_is_not_a_permutation(
-        self, monkeypatch, method, kernel, order
+        self, monkeypatch, method, kernel, order, message
     ):
-        # each order leaves the one edge (0, 1, 2) inconsistent, so only the
-        # permutation check can refuse it
+        # each order but the identity leaves the one edge (0, 1, 2)
+        # inconsistent, so only the permutation check can refuse it; the
+        # identity is a permutation that the edge check refuses
         monkeypatch.setattr(core, kernel, lambda graph: (order, 1))
         graph = OrientedHypergraph(3, 5, ((0, 1, 2),))
-        with pytest.raises(core.InternalError, match="not an order of the 5 vertices"):
+        with pytest.raises(core.InternalError, match=message):
             check_property_o(graph, method)
 
     def test_kernels_are_called_only_from_check_property_o(self):
@@ -737,14 +731,14 @@ class TestInvariantProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_hypergraphs())
     def test_oracle_equivalence(self, graph):
-        exhaustive = find_violating_order_exhaustive(graph)
-        backtracked = find_violating_order_backtracking(graph)
+        exhaustive = check_property_o(graph, EXHAUSTIVE).violating_order
+        backtracked = check_property_o(graph, BACKTRACKING).violating_order
         assert (exhaustive is None) == (backtracked is None)
 
     @settings(max_examples=60, deadline=None)
     @given(small_hypergraphs())
     def test_violation_soundness(self, graph):
-        order = find_violating_order_backtracking(graph)
+        order = check_property_o(graph, BACKTRACKING).violating_order
         if order is not None:
             assert all(not is_consistent(e, order) for e in graph.edges)
 
@@ -923,13 +917,13 @@ class TestCoverageKernel:
         assert coverage_histogram(padded).total_orders() == math.factorial(11)
         for i in range(len(graph.edges)):
             edges = graph.edges[:i] + graph.edges[i + 1 :]
-            witness = find_violating_order_exhaustive(
-                OrientedHypergraph(graph.k, graph.n, edges)
-            )
+            witness = check_property_o(
+                OrientedHypergraph(graph.k, graph.n, edges), EXHAUSTIVE
+            ).violating_order
             assert witness is not None
-            assert find_violating_order_exhaustive(
-                OrientedHypergraph(graph.k, 11, edges)
-            ) == witness + (8, 9, 10)
+            assert check_property_o(
+                OrientedHypergraph(graph.k, 11, edges), EXHAUSTIVE
+            ).violating_order == witness + (8, 9, 10)
 
     def test_no_cached_mask_is_wider_than_8_factorial_bits(self):
         # the (10,2) census masks recurse on 9 vertices without caching them

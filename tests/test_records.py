@@ -45,7 +45,7 @@ def _records():
         (
             check_property_o(g),
             "VerificationCertificate(method='exhaustive', violating_order=None, "
-            "orders_examined=6, nodes_expanded=None)",
+            "work=6)",
         ),
         (coverage_histogram(g), "CoverageHistogram(counts={1: 3, 2: 3})"),
         (
@@ -130,9 +130,7 @@ def test_no_class_lists_its_slots():
 STORED_FIELDS = {
     "OrientedHypergraph": ("k", "n", "edges"),
     "ValidationResult": ("violations",),
-    "VerificationCertificate": (
-        "method", "violating_order", "orders_examined", "nodes_expanded"
-    ),
+    "VerificationCertificate": ("method", "violating_order", "work"),
     "CoverageHistogram": ("counts",),
     "AuditReport": ("class_sizes", "intersection_sizes", "min_coverage"),
     "GeneralLayout": ("k",),
@@ -149,6 +147,8 @@ STORED_FIELDS = {
 DERIVED = [
     ("ValidationResult", "ok", False),
     ("VerificationCertificate", "verdict", "property_o"),
+    ("VerificationCertificate", "orders_examined", 6),
+    ("VerificationCertificate", "nodes_expanded", None),
     ("CaseCoverageReport", "ok", True),
     ("CaseCoverageReport", "cases", 18),
     ("TrialSummary", "rate", 0.25),
@@ -163,7 +163,7 @@ def test_records_store_only_independent_facts():
     records = {type(record).__name__: record for record, _ in RECORDS}
     assert {name: type(r).__slots__ for name, r in records.items()} == STORED_FIELDS
     settable = sum(len(STORED_FIELDS[name]) for name in {t for t, _, _ in DERIVED})
-    assert settable == 17
+    assert settable == 16
     for name, derived, expected in DERIVED:
         record = records[name]
         assert isinstance(getattr(type(record), derived), property)
@@ -173,12 +173,18 @@ def test_records_store_only_independent_facts():
         with pytest.raises(TypeError):
             type(record)(*record._values(), **{derived: expected})
     # a certificate with a violating order cannot say that Property O holds
-    cert = VerificationCertificate("exhaustive", (0, 1), 1, None)
+    cert = VerificationCertificate("exhaustive", (0, 1), 1)
     assert (cert.holds, cert.verdict) == (False, "violated")
     with pytest.raises(TypeError):
-        VerificationCertificate("property_o", "exhaustive", (0, 1), 1, None)
+        VerificationCertificate("property_o", "exhaustive", (0, 1), 1)
     with pytest.raises(TypeError):
-        VerificationCertificate("exhaustive", (0, 1), 1, None, verdict="property_o")
+        VerificationCertificate("exhaustive", (0, 1), 1, verdict="property_o")
+    # the work count reads as orders under the cover and as placements
+    # under the search
+    cert = VerificationCertificate("backtracking", None, 7)
+    assert (cert.orders_examined, cert.nodes_expanded) == (0, 7)
+    cert = VerificationCertificate("exhaustive", (1, 0), 2)
+    assert (cert.orders_examined, cert.nodes_expanded) == (2, None)
 
 
 def test_equality_and_hash_follow_the_fields():
@@ -196,15 +202,12 @@ def test_positional_and_keyword_construction_agree():
     assert graph == OrientedHypergraph(k=3, n=4, edges=edges)
     assert graph == OrientedHypergraph(3, edges=edges, n=4)
     assert graph == OrientedHypergraph(3, 4, [[0, 1, 2], [3, 2, 1]])
-    cert = VerificationCertificate("backtracking", (0, 1), 1, None)
+    cert = VerificationCertificate("backtracking", (0, 1), 1)
     assert cert == VerificationCertificate(
-        "backtracking", (0, 1), nodes_expanded=None, orders_examined=1
+        "backtracking", work=1, violating_order=(0, 1)
     )
     assert cert == VerificationCertificate(
-        method="backtracking",
-        violating_order=(0, 1),
-        orders_examined=1,
-        nodes_expanded=None,
+        method="backtracking", violating_order=(0, 1), work=1
     )
     assert ValidationResult(()) == ValidationResult(violations=())
     # the positional path runs __post_init__ too
@@ -229,7 +232,7 @@ def test_constructor_rejects_missing_extra_and_repeated_fields():
     with pytest.raises(TypeError):
         ValidationResult()
     with pytest.raises(TypeError):
-        VerificationCertificate("exhaustive", (0, 1), 1)
+        VerificationCertificate("exhaustive", (0, 1))
     with pytest.raises(TypeError):
         ValidationResult((), ())
     with pytest.raises(TypeError):
