@@ -15,7 +15,9 @@ reports its vertex placements as ``nodes=N``: at the end of the
     4  work budget refused, before any output: n! orders over 12 vertices,
        a search on over 10**6 vertices, over 10**8 placements or a prefix
        of over 500 placed vertices, an audit, census or construction over its
-       budget, a sample of over 10**6 orientation draws (trials * C(n,k)) or
+       budget, a census edge-bound test C(n,k) <= k! with k over 10,000
+       whose logs are too close to call or whose n is past the float range,
+       a sample of over 10**6 orientation draws (trials * C(n,k)) or
        whose table holds over 10**6 oriented k-subsets, or a stats edge
        bound of over 4300 digits, or over Python's int print limit when
        that is lower

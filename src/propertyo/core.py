@@ -19,8 +19,10 @@ so that the test suite can cross-check them against each other.
 
 The exhaustive decider and the histogram rest on one order-coverage kernel
 (:func:`_edge_mask`): bit p of an edge's mask is the order of lex rank p.
-Above 9 vertices the top lex blocks are walked in rank order, so no mask is
-wider than 9! bits and the decider stops at the first uncovered block.
+Above 9 vertices the top lex blocks are walked in rank order, so neither
+builds a mask wider than 9! bits and the decider stops at the first
+uncovered block.  The census builds whole n!-bit masks (10! bits at (10,2));
+its own bound is ``search._MAX_MASK_BYTES`` per worker.
 
 The search decider (:func:`_backtracking_search`) builds an order of the
 vertices that lie in some edge, smallest element first.  Its state is one
@@ -91,8 +93,9 @@ _MAX_DEPTH = 500
 # grows with n whether or not the vertices lie in an edge.
 _MAX_VERTICES = 1_000_000
 
-# Order-coverage masks are built on at most this many vertices (9! bits,
-# 45 KB); larger vertex sets are walked one lex block at a time.
+# The exhaustive decider and the histogram build order-coverage masks on at
+# most this many vertices (9! bits, 45 KB) and walk larger vertex sets one
+# lex block at a time.  The census masks are bounded in search.py instead.
 _BLOCK_VERTICES = 9
 
 

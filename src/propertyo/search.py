@@ -74,6 +74,10 @@ from .core import (
 _MAX_SPACE_BITS = 64
 _MAX_MASK_BYTES = 64 << 20
 
+# The edge-bound gate counts C(n,k) up to k! for k up to this: 0.2 s near
+# the crossing n ~ k^2/e^2 at k = 10,000, 5.7 s at 50,000 (2 vCPUs).
+_EXACT_GATE_K = 10_000
+
 
 class SearchReport(Record):
     """Result of a census run.
@@ -388,15 +392,14 @@ def census_property_o(
 
 def _below_edge_bound(n: int, k: int) -> bool:
     """Whether C(n,k) <= k!, too few subsets for the k!+1 edges of any
-    Property O k-graph.  Counted exactly when k! <= n, whatever n is;
-    otherwise read off ``math.lgamma`` (an n past its range, about 2.5e305,
-    is refused), and counted exactly when the logs are too close to call."""
+    Property O k-graph, by the rules in :func:`prove_vertex_lower_bound`."""
     # ValueError unless n >= k >= 2; C(n,k) = 1 exactly when n == k
     if _subset_count(n, k, 1) is not None:
         return True
-    factorial = _factorial_upto(k, n)
-    if factorial is not None:  # k! <= n: the count passes k! within two steps
-        return _subset_count(n, k, factorial) is not None
+    if n > k * k:  # C(n,k) >= (n/k)^k > k^k >= k!
+        return False
+    if k <= _EXACT_GATE_K:
+        return _subset_count(n, k, math.factorial(k)) is not None
     try:
         log_n = math.lgamma(n + 1)
     except OverflowError:
@@ -404,9 +407,11 @@ def _below_edge_bound(n: int, k: int) -> bool:
             f"C({n},{k}) and {k}! are too large to compare in floats"
         ) from None
     log_ratio = log_n - math.lgamma(n - k + 1) - 2 * math.lgamma(k + 1)
-    if abs(log_ratio) > 1e-12 * log_n:
-        return log_ratio < 0
-    return _subset_count(n, k, math.factorial(k)) is not None
+    if abs(log_ratio) <= 1e-12 * log_n:
+        raise BudgetExceededError(
+            f"C({n},{k}) and {k}! are too close to compare in floats"
+        )
+    return log_ratio < 0
 
 
 def prove_vertex_lower_bound(
@@ -418,7 +423,11 @@ def prove_vertex_lower_bound(
     Property O graph would extend to a Property O tournament.  When
     C(n,k) <= k!, every n-vertex oriented k-graph falls below the k!+1 edge
     lower bound, so the census is skipped entirely and the report shows
-    total_enumerated=0 and runs=0.  Otherwise this is
+    total_enumerated=0 and runs=0.  That test is exact when n == k, when
+    n > k*k and for every k up to 10,000 (C(n,k) counted only up to k!).
+    A larger k is compared on ``math.lgamma``, and a pair whose logs are
+    too close to call, or whose n is past its range (about 2.5e305),
+    raises :class:`BudgetExceededError`.  Otherwise this is
     :func:`census_property_o`: the counter-ordered sweep stops at the first
     witness and skips the prefixes that are not lex-leaders (see the
     module docstring).  ``jobs`` and

@@ -443,7 +443,7 @@ class TestCensus:
         assert out[6:] == ["parallel_partitions=0", "symmetry_pruning=true"]
 
     def test_huge_space_over_the_edge_bound_exits_4(self, capsys):
-        # C(100000, 100) has 343 digits, too many for a float
+        # n > k*k, so C(n,k) > k! with no count; the space is over budget
         start = time.perf_counter()
         assert run_cli("census", "--n", "100000", "--k", "100") == 4
         assert time.perf_counter() - start < 1
@@ -586,8 +586,9 @@ BIG = str(10**309)  # too large for a float
 
 
 class TestSizeFlags:
-    """Every size flag of the commands that take one, at 10**309: a refusal
-    (or an answer) within 1 s, never an internal error."""
+    """Every size flag of the commands that take one at 10**309, and census
+    pairs with both flags large: a refusal (or an answer) within 1 s, never
+    an internal error."""
 
     @pytest.mark.parametrize(
         "argv,code",
@@ -598,6 +599,21 @@ class TestSizeFlags:
             pytest.param(["stats", "--k", BIG], 4, id="stats-k"),
             pytest.param(["census", "--n", BIG, "--k", "5"], 4, id="census-n"),
             pytest.param(["census", "--n", "5", "--k", BIG], 3, id="census-k"),
+            *(
+                pytest.param(
+                    ["census", "--n", str(n), "--k", str(k)], code, id=f"census-{name}"
+                )
+                for n, k, code, name in [
+                    # n > k*k: over the space budget
+                    (10**20, 10**6, 4, "10**20-10**6"),
+                    (10**100, 10**12, 4, "10**100-10**12"),
+                    (10**300, 10**100, 4, "10**300-10**100"),
+                    # k past the exact cap, and logs too close to call
+                    (10**40, 10**20, 4, "10**40-10**20"),
+                    # C(n,k) <= k!, read off the logs
+                    (2 * 10**6, 10**6, 0, "2*10**6-10**6"),
+                ]
+            ),
             pytest.param(
                 ["sample", "--n", BIG, "--k", "3", "--trials", "1", "--seed", "1"],
                 4,
@@ -625,7 +641,11 @@ class TestSizeFlags:
         if argv[0] == "construct":
             argv = [*argv, "--out", str(tmp_path / "g.hg")]
         result = run_python("-m", "propertyo", *argv, timeout=1)
-        assert (result.returncode, result.stdout) == (code, ""), result.stderr
+        assert result.returncode == code, result.stderr
+        if code:  # a refusal prints nothing
+            assert result.stdout == ""
+        else:
+            assert "property_o_found=0" in result.stdout
 
 
 def double_walk(monkeypatch):

@@ -333,21 +333,57 @@ class TestVertexLowerBound:
             assert report.total_enumerated == 0
 
     def test_edge_bound_shortcut_agrees_with_exact_counts(self, monkeypatch):
-        pairs = [(n, k) for n in range(2, 60) for k in range(2, n + 1)]
+        pairs = [(n, k) for n in range(2, 200) for k in range(2, n + 1)]
+        # near-ties, logs within 1e-12 of each other: below, and not below
+        pairs += [(132967, 985), (491414, 1899)]
         exact = {(n, k): math.comb(n, k) <= math.factorial(k) for n, k in pairs}
         assert {p: search._below_edge_bound(*p) for p in pairs} == exact
-        # with logs that are never far enough apart, every pair is counted
+        # every k up to the cap is counted exactly, so no float is read
         monkeypatch.setattr(search.math, "lgamma", lambda x: 0.0)
         assert {p: search._below_edge_bound(*p) for p in pairs} == exact
 
     def test_edge_bound_past_the_float_range(self):
-        # a k with k! <= n is counted exactly, so it needs no float however
-        # large n is; a larger k with an n past lgamma's range is refused
+        # n > k*k is answered without a count or a float however large n
+        # is; a k past the cap with an n past lgamma's range is refused
         n = 10**309
         assert search._below_edge_bound(n, 5) is False
+        assert search._below_edge_bound(n, 200) is False
         assert search._below_edge_bound(n, n) is True
         with pytest.raises(BudgetExceededError, match="too large to compare"):
-            search._below_edge_bound(n, 200)
+            search._below_edge_bound(n, 10**200)
+
+    def test_edge_bound_near_tie_past_the_cap_is_refused(self, monkeypatch):
+        # k past the cap and n <= k*k: only the logs are left to compare
+        monkeypatch.setattr(search.math, "lgamma", lambda x: 0.0)
+        with pytest.raises(BudgetExceededError, match="too close to compare"):
+            search._below_edge_bound(10**8, 20_000)
+
+    @pytest.mark.parametrize(
+        "n,k,below",
+        [
+            pytest.param(10**20, 10**6, False, id="10**20-10**6"),
+            pytest.param(10**40, 10**20, None, id="10**40-10**20"),
+            pytest.param(10**100, 10**12, False, id="10**100-10**12"),
+            pytest.param(10**300, 10**100, False, id="10**300-10**100"),
+            pytest.param(2 * 10**6, 10**6, True, id="2*10**6-10**6"),
+        ],
+    )
+    def test_edge_bound_builds_no_factorial_past_the_cap(
+        self, monkeypatch, n, k, below
+    ):
+        # None: refused; the logs of (10**40, 10**20) are too close to call
+        factorial = math.factorial
+
+        def capped(m):
+            assert m <= search._EXACT_GATE_K, f"factorial({m})"
+            return factorial(m)
+
+        monkeypatch.setattr(search.math, "factorial", capped)
+        if below is None:
+            with pytest.raises(BudgetExceededError, match="too close"):
+                search._below_edge_bound(n, k)
+        else:
+            assert search._below_edge_bound(n, k) is below
 
     def test_lower_bound_consistency_k3(self):
         results = [prove_vertex_lower_bound(n, 3).property_o_found for n in (3, 4)]
