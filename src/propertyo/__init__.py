@@ -17,10 +17,10 @@ _EXPORTS = {
     "core": (
         "AUTO", "BACKTRACKING", "EXHAUSTIVE", "PROPERTY_O", "VIOLATED",
         "AuditReport", "BudgetExceededError", "CoverageHistogram", "InternalError",
-        "LinearOrder", "OrientedEdge", "OrientedHypergraph", "ValidationResult",
+        "LinearOrder", "OrientedEdge", "OrientedHypergraph",
         "VerificationCertificate", "check_property_o", "count_consistent_orders",
         "coverage_histogram", "is_consistent", "lower_bound_audit",
-        "relabel", "reverse", "support_restriction", "validate",
+        "relabel", "reverse", "support_restriction",
     ),
     "constructions": (
         "CaseCoverageReport", "GeneralLayout", "cyclic_triangle",

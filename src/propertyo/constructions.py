@@ -31,7 +31,6 @@ from .core import (
     OrientedHypergraph,
     Record,
     _factorial_upto,
-    require_valid,
 )
 
 
@@ -268,7 +267,6 @@ def structured_coverage_check(graph: OrientedHypergraph) -> CaseCoverageReport:
     the case.  The graph has Property O when every case has such an edge;
     no linear order is enumerated.
     """
-    require_valid(graph)
     k = graph.k
     layout = GeneralLayout(k)
     counts = layout.counts(graph.n)  # (k-1)! is built only up to n

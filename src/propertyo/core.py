@@ -10,6 +10,10 @@ Property O when every linear order of the vertices is consistent with at
 least one edge.  An order consistent with no edge is a violating order;
 exhibiting one refutes Property O.
 
+The data model, :class:`OrientedHypergraph`, is the one owner of that
+validity rule: its constructor refuses a graph that breaks it, so the
+deciders, the histogram and the audit take any graph as valid.
+
 The module provides the data model, the consistency predicate, two
 independent deciders (an exhaustive order cover and a backtracking search
 over order prefixes), the order-coverage histogram, and a counting audit
@@ -168,10 +172,13 @@ class OrientedHypergraph(Record):
     """An oriented k-uniform hypergraph on vertices 0..n-1.
 
     ``edges`` is a sequence of ordered k-tuples; the tuple order is the
-    orientation.  The constructor only normalises the data to immutable
-    tuples; use :func:`validate` to check the structural invariants, which
-    deliberately reports problems as data instead of raising, so that broken
-    inputs (e.g. from a file) can be diagnosed.
+    orientation.  The constructor stores k, n and every vertex as an exact
+    integer (``operator.index``, so a float or a string raises
+    ``TypeError``) and the edges as tuples, and refuses an invalid graph:
+    unless every edge has k distinct vertices inside 0..n-1 and no two
+    edges share a vertex set, it raises ``ValueError`` listing every
+    violation that :func:`_violations` finds.  Every graph that exists is
+    therefore valid, and nothing downstream checks again.
     """
 
     k: int
@@ -179,19 +186,26 @@ class OrientedHypergraph(Record):
     edges: tuple[OrientedEdge, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"uniformity must be at least 2, got {self.k}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in self.edges))
-
-
-class ValidationResult(Record):
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+        k, n = operator.index(self.k), operator.index(self.n)
+        if k < 2:
+            raise ValueError(f"uniformity must be at least 2, got {k}")
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        edges = tuple(tuple(map(operator.index, e)) for e in self.edges)
+        # one pass over sets; the message-building walk runs only on failure
+        keys = set(map(frozenset, edges))
+        vertices = set().union(*keys)
+        if not (
+            len(keys) == len(edges)
+            and all(len(key) == k for key in keys)
+            and all(len(e) == k for e in edges)
+            and (not vertices or 0 <= min(vertices) and max(vertices) < n)
+        ):
+            messages = (message for _, message in _violations(k, n, edges))
+            raise ValueError("invalid hypergraph: " + "; ".join(messages))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
 
 class VerificationCertificate(Record):
@@ -437,28 +451,22 @@ def ordered_map(
 # ---------------------------------------------------------------------------
 
 
-def validate(graph: OrientedHypergraph) -> ValidationResult:
-    """Check the structural invariants, reporting every violation found.
-
-    Violations are data, not failures: repeated vertices inside an edge,
-    out-of-range vertex indices, and two edges sharing the same underlying
-    k-element set are each reported with the offending edge indices.
-    """
-    return ValidationResult(tuple(message for _, message in _violations(graph)))
-
-
-def _violations(graph: OrientedHypergraph) -> Iterator[tuple[int, str]]:
-    """Each of :func:`validate`'s violations as (edge index, message); a
-    duplicate underlying set is charged to the later of its two edges."""
+def _violations(
+    k: int, n: int, edges: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, str]]:
+    """Every way the edges break :class:`OrientedHypergraph`'s validity
+    rule, as (edge index, message): a wrong edge length, a repeated vertex,
+    a vertex outside 0..n-1, and two edges on one vertex set, a duplicate
+    charged to the later of its two edges."""
     seen: dict[frozenset[int], int] = {}
-    for i, edge in enumerate(graph.edges):
-        if len(edge) != graph.k:
-            yield i, f"edge {i}: has {len(edge)} vertices, expected {graph.k}"
+    for i, edge in enumerate(edges):
+        if len(edge) != k:
+            yield i, f"edge {i}: has {len(edge)} vertices, expected {k}"
         if len(set(edge)) != len(edge):
             yield i, f"edge {i}: repeated vertex in edge"
         for v in edge:
-            if not 0 <= v < graph.n:
-                yield i, f"edge {i}: vertex {v} out of range for n={graph.n}"
+            if not 0 <= v < n:
+                yield i, f"edge {i}: vertex {v} out of range for n={n}"
         key = frozenset(edge)
         if len(set(edge)) == len(edge):
             if key in seen:
@@ -470,36 +478,16 @@ def _violations(graph: OrientedHypergraph) -> Iterator[tuple[int, str]]:
                 seen[key] = i
 
 
-def require_valid(graph: OrientedHypergraph) -> None:
-    """Raise ``ValueError`` listing :func:`validate`'s violations, if any.
-
-    A graph is valid iff every edge has k entries, its vertex set has k
-    elements inside 0..n-1, and no two edges share a vertex set.  That is
-    checked in one pass over sets; the message-building walk of
-    :func:`validate` runs only when the pass fails.
-    """
-    edges, k = graph.edges, graph.k
-    keys = set(map(frozenset, edges))
-    vertices = set().union(*keys)
-    if (
-        len(keys) == len(edges)
-        and all(len(key) == k for key in keys)
-        and all(len(e) == k for e in edges)
-        and (not vertices or 0 <= min(vertices) and max(vertices) < graph.n)
-    ):
-        return
-    result = validate(graph)
-    if not result.ok:
-        raise ValueError("invalid hypergraph: " + "; ".join(result.violations))
-
-
 def is_consistent(edge: Sequence[int], order: Sequence[int]) -> bool:
     """True iff the edge's vertices appear in increasing positions of ``order``.
 
     ``order`` is the ascending sequence of a linear order; ``order[0]`` is
-    the smallest element.
+    the smallest element.  An order that lists a vertex twice, or misses a
+    vertex of the edge, raises ``ValueError``.
     """
     position = {v: i for i, v in enumerate(order)}
+    if len(position) != len(order):
+        raise ValueError(f"order {tuple(order)} lists a vertex twice")
     previous = -1
     for v in edge:
         try:
@@ -776,7 +764,6 @@ def check_property_o(
     frame each.  That depth limit leaves room under the default recursion
     limit, so the verdict does not depend on the caller's stack depth.
     """
-    require_valid(graph)
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
     if method == EXHAUSTIVE:
@@ -808,7 +795,6 @@ def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
     order-coverage masks, one lex block at a time.  Like the exhaustive
     decider, it refuses more than ``EXHAUSTIVE_MAX_VERTICES`` vertices.
     """
-    require_valid(graph)
     n = graph.n
     counts: dict[int, int] = {}
     edges = graph.edges
@@ -866,7 +852,6 @@ def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditR
     ``_MAX_AUDIT_COST`` it raises :class:`BudgetExceededError` before
     checking any sigma-order.
     """
-    require_valid(graph)
     if not 0 <= base_edge_index < len(graph.edges):
         raise ValueError(
             f"base edge index {base_edge_index} out of range for "

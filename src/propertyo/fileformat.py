@@ -34,7 +34,11 @@ def serialize_hypergraph(graph: OrientedHypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> OrientedHypergraph:
-    """Parse and validate; malformed or invalid data raises with line numbers."""
+    """Parse a hypergraph; malformed or invalid data raises with line numbers.
+
+    The graph's constructor checks validity once.  Only when it refuses
+    does the parser walk the violations again, to name each one's line.
+    """
     k: int | None = None
     n: int | None = None
     edges: list[tuple[int, ...]] = []
@@ -81,13 +85,12 @@ def parse_hypergraph(text: str) -> OrientedHypergraph:
     if k is None or n is None:
         raise HypergraphFormatError("missing k or n header")
 
-    graph = OrientedHypergraph(k, n, tuple(edges))
-    messages = [
-        f"{message}, line {edge_lines[i]}" for i, message in _violations(graph)
-    ]
-    if messages:
-        raise HypergraphFormatError("; ".join(messages))
-    return graph
+    try:
+        return OrientedHypergraph(k, n, edges)
+    except ValueError:
+        violations = _violations(k, n, edges)
+        messages = (f"{message}, line {edge_lines[i]}" for i, message in violations)
+        raise HypergraphFormatError("; ".join(messages)) from None
 
 
 def _int_field(fields: list[str], line: int) -> int:

@@ -23,6 +23,8 @@ import propertyo
 from propertyo import cli, constructions, core, search
 from propertyo.cli import main
 
+from test_fileformat import MULTI_VIOLATION_MESSAGE, MULTI_VIOLATION_TEXT
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -260,6 +262,13 @@ class TestVerify:
         path = write(tmp_path, "bad.hg", "k 3\nn 3\ne 0 0 1\n")
         assert run_cli("verify", path) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_file_with_several_violations_names_them_all(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.hg", MULTI_VIOLATION_TEXT)
+        assert run_cli("verify", path) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verify: {MULTI_VIOLATION_MESSAGE}\n"
 
     def test_internal_error_exit_six(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -863,7 +872,7 @@ assert cli.main(["minimality", {path!r}]) == 0
             assert getattr(cli, name) is getattr(propertyo, name)
         # core and fileformat exports the module does not import, and
         # names the package defines but does not export
-        for name in ("validate", "parse_hypergraph", "__all__", "_MODULE_OF", "nope"):
+        for name in ("relabel", "parse_hypergraph", "__all__", "_MODULE_OF", "nope"):
             with pytest.raises(AttributeError):
                 getattr(cli, name)
 

@@ -30,7 +30,6 @@ from propertyo import (
     reverse,
     support_restriction,
     ten_edge_3graph,
-    validate,
 )
 from propertyo import core
 from propertyo.core import unrank_permutation
@@ -76,77 +75,93 @@ def small_hypergraphs(draw):
 
 
 class TestValidate:
+    """The constructor is the one check that a graph is valid."""
+
     def test_fixtures_are_valid(self):
         for name, graph in fixture_graphs():
-            assert validate(graph).ok, name
+            assert not list(core._violations(graph.k, graph.n, graph.edges)), name
 
     def test_duplicate_underlying_set(self):
-        graph = OrientedHypergraph(3, 3, ((0, 1, 2), (2, 1, 0)))
-        result = validate(graph)
-        assert not result.ok
-        assert any("duplicate underlying set" in v for v in result.violations)
+        with pytest.raises(ValueError, match="duplicate underlying set"):
+            OrientedHypergraph(3, 3, ((0, 1, 2), (2, 1, 0)))
 
     def test_repeated_vertex(self):
-        graph = OrientedHypergraph(3, 3, ((0, 0, 1),))
-        result = validate(graph)
-        assert not result.ok
-        assert any("repeated vertex" in v for v in result.violations)
+        with pytest.raises(ValueError) as raised:
+            OrientedHypergraph(3, 3, ((0, 0, 1),))
+        assert str(raised.value) == (
+            "invalid hypergraph: edge 0: repeated vertex in edge"
+        )
 
     def test_out_of_range_vertex(self):
-        graph = OrientedHypergraph(2, 2, ((0, 5),))
-        result = validate(graph)
-        assert not result.ok
-        assert any("out of range" in v for v in result.violations)
+        with pytest.raises(ValueError, match="out of range"):
+            OrientedHypergraph(2, 2, ((0, 5),))
 
     def test_uniformity_below_two_rejected(self):
         with pytest.raises(ValueError):
             OrientedHypergraph(1, 3, ())
 
+    def test_non_integers_rejected(self):
+        # a float or a string is refused, never truncated or parsed
+        with pytest.raises(TypeError):
+            OrientedHypergraph(2, 3, [(0.7, 1.2), ("2", 0)])
+        with pytest.raises(TypeError):
+            OrientedHypergraph(2, 3, [("2", 0)])
+        with pytest.raises(TypeError):
+            OrientedHypergraph(2, 2.5, [(0, 1)])
+        with pytest.raises(TypeError):
+            OrientedHypergraph(2.0, 3, ())
+        with pytest.raises(TypeError):
+            relabel(cyclic_triangle(), (1.0, 0.0, 2.0))
+        # an exact integer of another type is stored as an int
+        graph = OrientedHypergraph(2, 2, [(True, False)])
+        assert graph.edges == ((1, 0),)
+        assert type(graph.edges[0][0]) is int
+
+    def test_raises_exactly_when_violations_found(self):
+        # the constructor's one-pass set check against the message walk
+        rng = random.Random(13)
+        fields = [(3, 0, ()), (2, 4, ())]
+        for _, graph in fixture_graphs():
+            fields.append((graph.k, graph.n, graph.edges))
+            fields += [(graph.k, graph.n, e) for e in _mutants(graph, rng)]
+        for _ in range(40):
+            graph = random_graph(rng, rng.randint(2, 4), rng.randint(4, 7))
+            fields.append((graph.k, graph.n, graph.edges))
+            if graph.edges:
+                fields += [(graph.k, graph.n, e) for e in _mutants(graph, rng)]
+        oks = set()
+        for k, n, edges in fields:
+            violations = [message for _, message in core._violations(k, n, edges)]
+            oks.add(not violations)
+            if not violations:
+                assert OrientedHypergraph(k, n, edges).edges == tuple(edges)
+            else:
+                message = "invalid hypergraph: " + "; ".join(violations)
+                with pytest.raises(ValueError) as raised:
+                    OrientedHypergraph(k, n, edges)
+                assert str(raised.value) == message
+        assert oks == {True, False}
+
 
 def _mutants(graph, rng):
-    """Seeded broken copies of ``graph``, one per kind of violation, each
-    with its edge list otherwise intact."""
+    """Seeded broken copies of ``graph``'s edge list, one per kind of
+    violation, each with its other edges intact."""
     edges = list(graph.edges)
     i = rng.randrange(len(edges))
     e = edges[i]
 
     def with_edge(new):
-        return OrientedHypergraph(graph.k, graph.n, edges[:i] + [new] + edges[i + 1 :])
+        return edges[:i] + [new] + edges[i + 1 :]
 
     return [
         with_edge((e[1],) + e[1:]),  # repeated vertex
         with_edge(e[:-1] + (-1,)),  # vertex -1
         with_edge(e[:-1] + (graph.n,)),  # vertex n
-        OrientedHypergraph(graph.k, graph.n, edges + [e[::-1]]),  # duplicate set
+        edges + [e[::-1]],  # duplicate set
         with_edge(e[:-1]),  # one vertex short
         with_edge(e + (graph.n,)),  # one vertex long, out of range too
         with_edge(e + (e[0],)),  # one vertex long, repeated
     ]
-
-
-class TestRequireValid:
-    def test_raises_exactly_when_validate_fails(self):
-        rng = random.Random(13)
-        graphs = [OrientedHypergraph(3, 0, ()), OrientedHypergraph(2, 4, ())]
-        for _, graph in fixture_graphs():
-            graphs += [graph, *_mutants(graph, rng)]
-        for _ in range(40):
-            graph = random_graph(rng, rng.randint(2, 4), rng.randint(4, 7))
-            graphs.append(graph)
-            if graph.edges:
-                graphs += _mutants(graph, rng)
-        oks = set()
-        for graph in graphs:
-            result = validate(graph)
-            oks.add(result.ok)
-            if result.ok:
-                core.require_valid(graph)
-            else:
-                message = "invalid hypergraph: " + "; ".join(result.violations)
-                with pytest.raises(ValueError) as raised:
-                    core.require_valid(graph)
-                assert str(raised.value) == message
-        assert oks == {True, False}
 
 
 class TestIsConsistent:
@@ -162,6 +177,12 @@ class TestIsConsistent:
     def test_out_of_range_vertex_raises(self):
         with pytest.raises(ValueError):
             is_consistent((0, 7), (0, 1, 2))
+
+    def test_order_listing_a_vertex_twice_raises(self):
+        # a position table keeping either occurrence would answer silently
+        for edge in ((0, 1), (1, 0), (2, 3)):
+            with pytest.raises(ValueError, match="lists a vertex twice"):
+                is_consistent(edge, (1, 0, 1))
 
     def test_matches_position_definition_exhaustively(self):
         # oracle: direct position comparison over every (edge, order) pair
@@ -464,9 +485,8 @@ class TestCheckPropertyO:
         assert not cert.holds
 
     def test_invalid_input_rejected(self):
-        graph = OrientedHypergraph(3, 3, ((0, 0, 1),))
-        with pytest.raises(ValueError):
-            check_property_o(graph)
+        with pytest.raises(ValueError, match="invalid hypergraph"):
+            check_property_o(OrientedHypergraph(3, 3, ((0, 0, 1),)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,19 @@ from propertyo import (
 from conftest import fixture_graphs
 from test_core import small_hypergraphs
 
+# four kinds of violation on five lines, one of them after a comment
+MULTI_VIOLATION_TEXT = (
+    "k 3\nn 4\ne 0 1\ne 1 2 3 3\n# gap\ne 0 0 9\ne 3 2 1\ne 2 1 3\n"
+)
+MULTI_VIOLATION_MESSAGE = (
+    "edge 0: has 2 vertices, expected 3, line 3; "
+    "edge 1: has 4 vertices, expected 3, line 4; "
+    "edge 1: repeated vertex in edge, line 4; "
+    "edge 2: repeated vertex in edge, line 6; "
+    "edge 2: vertex 9 out of range for n=4, line 6; "
+    "edges 3 and 4: duplicate underlying set [1, 2, 3], line 8"
+)
+
 
 class TestSerialize:
     def test_cyclic_triangle_exact_bytes(self):
@@ -73,6 +86,13 @@ class TestParse:
             HypergraphFormatError, match=r"duplicate underlying set \[0, 1\], line 5"
         ):
             parse_hypergraph("k 2\nn 2\ne 0 1\n# gap\ne 1 0\n")
+
+    def test_every_violation_reports_its_line(self):
+        # the constructor refuses the graph, then the parser names every
+        # violation, in edge order, with the line it came from
+        with pytest.raises(HypergraphFormatError) as raised:
+            parse_hypergraph(MULTI_VIOLATION_TEXT)
+        assert str(raised.value) == MULTI_VIOLATION_MESSAGE
 
     def test_wrong_arity(self):
         with pytest.raises(HypergraphFormatError, match="expected 3, line 3"):

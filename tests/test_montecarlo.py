@@ -12,7 +12,6 @@ from propertyo import (
     estimate_property_o_rate,
     prove_vertex_lower_bound,
     random_tournament,
-    validate,
 )
 from propertyo.core import colex_subsets, unrank_permutation
 from propertyo import montecarlo
@@ -48,7 +47,6 @@ class TestGenerator:
 class TestRandomTournament:
     def test_is_a_tournament(self):
         t = random_tournament(6, 3, 987)
-        assert validate(t).ok
         assert len(t.edges) == math.comb(6, 3)
         assert len({frozenset(e) for e in t.edges}) == math.comb(6, 3)
 

@@ -15,7 +15,6 @@ from propertyo import (
     MinimalityReport,
     OrientedHypergraph,
     SearchReport,
-    ValidationResult,
     VerificationCertificate,
     check_property_o,
     coverage_histogram,
@@ -25,23 +24,17 @@ from propertyo import (
     general_construction,
     lower_bound_audit,
     structured_coverage_check,
-    validate,
 )
 
 
 def _records():
-    """One instance of each of the 11 record types, with its repr."""
+    """One instance of each of the 10 record types, with its repr."""
     g = cyclic_triangle()
     minimality = edge_minimality(g)
     g_repr = "OrientedHypergraph(k=2, n=3, edges=((0, 1), (1, 2), (2, 0)))"
     verdict_repr = "EdgeVerdict(index=0, witness=(0, 2, 1))"
     return [
         (g, g_repr),
-        (
-            validate(OrientedHypergraph(2, 2, ((0, 1), (1, 0)))),
-            "ValidationResult(violations="
-            "('edges 0 and 1: duplicate underlying set [0, 1]',))",
-        ),
         (
             check_property_o(g),
             "VerificationCertificate(method='exhaustive', violating_order=None, "
@@ -80,7 +73,7 @@ IDS = [type(record).__name__ for record, _ in RECORDS]
 
 
 def test_one_instance_per_record_type():
-    assert len(set(IDS)) == 11
+    assert len(set(IDS)) == 10
 
 
 @pytest.mark.parametrize("record,expected", RECORDS, ids=IDS)
@@ -129,7 +122,6 @@ def test_no_class_lists_its_slots():
 # each record's stored fields; everything else it reports is read off them
 STORED_FIELDS = {
     "OrientedHypergraph": ("k", "n", "edges"),
-    "ValidationResult": ("violations",),
     "VerificationCertificate": ("method", "violating_order", "work"),
     "CoverageHistogram": ("counts",),
     "AuditReport": ("class_sizes", "intersection_sizes", "min_coverage"),
@@ -145,7 +137,6 @@ STORED_FIELDS = {
 
 # (record type, derived value, its value on the instance in RECORDS)
 DERIVED = [
-    ("ValidationResult", "ok", False),
     ("VerificationCertificate", "verdict", "property_o"),
     ("VerificationCertificate", "orders_examined", 6),
     ("VerificationCertificate", "nodes_expanded", None),
@@ -163,7 +154,7 @@ def test_records_store_only_independent_facts():
     records = {type(record).__name__: record for record, _ in RECORDS}
     assert {name: type(r).__slots__ for name, r in records.items()} == STORED_FIELDS
     settable = sum(len(STORED_FIELDS[name]) for name in {t for t, _, _ in DERIVED})
-    assert settable == 16
+    assert settable == 15
     for name, derived, expected in DERIVED:
         record = records[name]
         assert isinstance(getattr(type(record), derived), property)
@@ -209,7 +200,6 @@ def test_positional_and_keyword_construction_agree():
     assert cert == VerificationCertificate(
         method="backtracking", violating_order=(0, 1), work=1
     )
-    assert ValidationResult(()) == ValidationResult(violations=())
     # the positional path runs __post_init__ too
     with pytest.raises(ValueError):
         OrientedHypergraph(1, 4, ())
@@ -230,13 +220,7 @@ def test_constructor_rejects_missing_extra_and_repeated_fields():
         GeneralLayout()
     # no field has a default
     with pytest.raises(TypeError):
-        ValidationResult()
-    with pytest.raises(TypeError):
         VerificationCertificate("exhaustive", (0, 1))
-    with pytest.raises(TypeError):
-        ValidationResult((), ())
-    with pytest.raises(TypeError):
-        ValidationResult(ok=True)
 
 
 def test_hypergraph_normalises_edges_on_unpickling_too():

@@ -25,7 +25,6 @@ from propertyo import (
     is_consistent,
     merged_ten_edge_3graph,
     prove_vertex_lower_bound,
-    validate,
 )
 from propertyo import core, search
 from propertyo.search import (
@@ -503,7 +502,6 @@ class TestFiveVertexSpotChecks:
         for t in range(500):
             counter = value_at(31337, t) % space
             tournament = _tournament_from_counter(5, 3, counter)
-            assert validate(tournament).ok
             order = violating_order_for_counter(5, 3, counter)
             assert order is not None
             assert all(not is_consistent(e, order) for e in tournament.edges)
