@@ -25,8 +25,11 @@ The exhaustive decider and the histogram rest on one order-coverage kernel
 (:func:`_edge_mask`): bit p of an edge's mask is the order of lex rank p.
 Above 9 vertices the top lex blocks are walked in rank order, so neither
 builds a mask wider than 9! bits and the decider stops at the first
-uncovered block.  The census builds whole n!-bit masks (10! bits at (10,2));
-its own bound is ``search._MAX_MASK_BYTES`` per worker.
+uncovered block.  Masks on fewer than 9 vertices are memoised, whole-graph
+masks included, so a graph on n <= 8 vertices is decided by ORing cached
+n!-bit masks, one per edge.  The census builds whole n!-bit masks (10! bits
+at (10,2)); ``_MAX_MASK_BYTES`` bounds its table per worker, and the sampler
+takes the exhaustive decider only for a table within it.
 
 The search decider (:func:`_backtracking_search`) builds an order of the
 vertices that lie in some edge, smallest element first.  Its state is one
@@ -80,7 +83,7 @@ _MAX_AUDIT_COST = 10**8
 _MAX_EDGES = 1_000_000
 
 # The backtracking search refuses to try more vertex placements than this:
-# claim1 takes 8,010 and all 700 seed-1 sample trials 104,322 together, while
+# claim1 takes 8,010 and the 700 seed-1 sample tournaments 104,322 together, while
 # `verify` on general(4) reaches it in about 21 s (2 vCPUs, Python 3.11).
 _MAX_PLACEMENTS = 10**8
 
@@ -99,8 +102,15 @@ _MAX_VERTICES = 1_000_000
 
 # The exhaustive decider and the histogram build order-coverage masks on at
 # most this many vertices (9! bits, 45 KB) and walk larger vertex sets one
-# lex block at a time.  The census masks are bounded in search.py instead.
+# lex block at a time.  The census masks are bounded by _MAX_MASK_BYTES.
 _BLOCK_VERTICES = 9
+
+# An order-coverage table holds one mask of n! bits per oriented k-subset,
+# C(n,k)*k! masks.  The census builds one in each worker, and the sampler
+# lets the exhaustive decider memoise one, only within this many bytes:
+# (10,2) needs 38 MiB, the most of any census size, and (8,5) 34 MiB;
+# (8,6) would need 96 MiB, (8,8) 193 MiB and (11,2) 523 MiB.
+_MAX_MASK_BYTES = 64 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -342,6 +352,23 @@ def _factorial_upto(k: int, limit: int) -> int | None:
         if product > limit:
             return None
     return product
+
+
+@functools.lru_cache(maxsize=16)
+def _mask_table_refusal(n: int, k: int) -> str | None:
+    """None when the (n,k) order-coverage table, C(n,k)*k! masks of n! bits,
+    fits ``_MAX_MASK_BYTES``; else the refusal, with the table's size.  Each
+    factor is counted only up to the budget.  Needs n >= k >= 2.  Memoised,
+    since the sampler asks once per trial."""
+    limit = 8 * _MAX_MASK_BYTES
+    factors = (
+        _subset_count(n, k, limit), _factorial_upto(k, limit), _factorial_upto(n, limit)
+    )
+    bits = None if None in factors else math.prod(factors)
+    if bits is not None and bits <= limit:
+        return None
+    size = "" if bits is None else f"{bits >> 23} MiB, "
+    return f"masks take {size}over the {_MAX_MASK_BYTES >> 20} MiB budget"
 
 
 @functools.lru_cache(maxsize=16)
@@ -607,8 +634,11 @@ def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
 
 
 # Only masks on fewer than _BLOCK_VERTICES vertices are cached, whoever asks,
-# so no cached mask is wider than 8! bits; there are at most j!/(j-r)! keys
-# of r ranks on j vertices.
+# whole-graph masks included, so no cached mask is wider than 8! bits (5 KB).
+# There are at most j!/(j-r)! keys of r ranks on j vertices: all 40,320 of
+# r = 8 ranks on 8 vertices would take 200 MB.  A graph adds at most one
+# whole-graph mask per edge, and the sampler decides exhaustively only (n,k)
+# whose whole table of C(n,k)*k! masks fits _MAX_MASK_BYTES.
 _memo_edge_mask = functools.lru_cache(maxsize=None)(_edge_mask)
 
 
@@ -629,15 +659,16 @@ def _lex_blocks(
     width = math.factorial(min(n, _BLOCK_VERTICES))
     full = (1 << width) - 1
 
-    def walk(j: int, alive: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    def walk(j: int, alive: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
         if j <= _BLOCK_VERTICES:
-            yield [_edge_mask(j, ranks) for ranks in alive]
+            mask = _memo_edge_mask if j < _BLOCK_VERTICES else _edge_mask
+            yield [mask(j, ranks) for ranks in alive]
             return
         for i in range(j):
             inner = (_descend(ranks, i) for ranks in alive)
             yield from walk(j - 1, [r for r in inner if r is not None])
 
-    for block, masks in enumerate(walk(n, [tuple(e) for e in edges])):
+    for block, masks in enumerate(walk(n, edges)):
         yield block * width, full, masks
 
 

@@ -16,6 +16,11 @@ probability is within 2**-64 of 1/k!, and the table budget keeps k <= 9, so
 the relative bias is below 9!/2**64, about 2**-45.5).  Trial t of a rate
 estimate uses the derived seed ``value_at(seed, t)``, which makes trials
 independent of execution order and of how they are assigned to workers.
+
+Each trial is one :func:`propertyo.core.check_property_o` call.  Below 9
+vertices, while the (n,k) table of order-coverage masks fits the mask
+budget, it takes the exhaustive decider, which memoises those masks; it
+takes the backtracking search otherwise.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ import functools
 import math
 
 from .core import (
+    BACKTRACKING,
+    EXHAUSTIVE,
     BudgetExceededError,
     OrientedHypergraph,
     Record,
+    _BLOCK_VERTICES,
+    _mask_table_refusal,
     _subset_count,
     check_property_o,
     ordered_map,
@@ -104,13 +113,27 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     return OrientedHypergraph(k, n, tuple(edges))
 
 
+def _trial_holds(n: int, k: int, trial_seed: int) -> bool:
+    """Whether ``random_tournament(n, k, trial_seed)`` has Property O, from
+    one :func:`check_property_o` call.
+
+    Below ``_BLOCK_VERTICES`` vertices, when the whole (n,k) table of
+    order-coverage masks fits the mask budget, the exhaustive decider takes
+    the trial and ORs memoised masks, one per edge; otherwise the
+    backtracking search does.  At 9 vertices no whole-graph mask is
+    memoised, and the search is far faster: 0.10 against 3.1 ms a trial at
+    (9,3) on 2 vCPUs.
+    """
+    tournament = random_tournament(n, k, trial_seed)
+    if n < _BLOCK_VERTICES and _mask_table_refusal(n, k) is None:
+        method = EXHAUSTIVE
+    else:
+        method = BACKTRACKING
+    return check_property_o(tournament, method).holds
+
+
 def _count_successes(n: int, k: int, seed: int, trials: range) -> int:
-    successes = 0
-    for t in trials:
-        tournament = random_tournament(n, k, value_at(seed, t))
-        if check_property_o(tournament, method="backtracking").holds:
-            successes += 1
-    return successes
+    return sum(_trial_holds(n, k, value_at(seed, t)) for t in trials)
 
 
 def estimate_property_o_rate(
@@ -118,9 +141,12 @@ def estimate_property_o_rate(
 ) -> TrialSummary:
     """Fraction of seeded random k-tournaments on n vertices with Property O.
 
-    Trial t checks ``random_tournament(n, k, value_at(seed, t))`` with the
-    backtracking decider.  The summary is identical for any ``jobs``: trial
-    outcomes depend only on (seed, t), and the aggregation is a plain sum.
+    Trial t checks ``random_tournament(n, k, value_at(seed, t))`` on the
+    decider :func:`_trial_holds` picks from (n, k): the exhaustive cover on
+    memoised masks below 9 vertices while the mask table fits its budget,
+    the backtracking search otherwise.  The summary is identical for any
+    ``jobs``: trial outcomes depend only on (seed, t), and the aggregation
+    is a plain sum.
     More than ``_MAX_DRAWS`` orientation draws, ``trials`` * C(n,k), raise
     :class:`BudgetExceededError` before any trial or table is built.
     """

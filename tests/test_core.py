@@ -551,7 +551,7 @@ class TestCheckPropertyO:
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
-            "_MAX_MASK_BYTES": {("search.py", "_check_space")},
+            "_MAX_MASK_BYTES": {("core.py", "_mask_table_refusal")},
             "_MAX_EDGES": {
                 ("constructions.py", "general_construction"),
                 ("core.py", "oriented_subset_tables"),

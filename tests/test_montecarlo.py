@@ -13,7 +13,7 @@ from propertyo import (
     prove_vertex_lower_bound,
     random_tournament,
 )
-from propertyo.core import colex_subsets, unrank_permutation
+from propertyo.core import _memo_edge_mask, colex_subsets, unrank_permutation
 from propertyo import montecarlo
 from propertyo.montecarlo import mix64, value_at
 
@@ -115,11 +115,16 @@ class TestRateEstimation:
 
     def test_worker_count_invariance(self):
         # jobs=3 splits the trials unevenly; 8 jobs over 5 trials leaves
-        # more workers than trials
-        for trials, jobs in [(1000, 8), (1000, 3), (5, 8)]:
-            serial = estimate_property_o_rate(3, 2, trials, 2026, jobs=1)
-            parallel = estimate_property_o_rate(3, 2, trials, 2026, jobs=jobs)
-            assert serial == parallel, (trials, jobs)
+        # more workers than trials.  (9,3) trials are decided by the search,
+        # the others on memoised masks
+        for n, k, trials, seed, jobs in [
+            (3, 2, 1000, 2026, 8), (3, 2, 1000, 2026, 3), (3, 2, 5, 2026, 8),
+            (7, 3, 500, 1, 2), (7, 3, 500, 1, 3), (8, 3, 200, 1, 2),
+            (8, 3, 200, 1, 3), (9, 3, 30, 1, 2), (9, 3, 30, 1, 3),
+        ]:
+            serial = estimate_property_o_rate(n, k, trials, seed, jobs=1)
+            parallel = estimate_property_o_rate(n, k, trials, seed, jobs=jobs)
+            assert serial == parallel, (n, k, trials, jobs)
 
     def test_summary_fields(self):
         summary = estimate_property_o_rate(4, 2, 200, 7)
@@ -141,12 +146,13 @@ class TestRateEstimation:
 
     def test_seed_1_sample_work_regression(self, monkeypatch):
         # the trials of `sample --n 7 --k 3 --trials 500 --seed 1` and
-        # `--n 8 ... --trials 200`: their successes, their placements and a
-        # sha256 of the repr of the list of their edge tuples, trial by trial.
-        # Each trial is exactly one montecarlo.check_property_o call on its
-        # own tournament, the rule a wrapper of that name relies on to record
-        # the trials; every recorded tournament is decided again by the
-        # exhaustive decider, the path sampling does not take
+        # `--n 8 ... --trials 200`: their successes, the search's placements
+        # over them and a sha256 of the repr of the list of their edge
+        # tuples, trial by trial.  Each trial is exactly one
+        # montecarlo.check_property_o call on its own tournament, the rule a
+        # wrapper of that name relies on to record the trials.  Sampling
+        # decides these sizes on the exhaustive cover, so every recorded
+        # tournament is decided again by the search, the independent path
         calls = []
 
         def recording(graph, method):
@@ -163,18 +169,52 @@ class TestRateEstimation:
                 random_tournament(n, 3, value_at(1, t)) for t in range(trials)
             ]
             assert [graph for graph, _, _ in calls] == tournaments
-            assert {method for _, method, _ in calls} == {"backtracking"}
+            assert {method for _, method, _ in calls} == {"exhaustive"}
             assert summary.successes == sum(cert.holds for _, _, cert in calls)
             for graph, _, cert in calls:
-                assert check_property_o(graph, method="exhaustive").holds == cert.holds
+                search = check_property_o(graph, method="backtracking")
+                assert search.holds == cert.holds
+                placements += search.nodes_expanded
             successes.append(summary.successes)
-            placements += sum(cert.nodes_expanded for _, _, cert in calls)
             edges += [graph.edges for graph in tournaments]
         assert successes == [95, 144]
         assert placements == 104_322
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
             "3a589567d2ed8c64e08fc7e58bfed2627a8ed37607bd8b520be5442dba6a22b7"
         )
+
+    @pytest.mark.parametrize(
+        "n, k, method",
+        [
+            (6, 3, "exhaustive"),
+            (7, 3, "exhaustive"),
+            (8, 3, "exhaustive"),
+            # 9 vertices: the whole-graph masks are not memoised
+            (9, 3, "backtracking"),
+            # C(8,6)*6! masks of 8! bits take 96 MiB, over the mask budget
+            (8, 6, "backtracking"),
+        ],
+    )
+    def test_trial_decider_and_mask_memo(self, monkeypatch, n, k, method):
+        # from an empty mask memo, search trials add nothing to it, and
+        # exhaustive trials leave their whole-graph masks in it
+        methods = []
+
+        def recording(graph, method):
+            methods.append(method)
+            return check_property_o(graph, method)
+
+        monkeypatch.setattr(montecarlo, "check_property_o", recording)
+        _memo_edge_mask.cache_clear()
+        estimate_property_o_rate(n, k, 5, 1)
+        assert methods == [method] * 5
+        if method == "backtracking":
+            assert _memo_edge_mask.cache_info().currsize == 0
+        else:
+            edge = random_tournament(n, k, value_at(1, 4)).edges[0]
+            misses = _memo_edge_mask.cache_info().misses
+            _memo_edge_mask(n, edge)
+            assert _memo_edge_mask.cache_info().misses == misses
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
