@@ -27,9 +27,10 @@ Above 9 vertices the top lex blocks are walked in rank order, so neither
 builds a mask wider than 9! bits and the decider stops at the first
 uncovered block.  Masks on fewer than 9 vertices are memoised, whole-graph
 masks included, so a graph on n <= 8 vertices is decided by ORing cached
-n!-bit masks, one per edge.  The census builds whole n!-bit masks (10! bits
-at (10,2)); ``_MAX_MASK_BYTES`` bounds its table per worker, and the sampler
-takes the exhaustive decider only for a table within it.
+n!-bit masks, one per edge.  The memo holds at most ``_MAX_MASK_BYTES`` of
+masks, evicting the least recently used.  The census builds whole n!-bit
+masks (10! bits at (10,2)); ``_MAX_MASK_BYTES`` also bounds its table per
+worker.
 
 The search decider (:func:`_backtracking_search`) builds an order of the
 vertices that lie in some edge, smallest element first.  Its state is one
@@ -105,11 +106,8 @@ _MAX_VERTICES = 1_000_000
 # lex block at a time.  The census masks are bounded by _MAX_MASK_BYTES.
 _BLOCK_VERTICES = 9
 
-# An order-coverage table holds one mask of n! bits per oriented k-subset,
-# C(n,k)*k! masks.  The census builds one in each worker, and the sampler
-# lets the exhaustive decider memoise one, only within this many bytes:
-# (10,2) needs 38 MiB, the most of any census size, and (8,5) 34 MiB;
-# (8,6) would need 96 MiB, (8,8) 193 MiB and (11,2) 523 MiB.
+# The bytes of order-coverage masks held at once: by the mask memo below,
+# and by the census's table in each worker (search._check_space).
 _MAX_MASK_BYTES = 64 << 20
 
 
@@ -352,23 +350,6 @@ def _factorial_upto(k: int, limit: int) -> int | None:
         if product > limit:
             return None
     return product
-
-
-@functools.lru_cache(maxsize=16)
-def _mask_table_refusal(n: int, k: int) -> str | None:
-    """None when the (n,k) order-coverage table, C(n,k)*k! masks of n! bits,
-    fits ``_MAX_MASK_BYTES``; else the refusal, with the table's size.  Each
-    factor is counted only up to the budget.  Needs n >= k >= 2.  Memoised,
-    since the sampler asks once per trial."""
-    limit = 8 * _MAX_MASK_BYTES
-    factors = (
-        _subset_count(n, k, limit), _factorial_upto(k, limit), _factorial_upto(n, limit)
-    )
-    bits = None if None in factors else math.prod(factors)
-    if bits is not None and bits <= limit:
-        return None
-    size = "" if bits is None else f"{bits >> 23} MiB, "
-    return f"masks take {size}over the {_MAX_MASK_BYTES >> 20} MiB budget"
 
 
 @functools.lru_cache(maxsize=16)
@@ -635,11 +616,12 @@ def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
 
 # Only masks on fewer than _BLOCK_VERTICES vertices are cached, whoever asks,
 # whole-graph masks included, so no cached mask is wider than 8! bits (5 KB).
-# There are at most j!/(j-r)! keys of r ranks on j vertices: all 40,320 of
-# r = 8 ranks on 8 vertices would take 200 MB.  A graph adds at most one
-# whole-graph mask per edge, and the sampler decides exhaustively only (n,k)
-# whose whole table of C(n,k)*k! masks fits _MAX_MASK_BYTES.
-_memo_edge_mask = functools.lru_cache(maxsize=None)(_edge_mask)
+# There are j!/(j-r)! keys of r ranks on j vertices, and all 40,320 of r = 8
+# ranks on 8 vertices would take 200 MB, so the memo keeps the 13,315 most
+# recently used masks, at most _MAX_MASK_BYTES.  A sampled (8,3) run uses 895.
+_memo_edge_mask = functools.lru_cache(
+    maxsize=_MAX_MASK_BYTES // (math.factorial(_BLOCK_VERTICES - 1) // 8)
+)(_edge_mask)
 
 
 def _lex_blocks(
@@ -812,6 +794,22 @@ def check_property_o(
                 f"with reported violating order {order}"
             )
     return VerificationCertificate(method, order, work)
+
+
+def _trial_method(n: int, k: int) -> str:
+    """The decider for the sampler's random k-tournaments on n vertices.
+
+    Unlike auto, which serves one graph at a time, this rule serves many
+    graphs of one size.  Random 3-tournaments on fewer than
+    ``_BLOCK_VERTICES`` vertices take the exhaustive cover, whose memoised
+    masks they share; every other size takes the search.  Over 200 and
+    2,000 seeded trials from a cold memo, the cover took 0.38-0.84 of the
+    search's time at k = 3 on 5 to 8 vertices, but at 200 trials up to 7.8
+    times as long at k >= 4 on 6 to 8 vertices and 1.6-1.7 times at (8,2);
+    at (9,3), where no whole-graph mask is memoised, 29 times (2 vCPUs,
+    BENCH_29.json).
+    """
+    return EXHAUSTIVE if k == 3 and n < _BLOCK_VERTICES else BACKTRACKING
 
 
 # ---------------------------------------------------------------------------

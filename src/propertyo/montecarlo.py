@@ -17,10 +17,10 @@ the relative bias is below 9!/2**64, about 2**-45.5).  Trial t of a rate
 estimate uses the derived seed ``value_at(seed, t)``, which makes trials
 independent of execution order and of how they are assigned to workers.
 
-Each trial is one :func:`propertyo.core.check_property_o` call.  Below 9
-vertices, while the (n,k) table of order-coverage masks fits the mask
-budget, it takes the exhaustive decider, which memoises those masks; it
-takes the backtracking search otherwise.
+Each trial is one :func:`propertyo.core.check_property_o` call, on the
+decider ``core._trial_method`` picks for (n, k): the exhaustive cover on
+memoised order-coverage masks for 3-tournaments below 9 vertices, the
+backtracking search for every other size.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ import functools
 import math
 
 from .core import (
-    BACKTRACKING,
-    EXHAUSTIVE,
     BudgetExceededError,
     OrientedHypergraph,
     Record,
-    _BLOCK_VERTICES,
-    _mask_table_refusal,
     _subset_count,
+    _trial_method,
     check_property_o,
     ordered_map,
     oriented_subset_tables,
@@ -115,21 +112,11 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
 
 def _trial_holds(n: int, k: int, trial_seed: int) -> bool:
     """Whether ``random_tournament(n, k, trial_seed)`` has Property O, from
-    one :func:`check_property_o` call.
-
-    Below ``_BLOCK_VERTICES`` vertices, when the whole (n,k) table of
-    order-coverage masks fits the mask budget, the exhaustive decider takes
-    the trial and ORs memoised masks, one per edge; otherwise the
-    backtracking search does.  At 9 vertices no whole-graph mask is
-    memoised, and the search is far faster: 0.10 against 3.1 ms a trial at
-    (9,3) on 2 vCPUs.
+    one :func:`check_property_o` call on the decider
+    ``core._trial_method(n, k)`` picks.
     """
     tournament = random_tournament(n, k, trial_seed)
-    if n < _BLOCK_VERTICES and _mask_table_refusal(n, k) is None:
-        method = EXHAUSTIVE
-    else:
-        method = BACKTRACKING
-    return check_property_o(tournament, method).holds
+    return check_property_o(tournament, _trial_method(n, k)).holds
 
 
 def _count_successes(n: int, k: int, seed: int, trials: range) -> int:
@@ -142,9 +129,9 @@ def estimate_property_o_rate(
     """Fraction of seeded random k-tournaments on n vertices with Property O.
 
     Trial t checks ``random_tournament(n, k, value_at(seed, t))`` on the
-    decider :func:`_trial_holds` picks from (n, k): the exhaustive cover on
-    memoised masks below 9 vertices while the mask table fits its budget,
-    the backtracking search otherwise.  The summary is identical for any
+    decider ``core._trial_method`` picks from (n, k): the exhaustive cover
+    on memoised masks for k = 3 below 9 vertices, the backtracking search
+    otherwise.  The summary is identical for any
     ``jobs``: trial outcomes depend only on (seed, t), and the aggregation
     is a plain sum.
     More than ``_MAX_DRAWS`` orientation draws, ``trials`` * C(n,k), raise

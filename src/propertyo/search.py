@@ -56,9 +56,9 @@ from .core import (
     LinearOrder,
     OrientedHypergraph,
     Record,
+    _MAX_MASK_BYTES,
     _edge_mask,
     _factorial_upto,
-    _mask_table_refusal,
     _subset_count,
     check_property_o,
     ordered_map,
@@ -66,11 +66,12 @@ from .core import (
     run_count,
 )
 
-# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and an
-# order-coverage table over core._MAX_MASK_BYTES in each worker: each worker
-# holds C(n,k)*k! masks of n! bits, one per orientation, of the orders it
-# leaves uncovered.  (8,8) is refused there (the k!+1 edge bound answers it
-# at once).
+# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
+# masks that would take more than core._MAX_MASK_BYTES in each worker: each
+# worker holds C(n,k)*k! masks of n! bits, one per orientation, of the
+# orders it leaves uncovered.  (10,2) needs 38 MiB of them, the most of any
+# admitted size; (8,8) would need 193 MiB (the k!+1 edge bound answers it
+# at once) and (11,2) 523 MiB.
 _MAX_SPACE_BITS = 64
 
 # The edge-bound gate counts C(n,k) up to k! for k up to this: 0.2 s near
@@ -151,9 +152,12 @@ def _check_space(n: int, k: int) -> tuple[int, int, int]:
         raise BudgetExceededError(
             f"census space is (k!)^C(n,k){size}, over the {_MAX_SPACE_BITS}-bit budget"
         )
-    refusal = _mask_table_refusal(n, k)
-    if refusal is not None:
-        raise BudgetExceededError(f"census {refusal} per worker")
+    mask_bytes = subset_count * fact_k * math.factorial(n) // 8
+    if mask_bytes > _MAX_MASK_BYTES:
+        raise BudgetExceededError(
+            f"census masks take {mask_bytes >> 20} MiB per worker, over the "
+            f"{_MAX_MASK_BYTES >> 20} MiB budget"
+        )
     return subset_count, fact_k, space
 
 

@@ -26,6 +26,7 @@ from propertyo import (
     is_consistent,
     lower_bound_audit,
     merged_ten_edge_3graph,
+    random_tournament,
     relabel,
     reverse,
     support_restriction,
@@ -33,6 +34,7 @@ from propertyo import (
 )
 from propertyo import core
 from propertyo.core import unrank_permutation
+from propertyo.montecarlo import value_at
 from propertyo.search import _coverage_masks, oriented_subset_tables
 
 from conftest import fixture_graphs
@@ -551,7 +553,11 @@ class TestCheckPropertyO:
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
-            "_MAX_MASK_BYTES": {("core.py", "_mask_table_refusal")},
+            "_MAX_MASK_BYTES": {
+                ("search.py", "_check_space"),
+                # the mask memo's size
+                ("core.py", "<module>"),
+            },
             "_MAX_EDGES": {
                 ("constructions.py", "general_construction"),
                 ("core.py", "oriented_subset_tables"),
@@ -921,6 +927,22 @@ class TestCoverageKernel:
             assert cert.violating_order == first, graph
             assert cert.orders_examined == examined, graph
             assert coverage_histogram(graph).counts == counts, graph
+
+    def test_mask_memo_is_capped_at_the_mask_budget(self):
+        # 300 random (8,6) tournaments touch over 16,000 distinct masks on at
+        # most 8 vertices; the memo keeps at most _MAX_MASK_BYTES of them,
+        # and a verdict decided again after eviction is the same
+        memo = core._memo_edge_mask
+        cap = memo.cache_info().maxsize
+        assert cap * (math.factorial(8) // 8) <= core._MAX_MASK_BYTES
+        memo.cache_clear()
+        graphs = [random_tournament(8, 6, value_at(3, t)) for t in range(300)]
+        first = check_property_o(graphs[0], EXHAUSTIVE)
+        for graph in graphs:
+            cert = check_property_o(graph, EXHAUSTIVE)
+            assert cert.holds == check_property_o(graph, BACKTRACKING).holds
+        assert memo.cache_info().currsize == cap
+        assert check_property_o(graphs[0], EXHAUSTIVE) == first
 
     def test_padded_claim1_block_walk(self, monkeypatch):
         kernel = core._edge_mask

@@ -191,7 +191,10 @@ class TestRateEstimation:
             (8, 3, "exhaustive"),
             # 9 vertices: the whole-graph masks are not memoised
             (9, 3, "backtracking"),
-            # C(8,6)*6! masks of 8! bits take 96 MiB, over the mask budget
+            # sizes where the masks were measured slower than the search
+            (8, 2, "backtracking"),
+            (7, 4, "backtracking"),
+            (8, 5, "backtracking"),
             (8, 6, "backtracking"),
         ],
     )

@@ -434,19 +434,6 @@ class TestVertexLowerBound:
         assert (report.total_enumerated, report.property_o_found) == (0, 0)
         assert report.runs == 0
 
-    def test_mask_table_budget_is_exact_and_capped(self):
-        # the one answer to "does the (n,k) table fit", for the census and
-        # the sampler: C(n,k)*k! masks of n! bits against 64 MiB
-        assert core._mask_table_refusal(10, 2) is None  # 38 MiB
-        assert core._mask_table_refusal(8, 5) is None  # 34 MiB
-        assert core._mask_table_refusal(8, 6) == (
-            "masks take 96 MiB, over the 64 MiB budget"
-        )
-        # a factor past the budget is not built, so no size is given
-        start = time.perf_counter()
-        assert core._mask_table_refusal(10**6, 3) == "masks take over the 64 MiB budget"
-        assert time.perf_counter() - start < 1
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             prove_vertex_lower_bound(2, 3)
