@@ -21,16 +21,16 @@ that classifies each edge by how many permutations of a chosen base edge
 leave it consistent.  The two deciders are deliberately separate code paths
 so that the test suite can cross-check them against each other.
 
-The exhaustive decider and the histogram rest on one order-coverage kernel
-(:func:`_edge_mask`): bit p of an edge's mask is the order of lex rank p.
-Above 9 vertices the top lex blocks are walked in rank order, so neither
-builds a mask wider than 9! bits and the decider stops at the first
-uncovered block.  Masks on fewer than 9 vertices are memoised, whole-graph
-masks included, so a graph on n <= 8 vertices is decided by ORing cached
-n!-bit masks, one per edge.  The memo holds at most ``_MAX_MASK_BYTES`` of
-masks, evicting the least recently used.  The census builds whole n!-bit
-masks (10! bits at (10,2)); ``_MAX_MASK_BYTES`` also bounds its table per
-worker.
+The exhaustive decider, the histogram and the census rest on one kernel
+(:func:`_edge_mask`): bit p of an edge's mask is set when the order of lex
+rank p leaves the edge uncovered.  Above 9 vertices the decider and the
+histogram walk the top lex blocks in rank order, so neither builds a mask
+wider than 9! bits.  Masks on fewer than 9 vertices are memoised, at most
+``_MAX_MASK_BYTES`` of them, whole-graph masks included, so a graph on
+n <= 8 vertices is decided by ANDing cached masks, one per edge.  The
+census's table (:func:`_coverage_masks`, within the same budget), built
+once per census by the calling process, holds one n!-bit mask per oriented
+k-subset.
 
 The search decider (:func:`_backtracking_search`) builds an order of the
 vertices that lie in some edge, smallest element first.  Its state is one
@@ -79,8 +79,8 @@ AUTO_EXHAUSTIVE_MAX_VERTICES = 9
 # general(6) costs 1.1e7 and takes 0.5 s, general(7) 6.6e8 and 17.8 s (2 vCPUs).
 _MAX_AUDIT_COST = 10**8
 
-# general_construction refuses to build more edges, and oriented_subset_tables
-# to list more oriented k-subsets, than this (general(9) would have 1,653,120).
+# general_construction refuses to build more edges, and oriented_subsets to
+# list more oriented k-subsets, than this (general(9) would have 1,653,120).
 _MAX_EDGES = 1_000_000
 
 # The backtracking search refuses to try more vertex placements than this:
@@ -106,8 +106,9 @@ _MAX_VERTICES = 1_000_000
 # lex block at a time.  The census masks are bounded by _MAX_MASK_BYTES.
 _BLOCK_VERTICES = 9
 
-# The bytes of order-coverage masks held at once: by the mask memo below,
-# and by the census's table in each worker (search._check_space).
+# The bytes of order-coverage masks held at once: by the mask memo below, and
+# by the census's table (_coverage_masks), built once per census by the calling
+# process: (10,2) takes 38 MiB, (8,8) would take 193 MiB and (11,2) 523 MiB.
 _MAX_MASK_BYTES = 64 << 20
 
 
@@ -352,14 +353,13 @@ def _factorial_upto(k: int, limit: int) -> int | None:
     return product
 
 
-@functools.lru_cache(maxsize=16)
-def oriented_subset_tables(
-    n: int, k: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Colex subsets of {0..n-1} and, per subset, its k! oriented tuples in
-    lexicographic order, so ``oriented[t][r]`` is
-    ``unrank_permutation(r, subsets[t])``.  Memoised per (n, k).  More
-    than ``_MAX_EDGES`` tuples, C(n,k)*k!, are refused before any is built.
+@functools.lru_cache(maxsize=1)
+def oriented_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per colex k-subset of {0..n-1}, its k! oriented tuples in
+    lexicographic order, so ``row[r]`` is ``unrank_permutation(r, row[0])``
+    and ``row[0]`` is the sorted subset.  The last table is memoised, at
+    most ``_MAX_EDGES`` tuples: more than that, C(n,k)*k!, are refused
+    before any is built.
     """
     count = _subset_count(n, k, _MAX_EDGES)
     if count is None or _factorial_upto(k, _MAX_EDGES // count) is None:
@@ -367,8 +367,34 @@ def oriented_subset_tables(
             f"the oriented {k}-subsets of {n} vertices are over the "
             f"{_MAX_EDGES}-tuple budget"
         )
-    subsets = tuple(colex_subsets(n, k))
-    return subsets, tuple(tuple(itertools.permutations(s)) for s in subsets)
+    return tuple(tuple(itertools.permutations(s)) for s in colex_subsets(n, k))
+
+
+def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
+    """(masks, full_mask): the census's :func:`_edge_mask` on n vertices of
+    each edge in :func:`oriented_subsets`, row by row.  A table over
+    ``_MAX_MASK_BYTES`` is refused before any mask is built.  Each order is
+    consistent with one orientation of each subset, so each mask must have
+    n! - n!/k! bits and the masks of one row must AND to 0."""
+    fact_n = math.factorial(n)
+    mask_bytes = math.perm(n, k) * fact_n // 8  # C(n,k)*k! masks of n! bits
+    if mask_bytes > _MAX_MASK_BYTES:
+        raise BudgetExceededError(
+            f"census masks take {mask_bytes >> 20} MiB per worker, over the "
+            f"{_MAX_MASK_BYTES >> 20} MiB budget"
+        )
+    full = (1 << fact_n) - 1
+    masks = [[_edge_mask(n, edge) for edge in row] for row in oriented_subsets(n, k)]
+    per_edge = fact_n - fact_n // math.factorial(k)
+    for row in masks:
+        common = full
+        for mask in row:
+            if mask.bit_count() != per_edge:
+                raise InternalError("internal error: bad coverage mask popcount")
+            common &= mask
+        if common:
+            raise InternalError("internal error: subset orientations do not cover")
+    return masks, full
 
 
 def run_count(jobs: int, size: int) -> int:
@@ -596,21 +622,22 @@ def _descend(ranks: tuple[int, ...], i: int) -> tuple[int, ...] | None:
 
 
 def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
-    """Bitmask of the orders of j vertices consistent with an edge.
+    """Bitmask of the orders of j vertices that leave an edge uncovered.
 
     Bit p stands for the order of lex rank p; ``ranks`` are the ranks of the
-    edge's remaining vertices among the j.  Block i of the mask, (j-1)! bits
-    wide, is the edge's memoised mask inside lex block i on one vertex fewer.
+    edge's remaining vertices among the j, and none left means 0.  Block i
+    of the mask, (j-1)! bits wide, is all ones if lex block i kills the
+    edge, else the edge's memoised mask inside the block on one vertex fewer.
     """
     if not ranks:
-        return (1 << math.factorial(j)) - 1
+        return 0
     width = math.factorial(j - 1)
     inner_mask = _memo_edge_mask if j - 1 < _BLOCK_VERTICES else _edge_mask
+    dead = (1 << width) - 1
     mask = 0
     for i in range(j):
         inner = _descend(ranks, i)
-        if inner is not None:
-            mask |= inner_mask(j - 1, inner) << (i * width)
+        mask |= (dead if inner is None else inner_mask(j - 1, inner)) << (i * width)
     return mask
 
 
@@ -629,7 +656,7 @@ def _lex_blocks(
 ) -> Iterator[tuple[int, int, list[int]]]:
     """The lex blocks of at most ``_BLOCK_VERTICES`` vertices that together
     cover all n! orders, in rank order: each block's first rank, its full
-    mask, and the masks of the edges alive in it.
+    mask, and the masks of the edges alive in it (a killed edge's is full).
 
     Raises :class:`BudgetExceededError` for n > ``EXHAUSTIVE_MAX_VERTICES``
     before any mask is built.
@@ -657,9 +684,9 @@ def _lex_blocks(
 def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, int]:
     """Return (lex-first violating order or None, its rank + 1 or n!)."""
     for first, full, masks in _lex_blocks(graph.n, graph.edges):
-        covered = functools.reduce(operator.or_, masks, 0)
-        if covered != full:
-            rank = first + (~covered & (covered + 1)).bit_length() - 1
+        uncovered = functools.reduce(operator.and_, masks, full)
+        if uncovered:
+            rank = first + (uncovered & -uncovered).bit_length() - 1
             return unrank_permutation(rank, range(graph.n)), rank + 1
     return None, math.factorial(graph.n)
 
@@ -820,15 +847,15 @@ def _trial_method(n: int, k: int) -> str:
 def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
     """Histogram of consistent-edge counts over all n! linear orders.
 
-    The counts are read off a bit-sliced counter that adds up the edges'
-    order-coverage masks, one lex block at a time.  Like the exhaustive
+    Per lex block, a bit-sliced counter adds up the alive edges' masks:
+    the alive edges an order leaves uncovered.  Like the exhaustive
     decider, it refuses more than ``EXHAUSTIVE_MAX_VERTICES`` vertices.
     """
     n = graph.n
     counts: dict[int, int] = {}
     edges = graph.edges
     for _, full, masks in _lex_blocks(n, edges):
-        # bit-sliced counter: bit p of planes[b] is bit b of order p's count
+        # bit p of planes[b] is bit b of order p's count of uncovered edges
         planes: list[int] = []
         for carry in masks:
             for b, plane in enumerate(planes):
@@ -846,7 +873,8 @@ def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
                         split[2 * c + bit] = part
             groups = split
         for c, orders in groups.items():
-            counts[c] = counts.get(c, 0) + orders.bit_count()
+            consistent = len(masks) - c
+            counts[consistent] = counts.get(consistent, 0) + orders.bit_count()
 
     total = sum(counts.values())
     expected_total = math.factorial(n)

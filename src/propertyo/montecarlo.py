@@ -36,7 +36,7 @@ from .core import (
     _trial_method,
     check_property_o,
     ordered_map,
-    oriented_subset_tables,
+    oriented_subsets,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -93,9 +93,9 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     Every k-subset (colex order) gets an independent orientation drawn from
     the documented generator; the same (n, k, seed) always produces the
     identical edge list.  The checks and the edge budget are those of
-    :func:`propertyo.core.oriented_subset_tables`.
+    :func:`propertyo.core.oriented_subsets`.
     """
-    _, oriented = oriented_subset_tables(n, k)
+    oriented = oriented_subsets(n, k)
     fact_k = math.factorial(k)
     # value_at(seed, i) for i = 0, 1, ..., with mix64 written out inline
     x = seed & _MASK64

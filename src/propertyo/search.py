@@ -4,8 +4,8 @@ A k-tournament assigns one of the k! orientations to each of the C(n,k)
 k-subsets of the vertex set.  The census identifies a tournament with its
 mixed-radix counter: subsets are taken in colexicographic order, the
 digit of a subset is its edge's index in the subset's row of
-:func:`propertyo.core.oriented_subset_tables` (the lexicographic rank among
-the permutations of the sorted subset), and the first subset is the most
+:func:`propertyo.core.oriented_subsets` (the lexicographic rank among the
+permutations of the sorted subset), and the first subset is the most
 significant digit.  That makes the space trivially partitionable into
 contiguous counter ranges for parallel workers, and makes "first witness"
 well defined as the witness with the smallest counter.
@@ -19,15 +19,16 @@ property.
 The census is a first-witness sweep: it decides the tournaments in counter
 order and ends at the first one with Property O, or after the last.  It
 works on order-coverage bitmasks: bit p of the mask of an oriented subset
-marks the p-th linear order (lexicographic rank) as consistent with that
-edge.  Walking the subsets most-significant-first while intersecting the
-set of still-uncovered orders decides every tournament of a subtree in one
-walk; a tournament has Property O exactly when no uncovered order remains,
+is set when the p-th linear order (lexicographic rank) leaves that edge
+uncovered.  Walking the subsets most-significant-first while intersecting
+the set of still-uncovered orders decides every tournament of a subtree in
+one walk; a tournament has Property O exactly when no uncovered order remains,
 and any remaining bit unranks to a verified violating order.  A subtree is
 discarded in bulk when its uncovered orders outnumber what the remaining
 subsets could cover of them: the sum, over the remaining subsets, of the
 most uncovered orders one orientation of the subset covers.  The masks,
-n! bits each, come from the order-coverage kernel in :mod:`propertyo.core`.
+n! bits each, are one table from :func:`propertyo.core._coverage_masks`,
+which the calling process builds once and the forked workers inherit.
 
 The sweep walks only the leader prefixes of the first k+1 digits: the
 smallest of each orbit under the maps g that relabel vertices 0..k and may
@@ -56,22 +57,17 @@ from .core import (
     LinearOrder,
     OrientedHypergraph,
     Record,
-    _MAX_MASK_BYTES,
-    _edge_mask,
+    _coverage_masks,
     _factorial_upto,
     _subset_count,
     check_property_o,
     ordered_map,
-    oriented_subset_tables,
+    oriented_subsets,
     run_count,
 )
 
-# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS, and
-# masks that would take more than core._MAX_MASK_BYTES in each worker: each
-# worker holds C(n,k)*k! masks of n! bits, one per orientation, of the
-# orders it leaves uncovered.  (10,2) needs 38 MiB of them, the most of any
-# admitted size; (8,8) would need 193 MiB (the k!+1 edge bound answers it
-# at once) and (11,2) 523 MiB.
+# Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS; its
+# mask table has its own budget, in core._coverage_masks.
 _MAX_SPACE_BITS = 64
 
 # The edge-bound gate counts C(n,k) up to k! for k up to this: 0.2 s near
@@ -141,8 +137,8 @@ class MinimalityReport(Record):
 
 
 def _check_space(n: int, k: int) -> tuple[int, int, int]:
-    """(C(n,k), k!, the space (k!)^C(n,k)), once the space and masks fit their
-    budgets.  As k! >= 2, C(n,k) is counted only up to _MAX_SPACE_BITS."""
+    """(C(n,k), k!, the space (k!)^C(n,k)), once the space fits its budget.
+    As k! >= 2, C(n,k) is counted only up to _MAX_SPACE_BITS."""
     budget = 1 << _MAX_SPACE_BITS
     subset_count = _subset_count(n, k, _MAX_SPACE_BITS)
     fact_k = _factorial_upto(k, budget)
@@ -152,37 +148,7 @@ def _check_space(n: int, k: int) -> tuple[int, int, int]:
         raise BudgetExceededError(
             f"census space is (k!)^C(n,k){size}, over the {_MAX_SPACE_BITS}-bit budget"
         )
-    mask_bytes = subset_count * fact_k * math.factorial(n) // 8
-    if mask_bytes > _MAX_MASK_BYTES:
-        raise BudgetExceededError(
-            f"census masks take {mask_bytes >> 20} MiB per worker, over the "
-            f"{_MAX_MASK_BYTES >> 20} MiB budget"
-        )
     return subset_count, fact_k, space
-
-
-def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
-    """Per (subset, orientation) bitmask of the order ranks it leaves
-    uncovered.
-
-    Returns (masks, full_mask).  Order rank p is the lexicographic rank of
-    the ascending sequence; each linear order is consistent with exactly one
-    orientation of each subset, so each mask has n! - n!/k! bits and the k!
-    masks of one subset AND to 0.
-    """
-    _, oriented = oriented_subset_tables(n, k)
-    full = (1 << math.factorial(n)) - 1
-    masks = [[full ^ _edge_mask(n, edge) for edge in row] for row in oriented]
-    per_edge = math.factorial(n) - math.factorial(n) // math.factorial(k)
-    for row in masks:
-        common = full
-        for mask in row:
-            if mask.bit_count() != per_edge:
-                raise InternalError("internal error: bad coverage mask popcount")
-            common &= mask
-        if common:
-            raise InternalError("internal error: subset orientations do not cover")
-    return masks, full
 
 
 def _leader_prefixes(n: int, k: int) -> list[tuple[int, ...]]:
@@ -190,7 +156,7 @@ def _leader_prefixes(n: int, k: int) -> list[tuple[int, ...]]:
     pass over the k!**(k+1) prefixes keeps each that is not yet marked, the
     smallest of its orbit, and marks its image under every relabelling of
     vertices 0..k, with and without reversal."""
-    head = oriented_subset_tables(n, k)[1][: k + 1]
+    head = oriented_subsets(n, k)[: k + 1]
     fact_k = math.factorial(k)
     # each edge on 0..k: its digit (index in its row) times its place value
     term = {
@@ -233,7 +199,7 @@ def _cover_reach(uncovered: int, rows: list[list[int]]) -> int:
 
 
 def _census_unit(
-    n: int, k: int, progress_interval: int, prefixes: list[tuple[int, ...]]
+    table: tuple, progress_interval: int, prefixes: list[tuple[int, ...]]
 ) -> tuple[int, int | None]:
     """Walk the census tournaments under one worker's run of prefixes, up
     to the first witness.
@@ -248,15 +214,16 @@ def _census_unit(
     covers (:func:`_cover_reach`).  No completion of such a child has
     Property O.  At the last digit no subset remains, so every child that
     is not a witness is discarded this way.  The walk ends at the first
-    witness, the smallest counter under ``prefixes``.  Each worker, the
-    caller too, builds its own masks from (n, k), and writes its progress
+    witness, the smallest counter under ``prefixes``.  ``table`` is the
+    census's (masks, full_mask) from :func:`propertyo.core._coverage_masks`,
+    built once by the calling process; each worker writes its progress
     lines between prefixes.  Returns (decided, first_witness_counter):
     ``decided`` counts the tournaments under ``prefixes`` decided before
     the witness, or all of them when there is none.
     """
-    masks, full = _coverage_masks(n, k)
+    masks, full = table
     m = len(masks)
-    fact_k = math.factorial(k)
+    fact_k = len(masks[0])
     pow_fk = [fact_k**i for i in range(m + 1)]
     # rests[d] holds the masks of subsets d..m-1.  One subset's k!
     # orientations partition the orders, so the best of them covers at least 1/k! of any
@@ -319,10 +286,10 @@ def _census_unit(
 
 
 def _tournament_from_counter(n: int, k: int, counter: int) -> OrientedHypergraph:
-    subsets, oriented = oriented_subset_tables(n, k)
+    oriented = oriented_subsets(n, k)
     fact_k = math.factorial(k)
     digits = []
-    for _ in range(len(subsets)):
+    for _ in range(len(oriented)):
         counter, digit = divmod(counter, fact_k)
         digits.append(digit)
     digits.reverse()
@@ -349,6 +316,8 @@ def census_property_o(
     """
     subset_count, fact_k, space = _check_space(n, k)
     start = time.perf_counter()
+    # one table for every run: the children forked below inherit it
+    table = _coverage_masks(n, k)
 
     # the same prefixes for every jobs value: the leaders on the first k+1
     # subsets.  Every prefix leaves the recursion a digit to walk, and with
@@ -360,7 +329,7 @@ def census_property_o(
     else:
         prefixes = list(itertools.product(range(fact_k), repeat=depth))
     results = ordered_map(
-        functools.partial(_census_unit, n, k, progress_interval),
+        functools.partial(_census_unit, table, progress_interval),
         prefixes,
         jobs,
         until=lambda r: r[1] is not None,

@@ -35,7 +35,7 @@ from propertyo import (
     support_restriction,
     ten_edge_3graph,
 )
-from propertyo import search
+from propertyo import core, search
 from propertyo.montecarlo import value_at
 
 
@@ -92,7 +92,8 @@ def test_criterion_03_five_vertex_census():
         # prefix of the first four digits decides every tournament and must
         # agree
         every_prefix = list(itertools.product(range(6), repeat=4))
-        assert search._census_unit(5, 3, 0, every_prefix) == (6**10, None)
+        table = core._coverage_masks(5, 3)
+        assert search._census_unit(table, 0, every_prefix) == (6**10, None)
 
         # determinism: identical reports with 1 and 8 workers on the n=4
         # census, both at the lower-bound wrapper and at the engine level

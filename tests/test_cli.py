@@ -684,15 +684,15 @@ def base_edge_never_consistent(monkeypatch):
 
 
 def extra_mask_bit(monkeypatch):
-    mask = search._edge_mask
-    monkeypatch.setattr(search, "_edge_mask", lambda j, ranks: mask(j, ranks) | 1)
+    mask = core._edge_mask
+    monkeypatch.setattr(core, "_edge_mask", lambda j, ranks: mask(j, ranks) | 1)
 
 
 def ascending_masks_only(monkeypatch):
     # each orientation gets the ascending one's mask: right popcount, no cover
-    mask = search._edge_mask
+    mask = core._edge_mask
     monkeypatch.setattr(
-        search, "_edge_mask", lambda j, ranks: mask(j, tuple(sorted(ranks)))
+        core, "_edge_mask", lambda j, ranks: mask(j, tuple(sorted(ranks)))
     )
 
 

@@ -33,9 +33,8 @@ from propertyo import (
     ten_edge_3graph,
 )
 from propertyo import core
-from propertyo.core import unrank_permutation
+from propertyo.core import _coverage_masks, oriented_subsets, unrank_permutation
 from propertyo.montecarlo import value_at
-from propertyo.search import _coverage_masks, oriented_subset_tables
 
 from conftest import fixture_graphs
 
@@ -554,13 +553,13 @@ class TestCheckPropertyO:
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
             "_MAX_MASK_BYTES": {
-                ("search.py", "_check_space"),
+                ("core.py", "_coverage_masks"),
                 # the mask memo's size
                 ("core.py", "<module>"),
             },
             "_MAX_EDGES": {
                 ("constructions.py", "general_construction"),
-                ("core.py", "oriented_subset_tables"),
+                ("core.py", "oriented_subsets"),
             },
         }
         readers = {name: set() for name in owners}
@@ -823,7 +822,7 @@ class TestInvariantProperties:
 class TestPermutationUtilities:
     def test_unrank_rank_roundtrip(self):
         # rank r is the r-th of itertools.permutations, the row order of
-        # oriented_subset_tables, whose row index is an edge's census digit
+        # oriented_subsets, whose row index is an edge's census digit
         items = (0, 1, 2, 3)
         seen = [unrank_permutation(rank, items) for rank in range(24)]
         assert seen == list(itertools.permutations(items))
@@ -849,27 +848,45 @@ class TestPermutationUtilities:
         # (102, 3) has 1,030,200 oriented subsets, (101, 3) 999,900
         for n, k in [(102, 3), (34, 4), (1001, 2), (10, 9), (10**6, 10**6 - 1)]:
             with pytest.raises(core.BudgetExceededError, match="tuple budget"):
-                oriented_subset_tables(n, k)
+                oriented_subsets(n, k)
 
     def test_table_at_the_edge_budget_is_built(self, monkeypatch):
         # C(6,3)*3! = 120 oriented subsets, and (7, 3) has 210
-        oriented_subset_tables.cache_clear()
+        oriented_subsets.cache_clear()
         monkeypatch.setattr(core, "_MAX_EDGES", 120)
         try:
-            assert sum(map(len, oriented_subset_tables(6, 3)[1])) == 120
+            assert sum(map(len, oriented_subsets(6, 3))) == 120
             with pytest.raises(core.BudgetExceededError):
-                oriented_subset_tables(7, 3)
+                oriented_subsets(7, 3)
         finally:
-            oriented_subset_tables.cache_clear()
+            oriented_subsets.cache_clear()
+
+    def test_subset_memo_holds_one_table(self):
+        # (12,6) alone is 665,280 tuples: the memo keeps the last table only,
+        # and a table built again after eviction is the same
+        sizes = [(5, 3), (6, 4), (8, 2), (9, 3), (7, 5)]
+        first = oriented_subsets(*sizes[0])
+        for n, k in sizes:
+            rows = oriented_subsets(n, k)
+            assert [row[0] for row in rows] == core.colex_subsets(n, k)
+            assert all(row == tuple(itertools.permutations(row[0])) for row in rows)
+            info = oriented_subsets.cache_info()
+            assert (info.maxsize, info.currsize) == (1, 1)
+        assert oriented_subsets(*sizes[0]) == first
 
 
-def reference_mask(n, edge):
-    """Bit p set iff the order of lex rank p is consistent with the edge."""
-    return sum(
-        1 << p
-        for p, order in enumerate(itertools.permutations(range(n)))
-        if is_consistent(edge, order)
-    )
+def reference_masks(n, edges):
+    """{edge: mask} with bit p set iff the order of lex rank p is consistent
+    with the edge: its vertices take increasing positions in the order."""
+    bits = {e: [] for e in edges}
+    for p, order in enumerate(itertools.permutations(range(n))):
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        for e, on in bits.items():
+            if all(position[a] < position[b] for a, b in zip(e, e[1:])):
+                on.append(p)
+    return {e: sum(1 << p for p in on) for e, on in bits.items()}
 
 
 def source_nodes():
@@ -898,13 +915,18 @@ def reference_cover(graph):
 
 
 class TestCoverageKernel:
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3), (6, 4)])
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3), (6, 4), (8, 2)])
     def test_masks_match_reference(self, n, k):
+        # one mask meaning: the census table holds the kernel's masks as
+        # the deciders read them, the orders that leave each edge uncovered
         masks, full = _coverage_masks(n, k)
-        _, oriented = oriented_subset_tables(n, k)
+        oriented = oriented_subsets(n, k)
         assert full == (1 << math.factorial(n)) - 1
+        assert len(masks) == len(oriented) == math.comb(n, k)
+        consistent = reference_masks(n, [e for row in oriented for e in row])
         for row, edges in zip(masks, oriented):
-            assert row == [full ^ reference_mask(n, e) for e in edges]
+            assert row == [core._memo_edge_mask(n, e) for e in edges]
+            assert row == [full ^ consistent[e] for e in edges]
 
     def test_block_walk_matches_reference(self, monkeypatch):
         # with 4-vertex blocks the walk runs on every graph with n > 4

@@ -30,11 +30,10 @@ from propertyo import core, search
 from propertyo.search import (
     _census_unit,
     _cover_reach,
-    _coverage_masks,
     _leader_prefixes,
     _tournament_from_counter,
-    oriented_subset_tables,
 )
+from propertyo.core import _coverage_masks, oriented_subsets
 
 
 def violating_order_for_counter(n, k, counter):
@@ -58,7 +57,8 @@ def _visitor_census(n, k):
 def _every_prefix_walk(n, k):
     """The census walk without leader skipping: every first digit is a
     prefix.  Returns (decided, first witness counter or None)."""
-    return _census_unit(n, k, 0, [(o,) for o in range(math.factorial(k))])
+    prefixes = [(o,) for o in range(math.factorial(k))]
+    return _census_unit(_coverage_masks(n, k), 0, prefixes)
 
 
 class TestCensusEngine:
@@ -101,13 +101,12 @@ class TestCensusEngine:
         admitted = []
         for k in range(2, 10):
             for n in range(k, 14):
+                start = time.perf_counter()
                 try:
-                    search._check_space(n, k)
+                    census_property_o(n, k, jobs=1)
                 except BudgetExceededError:
                     continue
                 admitted.append((n, k))
-                start = time.perf_counter()
-                census_property_o(n, k, jobs=1)
                 assert time.perf_counter() - start < 5, (n, k)
         assert (5, 3) in admitted and (10, 2) in admitted
 
@@ -124,8 +123,7 @@ class TestCensusEngine:
         # permutation of 0..k, with and without reversing each edge, and
         # keep the digit tuples that are the smallest of their orbit
         for n, k, count in [(5, 2, 2), (5, 3, 36)]:
-            _, oriented = oriented_subset_tables(n, k)
-            head = oriented[: k + 1]
+            head = oriented_subsets(n, k)[: k + 1]
             index = {tuple(sorted(row[0])): t for t, row in enumerate(head)}
             minima = []
             for digits in itertools.product(range(math.factorial(k)), repeat=k + 1):
@@ -152,12 +150,12 @@ class TestCensusEngine:
         log = tmp_path / "runs"
         real_unit = search._census_unit
 
-        def recording_unit(n, k, progress_interval, prefixes):
+        def recording_unit(table, progress_interval, prefixes):
             # the second run is walked in a forked child, so every run is
             # logged to a file
             with open(log, "a") as f:
                 f.write(repr(prefixes) + "\n")
-            return real_unit(n, k, progress_interval, prefixes)
+            return real_unit(table, progress_interval, prefixes)
 
         monkeypatch.setattr(search, "_census_unit", recording_unit)
         report = census_property_o(5, 3, jobs=2)
@@ -168,6 +166,27 @@ class TestCensusEngine:
         runs = sorted(ast.literal_eval(line) for line in log.read_text().splitlines())
         assert runs == [leaders[:18], leaders[18:]]
         assert report.runs == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_caller_builds_the_one_table(self, monkeypatch, tmp_path, jobs):
+        # forked workers inherit the calling process's table: one build per
+        # census, whatever the run count
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "builds"
+        real_build = search._coverage_masks
+
+        def logging_build(n, k):
+            # a build in a forked child would log another pid
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real_build(n, k)
+
+        monkeypatch.setattr(search, "_coverage_masks", logging_build)
+        for n, k in [(5, 3), (8, 2)]:
+            log.write_text("")
+            report = census_property_o(n, k, jobs=jobs)
+            assert report.runs == jobs
+            assert log.read_text().split() == [str(os.getpid())], (n, k)
 
     @pytest.mark.parametrize("n, k, calls", [(5, 3, 10392), (6, 3, 11321)])
     def test_cover_reach_calls_regression(self, monkeypatch, n, k, calls):
@@ -220,6 +239,7 @@ class TestCensusEngine:
 
         monkeypatch.setattr(search, "_cover_reach", recording_reach)
         for n, k, depth in [(4, 2, 3), (5, 2, 3)]:
+            table = _coverage_masks(n, k)
             suffix = 2 ** (math.comb(n, k) - depth)
             for rank, prefix in enumerate(itertools.product(range(2), repeat=depth)):
                 base = rank * suffix
@@ -228,7 +248,7 @@ class TestCensusEngine:
                     (c for c in counters if violating_order_for_counter(n, k, c) is None),
                     None,
                 )
-                result = _census_unit(n, k, 0, [prefix])
+                result = _census_unit(table, 0, [prefix])
                 expected = (suffix, None) if first is None else (first - base, first)
                 assert result == expected, (n, k, prefix)
         assert any(fired)
@@ -420,13 +440,20 @@ class TestVertexLowerBound:
         with pytest.raises(BudgetExceededError, match=r"\(k!\)\^C\(n,k\) ~ 2\^90\.5,"):
             search._check_space(7, 3)  # 6^35
 
-    def test_mask_budget_refusal(self):
+    @pytest.fixture
+    def no_masks(self, monkeypatch):
+        def no_mask(j, ranks):
+            raise AssertionError("mask built")
+
+        monkeypatch.setattr(core, "_edge_mask", no_mask)
+
+    def test_mask_budget_refusal(self, no_masks):
         # 2^55 tournaments fit the space budget, but the 110 uncovered-order
         # masks of 11! bits (523 MiB) do not; refused before any is built
         with pytest.raises(BudgetExceededError, match="523 MiB"):
             prove_vertex_lower_bound(11, 2)
 
-    def test_mask_budget_refuses_8_8_which_the_edge_bound_answers(self):
+    def test_mask_budget_refuses_8_8_which_the_edge_bound_answers(self, no_masks):
         # one 8-subset: its 8! orientation masks of 8! bits take 193 MiB
         with pytest.raises(BudgetExceededError, match="193 MiB"):
             census_property_o(8, 8)
