@@ -357,9 +357,9 @@ def _factorial_upto(k: int, limit: int) -> int | None:
 def oriented_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per colex k-subset of {0..n-1}, its k! oriented tuples in
     lexicographic order, so ``row[r]`` is ``unrank_permutation(r, row[0])``
-    and ``row[0]`` is the sorted subset.  The last table is memoised, at
-    most ``_MAX_EDGES`` tuples: more than that, C(n,k)*k!, are refused
-    before any is built.
+    and ``row[0]`` is the sorted subset.  One table is memoised, the last,
+    and dropped before the next is built.  Tables over ``_MAX_EDGES``
+    tuples, C(n,k)*k!, are refused before any is built.
     """
     count = _subset_count(n, k, _MAX_EDGES)
     if count is None or _factorial_upto(k, _MAX_EDGES // count) is None:
@@ -367,6 +367,7 @@ def oriented_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             f"the oriented {k}-subsets of {n} vertices are over the "
             f"{_MAX_EDGES}-tuple budget"
         )
+    oriented_subsets.cache_clear()  # drop the last table before building this one
     return tuple(tuple(itertools.permutations(s)) for s in colex_subsets(n, k))
 
 

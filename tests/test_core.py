@@ -8,6 +8,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -873,6 +874,26 @@ class TestPermutationUtilities:
             info = oriented_subsets.cache_info()
             assert (info.maxsize, info.currsize) == (1, 1)
         assert oriented_subsets(*sizes[0]) == first
+
+    def test_subset_memo_drops_its_table_before_the_next(self):
+        # traced bytes: building (9,4) with (10,4) memoised peaks at the
+        # larger table alone, where holding both would add the smaller
+        oriented_subsets(9, 4)  # the first build also allocates once-only state
+        tracemalloc.start()
+        try:
+            alone = {}
+            for size in [(9, 4), (10, 4)]:
+                oriented_subsets.cache_clear()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                oriented_subsets(*size)
+                alone[size] = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            oriented_subsets(9, 4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < alone[10, 4] + alone[9, 4] // 2, (peak, alone)
 
 
 def reference_masks(n, edges):

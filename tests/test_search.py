@@ -97,16 +97,25 @@ class TestCensusEngine:
 
     def test_every_admitted_space_ends(self):
         # a sweep ends at its first witness or after its last tournament;
-        # every size the budgets admit ends within seconds
+        # every size the budgets admit ends within seconds, and every other
+        # size is refused up front by the space or the mask-table budget
         admitted = []
         for k in range(2, 10):
             for n in range(k, 14):
-                start = time.perf_counter()
                 try:
-                    census_property_o(n, k, jobs=1)
+                    search._check_space(n, k)
+                    table_bytes = math.perm(n, k) * math.factorial(n) // 8
+                    fits = table_bytes <= core._MAX_MASK_BYTES
                 except BudgetExceededError:
+                    fits = False
+                if not fits:
+                    refusal = "^census (space|masks) "
+                    with pytest.raises(BudgetExceededError, match=refusal):
+                        census_property_o(n, k, jobs=1)
                     continue
                 admitted.append((n, k))
+                start = time.perf_counter()
+                census_property_o(n, k, jobs=1)
                 assert time.perf_counter() - start < 5, (n, k)
         assert (5, 3) in admitted and (10, 2) in admitted
 
