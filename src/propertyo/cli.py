@@ -3,7 +3,7 @@
 All reports go to stdout as ``key=value`` lines (plus the documented
 verify/minimality result lines); diagnostics go to stderr.  The search
 decider (``verify --method dfs``, and ``auto`` above 9 vertices) also
-reports its vertex placements as ``nodes=N``: at the end of the
+reports the nodes it branched at as ``nodes=N``: at the end of the
 ``PROPERTY_O`` line, or on the line after ``VIOLATION``.  Exit codes:
 
     0  success; for verify this means Property O holds, for census that no
@@ -13,14 +13,13 @@ reports its vertex placements as ``nodes=N``: at the end of the
     2  usage error (unknown subcommand or flag, missing argument)
     3  invalid input data (malformed hypergraph file, bad index, ...)
     4  work budget refused, before any output: n! orders over 12 vertices,
-       a search on over 10**6 vertices, over 10**8 placements or a prefix
-       of over 500 placed vertices, an audit, census or construction over its
-       budget, a census edge-bound test C(n,k) <= k! with k over 10,000
-       whose logs are too close to call or whose n is past the float range,
-       a sample of over 10**6 orientation draws (trials * C(n,k)) or
-       whose table holds over 10**6 oriented k-subsets, or a stats edge
-       bound of over 4300 digits, or over Python's int print limit when
-       that is lower
+       a search on over 10**6 vertices or over 10**8 units of work, an
+       audit, census or construction over its budget, a census edge-bound
+       test C(n,k) <= k! with k over 10,000 whose logs are too close to call
+       or whose n is past the float range, a sample of over 10**6
+       orientation draws (trials * C(n,k)) or whose table holds over 10**6
+       oriented k-subsets, or a stats edge bound of over 4300 digits, or
+       over Python's int print limit when that is lower
     5  I/O failure
     6  internal error: a self-check failed or an unexpected exception was
        raised, so no result was reported

@@ -16,7 +16,7 @@ deciders, the histogram and the audit take any graph as valid.
 
 The module provides the data model, the consistency predicate, two
 independent deciders (an exhaustive order cover and a backtracking search
-over order prefixes), the order-coverage histogram, and a counting audit
+over adjacent pairs), the order-coverage histogram, and a counting audit
 that classifies each edge by how many permutations of a chosen base edge
 leave it consistent.  The two deciders are deliberately separate code paths
 so that the test suite can cross-check them against each other.
@@ -32,14 +32,9 @@ census's table (:func:`_coverage_masks`, within the same budget), built
 once per census by the calling process, holds one n!-bit mask per oriented
 k-subset.
 
-The search decider (:func:`_backtracking_search`) builds an order of the
-vertices that lie in some edge, smallest element first.  Its state is one
-integer packing k-1 levels of |E| bits, level i at bit offset i*|E|: level
-i holds the alive edges whose first i vertices are already placed in
-order.  A placement is two ANDs, an OR and a shift with words precomputed
-per vertex.  A prefix is rejected as soon as an edge would be left with
-only its last vertex to place, since every completion then leaves that
-edge consistent.
+The search decider (:func:`_backtracking_search`) is DPLL over the edges'
+adjacent pairs, since an order violates exactly when each edge has a pair
+that descends.
 
 :func:`check_property_o` re-checks every violating order a decider
 returns: it must list each vertex once and leave every edge inconsistent.
@@ -83,22 +78,13 @@ _MAX_AUDIT_COST = 10**8
 # list more oriented k-subsets, than this (general(9) would have 1,653,120).
 _MAX_EDGES = 1_000_000
 
-# The backtracking search refuses to try more vertex placements than this:
-# claim1 takes 8,010 and the 700 seed-1 sample tournaments 104,322 together, while
-# `verify` on general(4) reaches it in about 21 s (2 vCPUs, Python 3.11).
-_MAX_PLACEMENTS = 10**8
+# The search refuses to do more work than this, counted as the pair search
+# charges it (see _backtracking_search): general(5) holds after 6.7e7, while
+# general(6) and a directed 2-path on 3,000 vertices are refused.
+_MAX_SEARCH_WORK = 10**8
 
-# The backtracking search refuses to place more vertices than this in one
-# prefix.  The search takes one interpreter frame per placed vertex, so this
-# keeps it far enough under CPython's default recursion limit of 1,000 that
-# the refusal does not depend on how deep the caller's own stack is: a
-# directed 2-path on 502 vertices is decided, one on 503 refused.
-_MAX_DEPTH = 500
-
-# The backtracking search refuses graphs on more vertices than this before
-# it builds its per-vertex words: `verify` on a one-edge 2-graph on 10**6
-# vertices takes 0.6-0.7 s and 130 MB (2 vCPUs, Python 3.11), and the cost
-# grows with n whether or not the vertices lie in an edge.
+# The search refuses graphs on more vertices than this before it builds
+# anything: the violating order it prints lists every vertex.
 _MAX_VERTICES = 1_000_000
 
 # The exhaustive decider and the histogram build order-coverage masks on at
@@ -222,8 +208,8 @@ class VerificationCertificate(Record):
 
     ``work`` is the deciding kernel's own count: for the exhaustive method
     the orders it examined, the first violating order's rank + 1 (n! when
-    Property O holds); for the backtracking method the vertex placements it
-    tried.  The verdict is read off the violating order: Property O holds
+    Property O holds); for the backtracking method the nodes at which it
+    branched.  The verdict is read off the violating order: Property O holds
     exactly when there is none.
     """
 
@@ -249,7 +235,7 @@ class VerificationCertificate(Record):
 
     @property
     def nodes_expanded(self) -> int | None:
-        """Vertex placements the search tried; None for the exhaustive method."""
+        """Nodes the search branched at; None for the exhaustive method."""
         return self.work if self.method == BACKTRACKING else None
 
 
@@ -381,7 +367,7 @@ def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
     mask_bytes = math.perm(n, k) * fact_n // 8  # C(n,k)*k! masks of n! bits
     if mask_bytes > _MAX_MASK_BYTES:
         raise BudgetExceededError(
-            f"census masks take {mask_bytes >> 20} MiB per worker, over the "
+            f"census masks take {mask_bytes >> 20} MiB, over the "
             f"{_MAX_MASK_BYTES >> 20} MiB budget"
         )
     full = (1 << fact_n) - 1
@@ -695,94 +681,142 @@ def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, i
 def _backtracking_search(
     graph: OrientedHypergraph,
 ) -> tuple[LinearOrder | None, int]:
-    """Return (some violating order or None, placements tried).
+    """Return (some violating order or None, the nodes it branched at).
 
-    The order is built smallest element first.  The search state is one
-    integer of k-1 levels, |E| bits each: bit i*|E| + e is set when edge e
-    is alive and its first i vertices are placed in order, so that it
-    expects its i-th vertex next.  Placing v moves the edges that expect v
-    up one level and drops every other alive edge containing v, which can
-    no longer be consistent.  With three words per vertex, ``keep[v]`` (on
-    every level, the edges without v), ``at[v]`` (on level i < k-2, the
-    edges whose i-th vertex is v) and ``reject[v]`` (on level k-2, the edges
-    whose (k-2)-th vertex is v), the new state is
-    ``state & keep[v] | (state & at[v]) << |E|``.  An edge that would be
-    left expecting only its last vertex is consistent with every completion
-    of the prefix, so a placement with ``state & reject[v]`` is rejected at
-    once.  Once no edge is alive, any completion violates, and the remaining
-    vertices are appended in ascending order.  Only vertices that lie in
-    some edge are placed, tried in ascending order; the others are appended
-    to the violating order found, also ascending.  Every placement tried
-    counts, rejected ones included.
+    DPLL (Davis, Logemann & Loveland, 1962) over the adjacent pairs of the
+    edges, on the support relabelled 0..N-1: an order violates exactly when
+    each edge has a pair that descends, ``e[i+1]`` placed before ``e[i]``.
+    The state is a strict partial order, closed as the bitsets ``before[v]``
+    and ``after[v]``; ``left[e]`` counts the pairs of edge e not known to
+    ascend, and ``done[e]`` is set once one is known to descend.  Adding "a
+    before b" adds ``after[b] | {b}`` to ``after[x]`` for each x in
+    ``before[a] | {a}``; each y new to ``after[x]`` makes the pairs (x, y)
+    ascend and the pairs (y, x) descend.  An open edge left with no pair that
+    may descend is a conflict, and one left with one has it forced to descend.
+    A node branches on the undecided pair of an open edge least in (pairs
+    left, -degree sum, edge index), the descending child first; a failed
+    child is undone from a trail.  Once no edge is open, the support sorted
+    by ``|before[v]|`` violates; the other vertices follow, ascending.
 
     Raises :class:`BudgetExceededError` for more than ``_MAX_VERTICES``
-    vertices before any word is built, once the exhausted prefixes have
-    cost more than ``_MAX_PLACEMENTS`` placements, and before a prefix
-    that leaves an edge alive would place more than ``_MAX_DEPTH`` vertices,
-    one interpreter frame each; the depth is read off how few vertices are
-    left to place.
+    vertices before anything is built, and once the work passes
+    ``_MAX_SEARCH_WORK``: a node costs a scan of every edge, and each
+    vertex of a closure step two bitset operations, 2 + N//32 words.
     """
-    n, k, m = graph.n, graph.k, len(graph.edges)
-    if n > _MAX_VERTICES:
+    if graph.n > _MAX_VERTICES:
         raise BudgetExceededError(
-            f"search over {n} vertices refused (limit n <= {_MAX_VERTICES})"
+            f"search over {graph.n} vertices refused (limit n <= {_MAX_VERTICES})"
         )
-    has = [0] * n  # has[v]: edges containing v
-    at = [0] * n
-    reject = [0] * n
-    for ei, e in enumerate(graph.edges):
-        bit = 1 << ei
+    support = sorted({v for e in graph.edges for v in e})
+    edges = support_restriction(graph).edges
+    size = len(support)
+    deg, links = [0] * size, [0] * size  # links[u]: the v of pairs (u, v), (v, u)
+    edges_of: dict[tuple[int, int], list[int]] = {}  # the edges of each pair
+    for i, e in enumerate(edges):
         for v in e:
-            has[v] |= bit
-        for i in range(k - 2):
-            at[e[i]] |= bit << i * m
-        reject[e[k - 2]] |= bit << (k - 2) * m
-    # with no edge the words are all 0, whatever k is
-    every_level = sum(1 << (i * m) for i in range(k - 1)) if m else 0
-    full = (1 << ((k - 1) * m)) - 1
-    keep = [full ^ has_v * every_level for has_v in has]
-    support = tuple(v for v in range(n) if has[v])
-    budget = _MAX_PLACEMENTS
-    depth_limit = _MAX_DEPTH
-    nodes = 0
-    # a prefix of more than depth_limit vertices leaves fewer than this to place
-    fewest_left = len(support) - depth_limit
+            deg[v] += 1
+        for u, v in zip(e, e[1:]):
+            links[u] |= 1 << v
+            links[v] |= 1 << u
+            edges_of.setdefault((u, v), []).append(i)
+    # each edge's pairs, the one to branch on first
+    pairs = [sorted(zip(e, e[1:]), key=lambda p: -deg[p[0]] - deg[p[1]]) for e in edges]
+    before, after = [0] * size, [0] * size
+    left, done = [len(e) - 1 for e in edges], [False] * len(edges)
+    indices = range(len(edges))
+    trail: list[tuple[list, int, Any]] = []  # (list, index, old value)
+    stack: list[tuple[int, list]] = []  # (trail length, queue) of pending children
+    step, scan = 2 + size // 32, sum(map(len, edges))
+    work, budget, nodes = 0, _MAX_SEARCH_WORK, 0
 
-    def search(state: int, rest: tuple[int, ...]) -> LinearOrder | None:
-        """A violating order of the ``rest`` vertices, or None."""
-        nonlocal nodes
-        if not state:
-            return rest
-        if len(rest) < fewest_left:
-            raise BudgetExceededError(
-                f"search over {len(support)} support vertices refused: a prefix "
-                f"would place more than {depth_limit} vertices"
-            )
-        for j, v in enumerate(rest):
-            if not state & reject[v]:
-                order = search(
-                    state & keep[v] | (state & at[v]) << m, rest[:j] + rest[j + 1 :]
+    def propagate(queue: list[tuple[int, int]]) -> bool:
+        """Add each relation (a, b), a before b, of ``queue`` and all it
+        forces, trailed while a sibling is pending; False on a conflict."""
+        nonlocal work
+        record = trail.append if stack else None
+        while queue:
+            a, b = queue.pop()
+            if after[a] >> b & 1:
+                continue
+            if after[b] >> a & 1:
+                return False
+            low, high = before[a] | 1 << a, after[b] | 1 << b
+            work += (low.bit_count() + high.bit_count()) * step
+            if work > budget:
+                raise BudgetExceededError(
+                    f"search over {size} support vertices refused after "
+                    f"{budget} units of work"
                 )
-                if order is not None:
-                    nodes += j + 1
-                    return (v,) + order
-        nodes += len(rest)
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"search over {len(support)} support vertices refused after "
-                f"{budget} placements"
-            )
-        return None
+            rest = high
+            while rest:
+                y = rest.bit_length() - 1
+                rest ^= 1 << y
+                if record:
+                    record((before, y, before[y]))
+                before[y] |= low
+            rest = low
+            while rest:
+                x = rest.bit_length() - 1
+                rest ^= 1 << x
+                new = high ^ high & after[x]
+                if not new:
+                    continue
+                if record:
+                    record((after, x, after[x]))
+                after[x] |= new
+                paired = new & links[x]
+                while paired:
+                    y = paired.bit_length() - 1
+                    paired ^= 1 << y
+                    for e in edges_of.get((y, x), ()):  # (y, x) descends
+                        if record and not done[e]:
+                            record((done, e, False))
+                        done[e] = True
+                    for e in edges_of.get((x, y), ()):  # (x, y) ascends
+                        if done[e]:
+                            continue
+                        if record:
+                            record((left, e, left[e]))
+                        left[e] -= 1
+                        if not left[e]:
+                            return False
+                        if left[e] == 1:  # its one pair not ascending descends
+                            u, v = next(
+                                p for p in pairs[e] if not after[p[0]] >> p[1] & 1
+                            )
+                            queue.append((v, u))
+        return True
 
-    try:
-        order = search((1 << m) - 1, support)
-    finally:
-        # search refers to itself through its cell: emptying the cell frees
-        # the closure and its words now, not at the next cyclic collection
-        del search
-    if order is not None:
-        order += tuple(v for v in range(n) if not has[v])
-    return order, nodes
+    queue = [(e[1], e[0]) for e in edges if len(e) == 2]
+    while True:
+        if propagate(queue):
+            open_edges = list(itertools.compress(indices, map(operator.not_, done)))
+            if not open_edges:
+                break
+            fewest, best = min(map(left.__getitem__, open_edges)), (0, 0, 0)
+            for e in open_edges:
+                if left[e] == fewest:
+                    for u, v in pairs[e]:  # the first pair not ascending
+                        if not after[u] >> v & 1:
+                            break
+                    if deg[u] + deg[v] > best[0]:
+                        best = (deg[u] + deg[v], u, v)
+            nodes += 1
+            work += scan  # checked when the descending child propagates
+            _, u, v = best
+            stack.append((len(trail), [(u, v)]))
+            queue = [(v, u)]
+        elif stack:
+            mark, queue = stack.pop()
+            for items, i, old in reversed(trail[mark:]):
+                items[i] = old
+            del trail[mark:]
+        else:
+            return None, nodes
+    inside = set(support)
+    ranks = sorted(range(size), key=lambda v: before[v].bit_count())
+    order = tuple(support[v] for v in ranks)
+    return order + tuple(v for v in range(graph.n) if v not in inside), nodes
 
 
 def check_property_o(
@@ -800,10 +834,9 @@ def check_property_o(
     Each kernel refuses work over its budget with
     :class:`BudgetExceededError`: the exhaustive cover a graph of more than
     ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search a graph of more than
-    ``_MAX_VERTICES`` vertices, more than ``_MAX_PLACEMENTS`` placements or
-    a prefix of more than ``_MAX_DEPTH`` placed vertices, one interpreter
-    frame each.  That depth limit leaves room under the default recursion
-    limit, so the verdict does not depend on the caller's stack depth.
+    ``_MAX_VERTICES`` vertices or more than ``_MAX_SEARCH_WORK`` units of
+    work.  The search keeps its pending branches on a stack of its own, so
+    its verdict does not depend on the caller's stack depth.
     """
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
@@ -827,17 +860,13 @@ def check_property_o(
 def _trial_method(n: int, k: int) -> str:
     """The decider for the sampler's random k-tournaments on n vertices.
 
-    Unlike auto, which serves one graph at a time, this rule serves many
-    graphs of one size.  Random 3-tournaments on fewer than
-    ``_BLOCK_VERTICES`` vertices take the exhaustive cover, whose memoised
-    masks they share; every other size takes the search.  Over 200 and
-    2,000 seeded trials from a cold memo, the cover took 0.38-0.84 of the
-    search's time at k = 3 on 5 to 8 vertices, but at 200 trials up to 7.8
-    times as long at k >= 4 on 6 to 8 vertices and 1.6-1.7 times at (8,2);
-    at (9,3), where no whole-graph mask is memoised, 29 times (2 vCPUs,
-    BENCH_29.json).
+    Below ``_BLOCK_VERTICES`` vertices, the exhaustive cover, whose memoised
+    masks the trials share: over 200 and 2,000 cold trials it took 0.12-0.74
+    of the search's time at k = 4, 5 and at (8,2), but 1.9-3.3 times as long
+    at (8,5) x 200 and (8,6).  From there on the search: at (9,3), where no
+    whole-graph mask is memoised, the cover took 10 times as long.
     """
-    return EXHAUSTIVE if k == 3 and n < _BLOCK_VERTICES else BACKTRACKING
+    return EXHAUSTIVE if n < _BLOCK_VERTICES else BACKTRACKING
 
 
 # ---------------------------------------------------------------------------

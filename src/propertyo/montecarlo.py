@@ -19,8 +19,8 @@ independent of execution order and of how they are assigned to workers.
 
 Each trial is one :func:`propertyo.core.check_property_o` call, on the
 decider ``core._trial_method`` picks for (n, k): the exhaustive cover on
-memoised order-coverage masks for 3-tournaments below 9 vertices, the
-backtracking search for every other size.
+memoised order-coverage masks below 9 vertices, the backtracking search
+from 9 vertices on.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def estimate_property_o_rate(
 
     Trial t checks ``random_tournament(n, k, value_at(seed, t))`` on the
     decider ``core._trial_method`` picks from (n, k): the exhaustive cover
-    on memoised masks for k = 3 below 9 vertices, the backtracking search
-    otherwise.  The summary is identical for any
+    on memoised masks below 9 vertices, the backtracking search from 9
+    vertices on.  The summary is identical for any
     ``jobs``: trial outcomes depend only on (seed, t), and the aggregation
     is a plain sum.
     More than ``_MAX_DRAWS`` orientation draws, ``trials`` * C(n,k), raise

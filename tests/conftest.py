@@ -1,7 +1,3 @@
-import os
-
-import pytest
-
 from propertyo import (
     OrientedHypergraph,
     cyclic_triangle,
@@ -22,11 +18,3 @@ def fixture_graphs() -> list[tuple[str, OrientedHypergraph]]:
         ("general_k3", general_construction(3)),
     ]
 
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_SLOW"):
-        return
-    skip = pytest.mark.skip(reason="slow stretch check; set RUN_SLOW=1 to enable")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

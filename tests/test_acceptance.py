@@ -10,8 +10,6 @@ import math
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from propertyo import (
     BACKTRACKING,
     EXHAUSTIVE,
@@ -133,14 +131,13 @@ def test_criterion_05_structured_case_coverage():
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-@pytest.mark.slow
 def test_criterion_05_stretch_backtracking_agrees_at_k4():
     with criterion(5, "stretch: order search agrees with the case analysis at k=4"):
         start = time.perf_counter()
         order = check_property_o(general_construction(4), BACKTRACKING).violating_order
         elapsed = time.perf_counter() - start
         assert order is None
-        assert elapsed < 3600.0, f"took {elapsed:.0f}s"
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_criterion_06_minimum_edges_for_pairs():

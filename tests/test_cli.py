@@ -14,6 +14,7 @@ from propertyo import (
     cyclic_triangle,
     double_cycle_3graph,
     general_construction,
+    is_consistent,
     merged_ten_edge_3graph,
     read_hypergraph,
     serialize_hypergraph,
@@ -182,21 +183,21 @@ class TestVerify:
         assert "method=backtracking" in capsys.readouterr().out
 
     def test_method_dfs_reports_placements(self, tmp_path, capsys):
-        path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
+        path = write(tmp_path, "g4.hg", serialize_hypergraph(general_construction(4)))
         assert run_cli("verify", path, "--method", "dfs") == 0
         assert capsys.readouterr().out == (
-            "PROPERTY_O method=backtracking orders=0 nodes=8010\n"
+            "PROPERTY_O method=backtracking orders=0 nodes=389\n"
         )
         path = write(tmp_path, "single.hg", "k 3\nn 3\ne 0 1 2\n")
         assert run_cli("verify", path, "--method", "dfs") == 1
-        assert capsys.readouterr().out == "VIOLATION order=0 2 1\nnodes=3\n"
+        assert capsys.readouterr().out == "VIOLATION order=1 2 0\nnodes=1\n"
 
     def test_isolated_vertices_are_not_searched(self, tmp_path, capsys):
-        # one placement, not one recursion level per isolated vertex
+        # the 2-edge's pair is forced at the root, so no node branches
         path = write(tmp_path, "sparse.hg", "k 2\nn 1200\ne 1199 1198\n")
         assert run_cli("verify", path) == 1
         order = " ".join(map(str, [1198, 1199, *range(1198)]))
-        assert capsys.readouterr().out == f"VIOLATION order={order}\nnodes=1\n"
+        assert capsys.readouterr().out == f"VIOLATION order={order}\nnodes=0\n"
 
     def test_method_brute_budget_refusal(self, tmp_path, capsys):
         lines = ["k 2", "n 13", "e 0 1"]
@@ -205,32 +206,33 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "minimality"])
     def test_search_budget_exits_4(self, tmp_path, capsys, monkeypatch, command):
-        # verify on general(4) reaches the real budget, 10**8, in about 21 s
-        # on 2 vCPUs
-        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 10_000)
+        # general(4) is decided within the real budget, 10**8
+        monkeypatch.setattr(core, "_MAX_SEARCH_WORK", 10_000)
         path = write(tmp_path, "g4.hg", serialize_hypergraph(general_construction(4)))
         assert run_cli(command, path) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"{command}: search over 27 support vertices refused after "
-            "10000 placements\n"
+            "10000 units of work\n"
         )
 
-    def test_search_deeper_than_the_recursion_limit_exits_4(self, tmp_path, capsys):
-        path_graph = "k 2\nn 1500\n" + "".join(f"e {i} {i + 1}\n" for i in range(1499))
-        graphs = {
-            "1500": path_graph,
-            "5046": serialize_hypergraph(general_construction(7)),
-        }
+    def test_search_over_the_work_budget_exits_4(self, tmp_path, capsys):
+        # a directed 2-path's closure grows as its length squared: 1,500
+        # vertices are decided, 3,000 and 20,000 refused within a second
+        graphs = {"5046": serialize_hypergraph(general_construction(7))}
+        for n in (1500, 3000, 20000):
+            graphs[str(n)] = f"k 2\nn {n}\n" + "".join(
+                f"e {i} {i + 1}\n" for i in range(n - 1)
+            )
         for support, text in graphs.items():
             path = write(tmp_path, f"{support}.hg", text)
             start = time.perf_counter()
-            assert run_cli("verify", path) == 4, support
-            assert time.perf_counter() - start < 5, support
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"search over {support} support vertices refused" in captured.err
+            assert run_cli("verify", path) == (1 if support == "1500" else 4)
+            assert time.perf_counter() - start < (5 if support == "5046" else 1)
+            out, err = capsys.readouterr()
+            if support != "1500":
+                assert out == "" and f"over {support} support vertices refused" in err
 
     @pytest.mark.parametrize("command", ["verify", "minimality"])
     def test_search_over_the_vertex_budget_exits_4(self, tmp_path, capsys, command):
@@ -406,6 +408,20 @@ class TestMinimality:
     def test_input_without_property_o(self, tmp_path):
         path = write(tmp_path, "single.hg", "k 2\nn 2\ne 0 1\n")
         assert run_cli("minimality", path) == 3
+
+    def test_general_4_all_essential(self, tmp_path, capsys):
+        # each witness, re-checked here, leaves only its own edge consistent
+        graph = general_construction(4)
+        path = write(tmp_path, "g4.hg", serialize_hypergraph(graph))
+        assert run_cli("minimality", path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 60
+        for i, line in enumerate(lines):
+            head, witness = line.split(" witness=")
+            order = [int(v) for v in witness.split()]
+            assert head == f"edge={i} essential" and sorted(order) == [*range(27)]
+            consistent = [e for e in graph.edges if is_consistent(e, order)]
+            assert consistent == [graph.edges[i]]
 
 
 class TestCensus:

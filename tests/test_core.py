@@ -6,7 +6,6 @@ import math
 import os
 import pathlib
 import random
-import sys
 import time
 import tracemalloc
 
@@ -359,11 +358,13 @@ class TestBacktrackingFinder:
         assert verdicts == {(2, True), (2, False), (3, True), (3, False), (4, False)}
 
     def test_nodes_expanded_regression(self):
+        # nodes branched at, on the rule (pairs left, -degree sum of the
+        # pair, edge index), the descending child first
         expected = {
-            "ten_edge": 8010,
-            "double_cycle": 402,
-            "merged_ten_edge": 284,
-            "general_k3": 8010,
+            "ten_edge": 1,
+            "double_cycle": 2,
+            "merged_ten_edge": 1,
+            "general_k3": 1,
         }
         for name, graph in fixture_graphs():
             if name in expected:
@@ -373,94 +374,64 @@ class TestBacktrackingFinder:
 
     def test_deletion_placements_and_orders_regression(self):
         # every single-edge deletion of a fixture is violated; pinned are the
-        # placements of each deletion and a sha256 of the repr of the list of
-        # their violating orders, in edge order
+        # nodes of each deletion (the rule of test_nodes_expanded_regression)
+        # and a sha256 of the repr of the list of their orders, in edge order
         expected = {
             "cyclic_triangle": (
-                [3, 3, 5],
+                [0, 0, 0],
                 "5b2bcc206cd1da550fc51b4936c4fb6333a333210fe8fe6a7175d0921adb0e58",
             ),
             "ten_edge": (
-                [13, 1967, 2162, 12, 14, 991, 2158, 2165, 985, 995],
-                "2cd92e4a5b297d84b6d1508d47550cafeda63b3d46716cf3bb13f41ca798c7aa",
+                [2, 2, 2, 2, 3, 2, 2, 2, 2, 3],
+                "c5f312a4104313b432056afe9df37c737f01ddd992656a36206bcb5b92f01a4f",
             ),
             "double_cycle": (
-                [21, 9, 14, 87, 75, 80, 155, 143, 148,
-                 146, 12, 78, 149, 15, 81, 158, 24, 90],
-                "75ae0e05ff766e5853c3c50308602bfb7b3922560aefc3a49e55f2b6571332a3",
+                [2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+                "e912b721c4925f47e42986826a00453216350460df6180ce7aefe8e185593dc2",
             ),
             "merged_ten_edge": (
-                [9, 101, 120, 6, 12, 57, 118, 122, 55, 56],
-                "824c1c360846c9059a1b486595fb3258a340297e2bd3756239f2a32d61e7aa88",
+                [2, 2, 2, 2, 3, 2, 2, 2, 2, 3],
+                "45e861230c434c9da79f0fec11f363b5c3d3c74ed4375b655144085e3e67ed0f",
             ),
             "general_k3": (
-                [13, 991, 2162, 1967, 14, 12, 2165, 2158, 995, 985],
-                "cc120e136d327e9ddc52a7558400fff28e7864dfac37603f77d3c0cc45744a3f",
+                [2, 2, 2, 2, 3, 2, 2, 2, 3, 2],
+                "2dfd8143343da5af2a8c62a57cfe40fe85e98e9df6a17303f6863a4c82a4eb37",
             ),
         }
         for name, graph in fixture_graphs():
-            placements, orders = [], []
+            nodes, orders = [], []
             for i in range(len(graph.edges)):
                 reduced = OrientedHypergraph(
                     graph.k, graph.n, graph.edges[:i] + graph.edges[i + 1 :]
                 )
                 cert = check_property_o(reduced, method="backtracking")
-                placements.append(cert.nodes_expanded)
+                nodes.append(cert.nodes_expanded)
                 orders.append(cert.violating_order)
             digest = hashlib.sha256(repr(orders).encode()).hexdigest()
-            assert (placements, digest) == expected[name], name
+            assert (nodes, digest) == expected[name], name
 
     def test_isolated_vertices_add_no_placements(self):
-        # only vertices that lie in some edge are placed
+        # only vertices that lie in some edge are searched: claim1 takes the
+        # one node it takes on 8 vertices
         graph = ten_edge_3graph()
         for n in (10, 12):
             padded = OrientedHypergraph(graph.k, n, graph.edges)
             cert = check_property_o(padded, method="backtracking")
             assert cert.holds
-            assert cert.nodes_expanded == 8010, n
+            assert cert.nodes_expanded == 1, n
 
-
-    def test_placement_budget(self, monkeypatch):
-        # claim1 holds after exactly 8010 placements, all of exhausted prefixes
-        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 8010)
-        assert check_property_o(ten_edge_3graph(), "backtracking").nodes_expanded == 8010
-        monkeypatch.setattr(core, "_MAX_PLACEMENTS", 8009)
-        with pytest.raises(
-            BudgetExceededError,
-            match="^search over 8 support vertices refused after 8009 placements$",
-        ):
-            check_property_o(ten_edge_3graph(), BACKTRACKING)
-
-    def test_search_deeper_than_the_recursion_limit_is_refused(self):
-        # a directed path places its vertices last first, one frame each
-        n = sys.getrecursionlimit() + 500
-        graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
-        with pytest.raises(BudgetExceededError, match=f"over {n} support vertices"):
-            check_property_o(graph, BACKTRACKING)
-
-    def test_depth_refusal_does_not_depend_on_the_callers_depth(self):
-        # a directed 2-path on n vertices is placed last vertex first and
-        # keeps an edge alive until n-2 vertices are placed
-        def at_depth(frames, func, *args):
-            return at_depth(frames - 1, func, *args) if frames else func(*args)
-
-        def outcome(n):
+    def test_verdict_does_not_depend_on_the_callers_depth(self):
+        # the search keeps its own stack, so 150 frames down a directed
+        # 2-path is decided as at the top
+        def at_depth(frames, n):
+            if frames:
+                return at_depth(frames - 1, n)
             graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
-            try:
-                cert = check_property_o(graph, "backtracking")
-            except BudgetExceededError as exc:
-                return str(exc)
+            cert = check_property_o(graph, BACKTRACKING)
             return cert.violating_order, cert.nodes_expanded
 
-        decided = core._MAX_DEPTH + 2
-        for n in (decided, decided + 1, 960):
-            assert at_depth(0, outcome, n) == at_depth(150, outcome, n), n
-        order = tuple(range(decided - 1, -1, -1))
-        assert outcome(decided) == (order, decided * (decided + 1) // 2 - 1)
-        assert outcome(decided + 1) == (
-            f"search over {decided + 1} support vertices refused: a prefix "
-            f"would place more than {core._MAX_DEPTH} vertices"
-        )
+        order = tuple(range(999, -1, -1))
+        assert at_depth(0, 1000) == at_depth(150, 1000) == (order, 0)
 
 
 class TestCheckPropertyO:
@@ -547,9 +518,8 @@ class TestCheckPropertyO:
         # the code that does the bounded work is the one reader of its limit
         owners = {
             "EXHAUSTIVE_MAX_VERTICES": {("core.py", "_lex_blocks")},
-            "_MAX_PLACEMENTS": {("core.py", "_backtracking_search")},
+            "_MAX_SEARCH_WORK": {("core.py", "_backtracking_search")},
             "_MAX_VERTICES": {("core.py", "_backtracking_search")},
-            "_MAX_DEPTH": {("core.py", "_backtracking_search")},
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},

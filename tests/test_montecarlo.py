@@ -146,9 +146,9 @@ class TestRateEstimation:
 
     def test_seed_1_sample_work_regression(self, monkeypatch):
         # the trials of `sample --n 7 --k 3 --trials 500 --seed 1` and
-        # `--n 8 ... --trials 200`: their successes, the search's placements
-        # over them and a sha256 of the repr of the list of their edge
-        # tuples, trial by trial.  Each trial is exactly one
+        # `--n 8 ... --trials 200`: their successes, the nodes the search
+        # branched at over them and a sha256 of the repr of the list of their
+        # edge tuples, trial by trial.  Each trial is exactly one
         # montecarlo.check_property_o call on its own tournament, the rule a
         # wrapper of that name relies on to record the trials.  Sampling
         # decides these sizes on the exhaustive cover, so every recorded
@@ -161,7 +161,7 @@ class TestRateEstimation:
             return cert
 
         monkeypatch.setattr(montecarlo, "check_property_o", recording)
-        successes, placements, edges = [], 0, []
+        successes, nodes, edges = [], 0, []
         for n, trials in [(7, 500), (8, 200)]:
             calls.clear()
             summary = estimate_property_o_rate(n, 3, trials, 1)
@@ -174,11 +174,11 @@ class TestRateEstimation:
             for graph, _, cert in calls:
                 search = check_property_o(graph, method="backtracking")
                 assert search.holds == cert.holds
-                placements += search.nodes_expanded
+                nodes += search.nodes_expanded
             successes.append(summary.successes)
             edges += [graph.edges for graph in tournaments]
         assert successes == [95, 144]
-        assert placements == 104_322
+        assert nodes == 1_532
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
             "3a589567d2ed8c64e08fc7e58bfed2627a8ed37607bd8b520be5442dba6a22b7"
         )
@@ -189,13 +189,12 @@ class TestRateEstimation:
             (6, 3, "exhaustive"),
             (7, 3, "exhaustive"),
             (8, 3, "exhaustive"),
+            (8, 2, "exhaustive"),
+            (7, 4, "exhaustive"),
+            (8, 5, "exhaustive"),
+            (8, 6, "exhaustive"),
             # 9 vertices: the whole-graph masks are not memoised
             (9, 3, "backtracking"),
-            # sizes where the masks were measured slower than the search
-            (8, 2, "backtracking"),
-            (7, 4, "backtracking"),
-            (8, 5, "backtracking"),
-            (8, 6, "backtracking"),
         ],
     )
     def test_trial_decider_and_mask_memo(self, monkeypatch, n, k, method):

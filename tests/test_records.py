@@ -170,7 +170,7 @@ def test_records_store_only_independent_facts():
         VerificationCertificate("property_o", "exhaustive", (0, 1), 1)
     with pytest.raises(TypeError):
         VerificationCertificate("exhaustive", (0, 1), 1, verdict="property_o")
-    # the work count reads as orders under the cover and as placements
+    # the work count reads as orders under the cover and as branch nodes
     # under the search
     cert = VerificationCertificate("backtracking", None, 7)
     assert (cert.orders_examined, cert.nodes_expanded) == (0, 7)

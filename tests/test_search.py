@@ -459,12 +459,12 @@ class TestVertexLowerBound:
     def test_mask_budget_refusal(self, no_masks):
         # 2^55 tournaments fit the space budget, but the 110 uncovered-order
         # masks of 11! bits (523 MiB) do not; refused before any is built
-        with pytest.raises(BudgetExceededError, match="523 MiB"):
+        with pytest.raises(BudgetExceededError, match="^census masks take 523 MiB, over the 64 MiB budget$"):
             prove_vertex_lower_bound(11, 2)
 
     def test_mask_budget_refuses_8_8_which_the_edge_bound_answers(self, no_masks):
         # one 8-subset: its 8! orientation masks of 8! bits take 193 MiB
-        with pytest.raises(BudgetExceededError, match="193 MiB"):
+        with pytest.raises(BudgetExceededError, match="^census masks take 193 MiB, over the 64 MiB budget$"):
             census_property_o(8, 8)
         report = prove_vertex_lower_bound(8, 8)
         assert (report.total_enumerated, report.property_o_found) == (0, 0)
