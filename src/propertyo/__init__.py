@@ -19,9 +19,10 @@ _EXPORTS = {
         "AuditReport", "BudgetExceededError", "CoverageHistogram", "InternalError",
         "LinearOrder", "OrientedEdge", "OrientedHypergraph",
         "VerificationCertificate", "check_property_o", "count_consistent_orders",
-        "coverage_histogram", "is_consistent", "lower_bound_audit",
-        "relabel", "reverse", "support_restriction",
+        "is_consistent", "lower_bound_audit", "relabel", "reverse",
+        "support_restriction",
     ),
+    "cover": ("coverage_histogram",),
     "constructions": (
         "CaseCoverageReport", "GeneralLayout", "cyclic_triangle",
         "double_cycle_3graph", "general_construction", "insert_at",

@@ -26,11 +26,12 @@ reports the nodes it branched at as ``nodes=N``: at the end of the
 
 A process runs one subcommand, and Python start-up is most of a short
 call's time.  So the module imports ``core`` and ``fileformat`` (which
-``verify``, ``histogram`` and ``audit`` need) and nothing else of the
-package: the names taken from ``constructions``, ``search`` and
-``montecarlo`` resolve on first use.  Each handler binds the ones it calls
-with :func:`_load`, which keeps a name that is already bound, so a name
-swapped on this module (``setattr``) is the one the handler calls.
+``verify`` and ``audit`` need) and nothing else of the package:
+``check_property_o`` loads the decider it runs, and the names taken from
+``cover``, ``constructions``, ``search`` and ``montecarlo`` resolve on
+first use.  Each handler binds the ones it calls with :func:`_load`,
+which keeps a name that is already bound, so a name swapped on this module
+(``setattr``) is the one the handler calls.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .core import (
     BudgetExceededError,
     InternalError,
     check_property_o,
-    coverage_histogram,
     lower_bound_audit,
 )
 from .fileformat import read_hypergraph, write_hypergraph
@@ -57,7 +57,8 @@ def __getattr__(name: str):
     """Resolve a name that the package exports from a module not imported
     above, through its lazy exports (PEP 562)."""
     package = sys.modules[__package__]
-    if package._MODULE_OF.get(name) not in ("constructions", "search", "montecarlo"):
+    lazy = ("cover", "constructions", "search", "montecarlo")
+    if package._MODULE_OF.get(name) not in lazy:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(package, name)
     return value
@@ -194,6 +195,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    _load("coverage_histogram")
     graph = read_hypergraph(args.file)
     histogram = coverage_histogram(graph)
     for c in sorted(histogram.counts):

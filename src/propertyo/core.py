@@ -14,27 +14,13 @@ The data model, :class:`OrientedHypergraph`, is the one owner of that
 validity rule: its constructor refuses a graph that breaks it, so the
 deciders, the histogram and the audit take any graph as valid.
 
-The module provides the data model, the consistency predicate, two
-independent deciders (an exhaustive order cover and a backtracking search
-over adjacent pairs), the order-coverage histogram, and a counting audit
-that classifies each edge by how many permutations of a chosen base edge
-leave it consistent.  The two deciders are deliberately separate code paths
-so that the test suite can cross-check them against each other.
-
-The exhaustive decider, the histogram and the census rest on one kernel
-(:func:`_edge_mask`): bit p of an edge's mask is set when the order of lex
-rank p leaves the edge uncovered.  Above 9 vertices the decider and the
-histogram walk the top lex blocks in rank order, so neither builds a mask
-wider than 9! bits.  Masks on fewer than 9 vertices are memoised, at most
-``_MAX_MASK_BYTES`` of them, whole-graph masks included, so a graph on
-n <= 8 vertices is decided by ANDing cached masks, one per edge.  The
-census's table (:func:`_coverage_masks`, within the same budget), built
-once per census by the calling process, holds one n!-bit mask per oriented
-k-subset.
-
-The search decider (:func:`_backtracking_search`) is DPLL over the edges'
-adjacent pairs, since an order violates exactly when each edge has a pair
-that descends.
+The module provides the data model, the consistency predicate, the entry
+point to both deciders, :func:`check_property_o`, and a counting audit that
+classifies each edge by how many permutations of a chosen base edge leave
+it consistent.  The two deciders, an exhaustive order cover
+(:mod:`propertyo.cover`) and a backtracking search over adjacent pairs
+(:mod:`propertyo.pairsearch`), each import only this module: they are
+deliberately separate code paths, so that the tests can cross-check them.
 
 :func:`check_property_o` re-checks every violating order a decider
 returns: it must list each vertex once and leave every edge inconsistent.
@@ -59,13 +45,6 @@ EXHAUSTIVE = "exhaustive"
 BACKTRACKING = "backtracking"
 AUTO = "auto"
 
-# The lex-block walk behind exhaustive verify and the histogram refuses
-# graphs above this vertex count.
-# Memory does not set it, since no mask is wider than 9! bits; time does,
-# since a graph with Property O on n > 9 vertices takes n!/9! lex blocks
-# (1320 at n = 12, 17160 at n = 13).
-EXHAUSTIVE_MAX_VERTICES = 12
-
 # check_property_o(method="auto") covers all n! orders up to this size and
 # switches to the backtracking search beyond it.
 AUTO_EXHAUSTIVE_MAX_VERTICES = 9
@@ -77,25 +56,6 @@ _MAX_AUDIT_COST = 10**8
 # general_construction refuses to build more edges, and oriented_subsets to
 # list more oriented k-subsets, than this (general(9) would have 1,653,120).
 _MAX_EDGES = 1_000_000
-
-# The search refuses to do more work than this, counted as the pair search
-# charges it (see _backtracking_search): general(5) holds after 6.7e7, while
-# general(6) and a directed 2-path on 3,000 vertices are refused.
-_MAX_SEARCH_WORK = 10**8
-
-# The search refuses graphs on more vertices than this before it builds
-# anything: the violating order it prints lists every vertex.
-_MAX_VERTICES = 1_000_000
-
-# The exhaustive decider and the histogram build order-coverage masks on at
-# most this many vertices (9! bits, 45 KB) and walk larger vertex sets one
-# lex block at a time.  The census masks are bounded by _MAX_MASK_BYTES.
-_BLOCK_VERTICES = 9
-
-# The bytes of order-coverage masks held at once: by the mask memo below, and
-# by the census's table (_coverage_masks), built once per census by the calling
-# process: (10,2) takes 38 MiB, (8,8) would take 193 MiB and (11,2) 523 MiB.
-_MAX_MASK_BYTES = 64 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -357,33 +317,6 @@ def oriented_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(itertools.permutations(s)) for s in colex_subsets(n, k))
 
 
-def _coverage_masks(n: int, k: int) -> tuple[list[list[int]], int]:
-    """(masks, full_mask): the census's :func:`_edge_mask` on n vertices of
-    each edge in :func:`oriented_subsets`, row by row.  A table over
-    ``_MAX_MASK_BYTES`` is refused before any mask is built.  Each order is
-    consistent with one orientation of each subset, so each mask must have
-    n! - n!/k! bits and the masks of one row must AND to 0."""
-    fact_n = math.factorial(n)
-    mask_bytes = math.perm(n, k) * fact_n // 8  # C(n,k)*k! masks of n! bits
-    if mask_bytes > _MAX_MASK_BYTES:
-        raise BudgetExceededError(
-            f"census masks take {mask_bytes >> 20} MiB, over the "
-            f"{_MAX_MASK_BYTES >> 20} MiB budget"
-        )
-    full = (1 << fact_n) - 1
-    masks = [[_edge_mask(n, edge) for edge in row] for row in oriented_subsets(n, k)]
-    per_edge = fact_n - fact_n // math.factorial(k)
-    for row in masks:
-        common = full
-        for mask in row:
-            if mask.bit_count() != per_edge:
-                raise InternalError("internal error: bad coverage mask popcount")
-            common &= mask
-        if common:
-            raise InternalError("internal error: subset orientations do not cover")
-    return masks, full
-
-
 def run_count(jobs: int, size: int) -> int:
     """How many runs :func:`ordered_map` deals ``size`` items into:
     min(``jobs``, CPUs, ``size``), with ``jobs`` raised to at least 1."""
@@ -594,231 +527,6 @@ def count_consistent_orders(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _descend(ranks: tuple[int, ...], i: int) -> tuple[int, ...] | None:
-    """An edge's ranks inside lex block i, or None if the block kills it.
-
-    Block i holds the orders whose smallest element has rank i: that vertex
-    advances the edge if it is the head, kills it if it is a later vertex,
-    and leaves it whole otherwise.  The ranks returned are among the rest.
-    """
-    if ranks and ranks[0] == i:
-        ranks = ranks[1:]
-    elif i in ranks:
-        return None
-    return tuple(r - (r > i) for r in ranks)
-
-
-def _edge_mask(j: int, ranks: tuple[int, ...]) -> int:
-    """Bitmask of the orders of j vertices that leave an edge uncovered.
-
-    Bit p stands for the order of lex rank p; ``ranks`` are the ranks of the
-    edge's remaining vertices among the j, and none left means 0.  Block i
-    of the mask, (j-1)! bits wide, is all ones if lex block i kills the
-    edge, else the edge's memoised mask inside the block on one vertex fewer.
-    """
-    if not ranks:
-        return 0
-    width = math.factorial(j - 1)
-    inner_mask = _memo_edge_mask if j - 1 < _BLOCK_VERTICES else _edge_mask
-    dead = (1 << width) - 1
-    mask = 0
-    for i in range(j):
-        inner = _descend(ranks, i)
-        mask |= (dead if inner is None else inner_mask(j - 1, inner)) << (i * width)
-    return mask
-
-
-# Only masks on fewer than _BLOCK_VERTICES vertices are cached, whoever asks,
-# whole-graph masks included, so no cached mask is wider than 8! bits (5 KB).
-# There are j!/(j-r)! keys of r ranks on j vertices, and all 40,320 of r = 8
-# ranks on 8 vertices would take 200 MB, so the memo keeps the 13,315 most
-# recently used masks, at most _MAX_MASK_BYTES.  A sampled (8,3) run uses 895.
-_memo_edge_mask = functools.lru_cache(
-    maxsize=_MAX_MASK_BYTES // (math.factorial(_BLOCK_VERTICES - 1) // 8)
-)(_edge_mask)
-
-
-def _lex_blocks(
-    n: int, edges: Sequence[OrientedEdge]
-) -> Iterator[tuple[int, int, list[int]]]:
-    """The lex blocks of at most ``_BLOCK_VERTICES`` vertices that together
-    cover all n! orders, in rank order: each block's first rank, its full
-    mask, and the masks of the edges alive in it (a killed edge's is full).
-
-    Raises :class:`BudgetExceededError` for n > ``EXHAUSTIVE_MAX_VERTICES``
-    before any mask is built.
-    """
-    if n > EXHAUSTIVE_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"refusing to enumerate {n}! orders (limit n <= {EXHAUSTIVE_MAX_VERTICES})"
-        )
-    width = math.factorial(min(n, _BLOCK_VERTICES))
-    full = (1 << width) - 1
-
-    def walk(j: int, alive: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
-        if j <= _BLOCK_VERTICES:
-            mask = _memo_edge_mask if j < _BLOCK_VERTICES else _edge_mask
-            yield [mask(j, ranks) for ranks in alive]
-            return
-        for i in range(j):
-            inner = (_descend(ranks, i) for ranks in alive)
-            yield from walk(j - 1, [r for r in inner if r is not None])
-
-    for block, masks in enumerate(walk(n, edges)):
-        yield block * width, full, masks
-
-
-def _exhaustive_search(graph: OrientedHypergraph) -> tuple[LinearOrder | None, int]:
-    """Return (lex-first violating order or None, its rank + 1 or n!)."""
-    for first, full, masks in _lex_blocks(graph.n, graph.edges):
-        uncovered = functools.reduce(operator.and_, masks, full)
-        if uncovered:
-            rank = first + (uncovered & -uncovered).bit_length() - 1
-            return unrank_permutation(rank, range(graph.n)), rank + 1
-    return None, math.factorial(graph.n)
-
-
-def _backtracking_search(
-    graph: OrientedHypergraph,
-) -> tuple[LinearOrder | None, int]:
-    """Return (some violating order or None, the nodes it branched at).
-
-    DPLL (Davis, Logemann & Loveland, 1962) over the adjacent pairs of the
-    edges, on the support relabelled 0..N-1: an order violates exactly when
-    each edge has a pair that descends, ``e[i+1]`` placed before ``e[i]``.
-    The state is a strict partial order, closed as the bitsets ``before[v]``
-    and ``after[v]``; ``left[e]`` counts the pairs of edge e not known to
-    ascend, and ``done[e]`` is set once one is known to descend.  Adding "a
-    before b" adds ``after[b] | {b}`` to ``after[x]`` for each x in
-    ``before[a] | {a}``; each y new to ``after[x]`` makes the pairs (x, y)
-    ascend and the pairs (y, x) descend.  An open edge left with no pair that
-    may descend is a conflict, and one left with one has it forced to descend.
-    A node branches on the undecided pair of an open edge least in (pairs
-    left, -degree sum, edge index), the descending child first; a failed
-    child is undone from a trail.  Once no edge is open, the support sorted
-    by ``|before[v]|`` violates; the other vertices follow, ascending.
-
-    Raises :class:`BudgetExceededError` for more than ``_MAX_VERTICES``
-    vertices before anything is built, and once the work passes
-    ``_MAX_SEARCH_WORK``: a node costs a scan of every edge, and each
-    vertex of a closure step two bitset operations, 2 + N//32 words.
-    """
-    if graph.n > _MAX_VERTICES:
-        raise BudgetExceededError(
-            f"search over {graph.n} vertices refused (limit n <= {_MAX_VERTICES})"
-        )
-    support = sorted({v for e in graph.edges for v in e})
-    edges = support_restriction(graph).edges
-    size = len(support)
-    deg, links = [0] * size, [0] * size  # links[u]: the v of pairs (u, v), (v, u)
-    edges_of: dict[tuple[int, int], list[int]] = {}  # the edges of each pair
-    for i, e in enumerate(edges):
-        for v in e:
-            deg[v] += 1
-        for u, v in zip(e, e[1:]):
-            links[u] |= 1 << v
-            links[v] |= 1 << u
-            edges_of.setdefault((u, v), []).append(i)
-    # each edge's pairs, the one to branch on first
-    pairs = [sorted(zip(e, e[1:]), key=lambda p: -deg[p[0]] - deg[p[1]]) for e in edges]
-    before, after = [0] * size, [0] * size
-    left, done = [len(e) - 1 for e in edges], [False] * len(edges)
-    indices = range(len(edges))
-    trail: list[tuple[list, int, Any]] = []  # (list, index, old value)
-    stack: list[tuple[int, list]] = []  # (trail length, queue) of pending children
-    step, scan = 2 + size // 32, sum(map(len, edges))
-    work, budget, nodes = 0, _MAX_SEARCH_WORK, 0
-
-    def propagate(queue: list[tuple[int, int]]) -> bool:
-        """Add each relation (a, b), a before b, of ``queue`` and all it
-        forces, trailed while a sibling is pending; False on a conflict."""
-        nonlocal work
-        record = trail.append if stack else None
-        while queue:
-            a, b = queue.pop()
-            if after[a] >> b & 1:
-                continue
-            if after[b] >> a & 1:
-                return False
-            low, high = before[a] | 1 << a, after[b] | 1 << b
-            work += (low.bit_count() + high.bit_count()) * step
-            if work > budget:
-                raise BudgetExceededError(
-                    f"search over {size} support vertices refused after "
-                    f"{budget} units of work"
-                )
-            rest = high
-            while rest:
-                y = rest.bit_length() - 1
-                rest ^= 1 << y
-                if record:
-                    record((before, y, before[y]))
-                before[y] |= low
-            rest = low
-            while rest:
-                x = rest.bit_length() - 1
-                rest ^= 1 << x
-                new = high ^ high & after[x]
-                if not new:
-                    continue
-                if record:
-                    record((after, x, after[x]))
-                after[x] |= new
-                paired = new & links[x]
-                while paired:
-                    y = paired.bit_length() - 1
-                    paired ^= 1 << y
-                    for e in edges_of.get((y, x), ()):  # (y, x) descends
-                        if record and not done[e]:
-                            record((done, e, False))
-                        done[e] = True
-                    for e in edges_of.get((x, y), ()):  # (x, y) ascends
-                        if done[e]:
-                            continue
-                        if record:
-                            record((left, e, left[e]))
-                        left[e] -= 1
-                        if not left[e]:
-                            return False
-                        if left[e] == 1:  # its one pair not ascending descends
-                            u, v = next(
-                                p for p in pairs[e] if not after[p[0]] >> p[1] & 1
-                            )
-                            queue.append((v, u))
-        return True
-
-    queue = [(e[1], e[0]) for e in edges if len(e) == 2]
-    while True:
-        if propagate(queue):
-            open_edges = list(itertools.compress(indices, map(operator.not_, done)))
-            if not open_edges:
-                break
-            fewest, best = min(map(left.__getitem__, open_edges)), (0, 0, 0)
-            for e in open_edges:
-                if left[e] == fewest:
-                    for u, v in pairs[e]:  # the first pair not ascending
-                        if not after[u] >> v & 1:
-                            break
-                    if deg[u] + deg[v] > best[0]:
-                        best = (deg[u] + deg[v], u, v)
-            nodes += 1
-            work += scan  # checked when the descending child propagates
-            _, u, v = best
-            stack.append((len(trail), [(u, v)]))
-            queue = [(v, u)]
-        elif stack:
-            mark, queue = stack.pop()
-            for items, i, old in reversed(trail[mark:]):
-                items[i] = old
-            del trail[mark:]
-        else:
-            return None, nodes
-    inside = set(support)
-    ranks = sorted(range(size), key=lambda v: before[v].bit_count())
-    order = tuple(support[v] for v in ranks)
-    return order + tuple(v for v in range(graph.n) if v not in inside), nodes
-
-
 def check_property_o(
     graph: OrientedHypergraph, method: str = AUTO
 ) -> VerificationCertificate:
@@ -831,18 +539,21 @@ def check_property_o(
     every edge inconsistent, from one position table, and a failed
     re-check raises :class:`InternalError`.
 
-    Each kernel refuses work over its budget with
-    :class:`BudgetExceededError`: the exhaustive cover a graph of more than
-    ``EXHAUSTIVE_MAX_VERTICES`` vertices, the search a graph of more than
-    ``_MAX_VERTICES`` vertices or more than ``_MAX_SEARCH_WORK`` units of
-    work.  The search keeps its pending branches on a stack of its own, so
-    its verdict does not depend on the caller's stack depth.
+    Each kernel, imported in its branch since its module imports this one,
+    refuses work over its budget with :class:`BudgetExceededError`: the
+    exhaustive cover a graph of more than ``cover.EXHAUSTIVE_MAX_VERTICES``
+    vertices, the search one of more than ``pairsearch._MAX_VERTICES``
+    vertices or ``pairsearch._MAX_SEARCH_WORK`` units of work.  The search
+    keeps its pending branches on a stack of its own, so its verdict does
+    not depend on the caller's stack depth.
     """
     if method == AUTO:
         method = EXHAUSTIVE if graph.n <= AUTO_EXHAUSTIVE_MAX_VERTICES else BACKTRACKING
     if method == EXHAUSTIVE:
+        from .cover import _exhaustive_search
         order, work = _exhaustive_search(graph)
     elif method == BACKTRACKING:
+        from .pairsearch import _backtracking_search
         order, work = _backtracking_search(graph)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -857,72 +568,9 @@ def check_property_o(
     return VerificationCertificate(method, order, work)
 
 
-def _trial_method(n: int, k: int) -> str:
-    """The decider for the sampler's random k-tournaments on n vertices.
-
-    Below ``_BLOCK_VERTICES`` vertices, the exhaustive cover, whose memoised
-    masks the trials share: over 200 and 2,000 cold trials it took 0.12-0.74
-    of the search's time at k = 4, 5 and at (8,2), but 1.9-3.3 times as long
-    at (8,5) x 200 and (8,6).  From there on the search: at (9,3), where no
-    whole-graph mask is memoised, the cover took 10 times as long.
-    """
-    return EXHAUSTIVE if n < _BLOCK_VERTICES else BACKTRACKING
-
-
 # ---------------------------------------------------------------------------
-# coverage statistics
+# the counting audit
 # ---------------------------------------------------------------------------
-
-
-def coverage_histogram(graph: OrientedHypergraph) -> CoverageHistogram:
-    """Histogram of consistent-edge counts over all n! linear orders.
-
-    Per lex block, a bit-sliced counter adds up the alive edges' masks:
-    the alive edges an order leaves uncovered.  Like the exhaustive
-    decider, it refuses more than ``EXHAUSTIVE_MAX_VERTICES`` vertices.
-    """
-    n = graph.n
-    counts: dict[int, int] = {}
-    edges = graph.edges
-    for _, full, masks in _lex_blocks(n, edges):
-        # bit p of planes[b] is bit b of order p's count of uncovered edges
-        planes: list[int] = []
-        for carry in masks:
-            for b, plane in enumerate(planes):
-                planes[b], carry = plane ^ carry, plane & carry
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        groups = {0: full}
-        for plane in reversed(planes):
-            split: dict[int, int] = {}
-            for c, orders in groups.items():
-                for bit, part in ((1, orders & plane), (0, orders & ~plane)):
-                    if part:
-                        split[2 * c + bit] = part
-            groups = split
-        for c, orders in groups.items():
-            consistent = len(masks) - c
-            counts[consistent] = counts.get(consistent, 0) + orders.bit_count()
-
-    total = sum(counts.values())
-    expected_total = math.factorial(n)
-    if total != expected_total:
-        raise InternalError(
-            f"internal error: histogram covers {total} orders, "
-            f"expected {expected_total}"
-        )
-    weighted = sum(c * m for c, m in counts.items())
-    expected_weighted = len(edges) * (
-        count_consistent_orders(graph.k, n) if n >= graph.k else 0
-    )
-    if weighted != expected_weighted:
-        raise InternalError(
-            f"internal error: weighted histogram total {weighted}, "
-            f"expected {expected_weighted}"
-        )
-    return CoverageHistogram(counts=dict(sorted(counts.items())))
 
 
 def lower_bound_audit(graph: OrientedHypergraph, base_edge_index: int) -> AuditReport:

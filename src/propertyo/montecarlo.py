@@ -18,7 +18,7 @@ estimate uses the derived seed ``value_at(seed, t)``, which makes trials
 independent of execution order and of how they are assigned to workers.
 
 Each trial is one :func:`propertyo.core.check_property_o` call, on the
-decider ``core._trial_method`` picks for (n, k): the exhaustive cover on
+decider :func:`_trial_method` picks for (n, k): the exhaustive cover on
 memoised order-coverage masks below 9 vertices, the backtracking search
 from 9 vertices on.
 """
@@ -29,15 +29,17 @@ import functools
 import math
 
 from .core import (
+    BACKTRACKING,
+    EXHAUSTIVE,
     BudgetExceededError,
     OrientedHypergraph,
     Record,
     _subset_count,
-    _trial_method,
     check_property_o,
     ordered_map,
     oriented_subsets,
 )
+from .cover import _BLOCK_VERTICES
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -110,10 +112,22 @@ def random_tournament(n: int, k: int, seed: int) -> OrientedHypergraph:
     return OrientedHypergraph(k, n, tuple(edges))
 
 
+def _trial_method(n: int, k: int) -> str:
+    """The decider for the sampler's random k-tournaments on n vertices.
+
+    Below ``_BLOCK_VERTICES`` vertices, the exhaustive cover, whose memoised
+    masks the trials share: over 200 and 2,000 cold trials it took 0.12-0.74
+    of the search's time at k = 4, 5 and at (8,2), but 1.9-3.3 times as long
+    at (8,5) x 200 and (8,6).  From there on the search: at (9,3), where no
+    whole-graph mask is memoised, the cover took 10 times as long.
+    """
+    return EXHAUSTIVE if n < _BLOCK_VERTICES else BACKTRACKING
+
+
 def _trial_holds(n: int, k: int, trial_seed: int) -> bool:
     """Whether ``random_tournament(n, k, trial_seed)`` has Property O, from
     one :func:`check_property_o` call on the decider
-    ``core._trial_method(n, k)`` picks.
+    :func:`_trial_method` picks.
     """
     tournament = random_tournament(n, k, trial_seed)
     return check_property_o(tournament, _trial_method(n, k)).holds
@@ -129,7 +143,7 @@ def estimate_property_o_rate(
     """Fraction of seeded random k-tournaments on n vertices with Property O.
 
     Trial t checks ``random_tournament(n, k, value_at(seed, t))`` on the
-    decider ``core._trial_method`` picks from (n, k): the exhaustive cover
+    decider :func:`_trial_method` picks from (n, k): the exhaustive cover
     on memoised masks below 9 vertices, the backtracking search from 9
     vertices on.  The summary is identical for any
     ``jobs``: trial outcomes depend only on (seed, t), and the aggregation

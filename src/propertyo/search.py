@@ -27,7 +27,7 @@ and any remaining bit unranks to a verified violating order.  A subtree is
 discarded in bulk when its uncovered orders outnumber what the remaining
 subsets could cover of them: the sum, over the remaining subsets, of the
 most uncovered orders one orientation of the subset covers.  The masks,
-n! bits each, are one table from :func:`propertyo.core._coverage_masks`,
+n! bits each, are one table from :func:`propertyo.cover._coverage_masks`,
 which the calling process builds once and the forked workers inherit.
 
 The sweep walks only the leader prefixes of the first k+1 digits: the
@@ -57,7 +57,6 @@ from .core import (
     LinearOrder,
     OrientedHypergraph,
     Record,
-    _coverage_masks,
     _factorial_upto,
     _subset_count,
     check_property_o,
@@ -65,9 +64,10 @@ from .core import (
     oriented_subsets,
     run_count,
 )
+from .cover import _coverage_masks
 
 # Every census refuses a space (k!)^C(n,k) above 2**_MAX_SPACE_BITS; its
-# mask table has its own budget, in core._coverage_masks.
+# mask table has its own budget, in cover._coverage_masks.
 _MAX_SPACE_BITS = 64
 
 # The edge-bound gate counts C(n,k) up to k! for k up to this: 0.2 s near
@@ -215,7 +215,7 @@ def _census_unit(
     Property O.  At the last digit no subset remains, so every child that
     is not a witness is discarded this way.  The walk ends at the first
     witness, the smallest counter under ``prefixes``.  ``table`` is the
-    census's (masks, full_mask) from :func:`propertyo.core._coverage_masks`,
+    census's (masks, full_mask) from :func:`propertyo.cover._coverage_masks`,
     built once by the calling process; each worker writes its progress
     lines between prefixes.  Returns (decided, first_witness_counter):
     ``decided`` counts the tournaments under ``prefixes`` decided before

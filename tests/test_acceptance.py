@@ -33,7 +33,7 @@ from propertyo import (
     support_restriction,
     ten_edge_3graph,
 )
-from propertyo import core, search
+from propertyo import cover, search
 from propertyo.montecarlo import value_at
 
 
@@ -90,7 +90,7 @@ def test_criterion_03_five_vertex_census():
         # prefix of the first four digits decides every tournament and must
         # agree
         every_prefix = list(itertools.product(range(6), repeat=4))
-        table = core._coverage_masks(5, 3)
+        table = cover._coverage_masks(5, 3)
         assert search._census_unit(table, 0, every_prefix) == (6**10, None)
 
         # determinism: identical reports with 1 and 8 workers on the n=4

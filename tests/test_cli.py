@@ -21,7 +21,7 @@ from propertyo import (
     ten_edge_3graph,
 )
 import propertyo
-from propertyo import cli, constructions, core, search
+from propertyo import cli, constructions, core, cover, pairsearch, search
 from propertyo.cli import main
 
 from test_fileformat import MULTI_VIOLATION_MESSAGE, MULTI_VIOLATION_TEXT
@@ -207,7 +207,7 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["verify", "minimality"])
     def test_search_budget_exits_4(self, tmp_path, capsys, monkeypatch, command):
         # general(4) is decided within the real budget, 10**8
-        monkeypatch.setattr(core, "_MAX_SEARCH_WORK", 10_000)
+        monkeypatch.setattr(pairsearch, "_MAX_SEARCH_WORK", 10_000)
         path = write(tmp_path, "g4.hg", serialize_hypergraph(general_construction(4)))
         assert run_cli(command, path) == 4
         captured = capsys.readouterr()
@@ -233,6 +233,20 @@ class TestVerify:
             out, err = capsys.readouterr()
             if support != "1500":
                 assert out == "" and f"over {support} support vertices refused" in err
+
+    def test_search_over_the_set_up_budget_exits_4(self, tmp_path, capsys):
+        # one closure step over a 100,000-vertex directed 2-path would pass
+        # the work budget, so the search builds none of its per-vertex words
+        text = "k 2\nn 100000\n" + "".join(f"e {i} {i + 1}\n" for i in range(99999))
+        path = write(tmp_path, "long.hg", text)
+        assert run_cli("verify", path) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verify: search over 100000 support vertices refused: one closure "
+            "step over all of them costs 312700000, over the 100000000-unit "
+            "budget\n"
+        )
 
     @pytest.mark.parametrize("command", ["verify", "minimality"])
     def test_search_over_the_vertex_budget_exits_4(self, tmp_path, capsys, command):
@@ -674,14 +688,14 @@ class TestSizeFlags:
 
 
 def double_walk(monkeypatch):
-    walk = core._lex_blocks
+    walk = cover._lex_blocks
     monkeypatch.setattr(
-        core, "_lex_blocks", lambda n, edges: [*walk(n, edges), *walk(n, edges)]
+        cover, "_lex_blocks", lambda n, edges: [*walk(n, edges), *walk(n, edges)]
     )
 
 
 def no_consistent_orders(monkeypatch):
-    monkeypatch.setattr(core, "count_consistent_orders", lambda k, n: 0)
+    monkeypatch.setattr(cover, "count_consistent_orders", lambda k, n: 0)
 
 
 def every_edge_consistent(monkeypatch):
@@ -700,15 +714,15 @@ def base_edge_never_consistent(monkeypatch):
 
 
 def extra_mask_bit(monkeypatch):
-    mask = core._edge_mask
-    monkeypatch.setattr(core, "_edge_mask", lambda j, ranks: mask(j, ranks) | 1)
+    mask = cover._edge_mask
+    monkeypatch.setattr(cover, "_edge_mask", lambda j, ranks: mask(j, ranks) | 1)
 
 
 def ascending_masks_only(monkeypatch):
     # each orientation gets the ascending one's mask: right popcount, no cover
-    mask = core._edge_mask
+    mask = cover._edge_mask
     monkeypatch.setattr(
-        core, "_edge_mask", lambda j, ranks: mask(j, tuple(sorted(ranks)))
+        cover, "_edge_mask", lambda j, ranks: mask(j, tuple(sorted(ranks)))
     )
 
 
@@ -815,14 +829,28 @@ class TestUsage:
         assert "parallel_partitions=2" in lines
         assert lines[-1] == "False 0"
 
-    def test_verify_process_loads_only_core_and_fileformat(self, tmp_path):
+    def test_verify_process_loads_only_the_decider_it_runs(self, tmp_path):
         path = write(tmp_path, "c1.hg", serialize_hypergraph(ten_edge_3graph()))
         verify, added, loaded = run_listing_imports("verify", path)
         assert verify.returncode == 0, verify.stderr
         assert verify.stdout == "PROPERTY_O method=exhaustive orders=40320\n"
         assert {"propertyo.core", "propertyo.fileformat", "propertyo.cli"} <= added
         assert "dataclasses" not in added
-        assert loaded == ["propertyo.cli", "propertyo.core", "propertyo.fileformat"]
+        assert loaded == [
+            "propertyo.cli",
+            "propertyo.core",
+            "propertyo.cover",
+            "propertyo.fileformat",
+        ]
+        dfs, _, loaded = run_listing_imports("verify", path, "--method", "dfs")
+        assert dfs.returncode == 0, dfs.stderr
+        assert dfs.stdout == "PROPERTY_O method=backtracking orders=0 nodes=1\n"
+        assert loaded == [
+            "propertyo.cli",
+            "propertyo.core",
+            "propertyo.fileformat",
+            "propertyo.pairsearch",
+        ]
 
     def test_census_process_leaves_out_constructions_and_montecarlo(self):
         census, added, loaded = run_listing_imports("census", "--n", "4", "--k", "3")
@@ -832,6 +860,7 @@ class TestUsage:
         assert loaded == [
             "propertyo.cli",
             "propertyo.core",
+            "propertyo.cover",
             "propertyo.fileformat",
             "propertyo.search",
         ]

@@ -32,8 +32,9 @@ from propertyo import (
     support_restriction,
     ten_edge_3graph,
 )
-from propertyo import core
-from propertyo.core import _coverage_masks, oriented_subsets, unrank_permutation
+from propertyo import core, cover, pairsearch
+from propertyo.core import oriented_subsets, unrank_permutation
+from propertyo.cover import _coverage_masks
 from propertyo.montecarlo import value_at
 
 from conftest import fixture_graphs
@@ -286,7 +287,7 @@ class TestExhaustiveFinder:
         def no_masks(j, ranks):
             raise AssertionError("mask built")
 
-        monkeypatch.setattr(core, "_edge_mask", no_masks)
+        monkeypatch.setattr(cover, "_edge_mask", no_masks)
         graph = OrientedHypergraph(2, 13, ((0, 1),))
         message = r"^refusing to enumerate 13! orders \(limit n <= 12\)$"
         with pytest.raises(BudgetExceededError, match=message):
@@ -433,6 +434,25 @@ class TestBacktrackingFinder:
         order = tuple(range(999, -1, -1))
         assert at_depth(0, 1000) == at_depth(150, 1000) == (order, 0)
 
+    def test_support_too_wide_for_one_closure_step_is_refused_before_set_up(self):
+        # one closure step over a directed 2-path on 100,000 vertices would
+        # cost 100,000 * (2 + 3,125) units, over the 10**8 budget, so none
+        # of the search's 100,000-bit words, over 600 MiB of them, is built
+        n = 100_000
+        graph = OrientedHypergraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
+        message = (
+            r"^search over 100000 support vertices refused: one closure step "
+            r"over all of them costs 312700000, over the 100000000-unit budget$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=message):
+                check_property_o(graph, BACKTRACKING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+
 
 class TestCheckPropertyO:
     def test_double_cycle_auto_examines_all_orders(self):
@@ -466,10 +486,10 @@ class TestCheckPropertyO:
             check_property_o(cyclic_triangle(), method="guess")
 
     @pytest.mark.parametrize(
-        "method,kernel",
+        "method,module,kernel",
         [
-            ("exhaustive", "_exhaustive_search"),
-            ("backtracking", "_backtracking_search"),
+            ("exhaustive", cover, "_exhaustive_search"),
+            ("backtracking", pairsearch, "_backtracking_search"),
         ],
         ids=["exhaustive", "backtracking"],
     )
@@ -485,12 +505,12 @@ class TestCheckPropertyO:
         ids=["missing", "repeated", "out_of_range", "extra", "ident"],
     )
     def test_recheck_rejects_an_order_that_is_not_a_permutation(
-        self, monkeypatch, method, kernel, order, message
+        self, monkeypatch, method, module, kernel, order, message
     ):
         # each order but the identity leaves the one edge (0, 1, 2)
         # inconsistent, so only the permutation check can refuse it; the
         # identity is a permutation that the edge check refuses
-        monkeypatch.setattr(core, kernel, lambda graph: (order, 1))
+        monkeypatch.setattr(module, kernel, lambda graph: (order, 1))
         graph = OrientedHypergraph(3, 5, ((0, 1, 2),))
         with pytest.raises(core.InternalError, match=message):
             check_property_o(graph, method)
@@ -513,20 +533,39 @@ class TestCheckPropertyO:
             ("core.py", "check_property_o", "_exhaustive_search"),
         ]
 
+    def test_the_two_kernel_modules_import_only_core(self):
+        # the deciders stay independent: neither kernel module imports the
+        # other, nor search, montecarlo or cli, and core imports each only
+        # in the branch of check_property_o that runs it
+        imports = {}
+        for file, owner, node in source_nodes():
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports.setdefault(file, set()).add((owner, node.module))
+            elif isinstance(node, ast.ImportFrom):  # absolute: not the package
+                assert not node.module.startswith("propertyo"), file
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("propertyo") for a in node.names), file
+        assert imports["cover.py"] == {("<module>", "core")}
+        assert imports["pairsearch.py"] == {("<module>", "core")}
+        assert imports["core.py"] == {
+            ("check_property_o", "cover"),
+            ("check_property_o", "pairsearch"),
+        }
+
 
     def test_each_work_limit_is_read_by_its_owner_alone(self):
         # the code that does the bounded work is the one reader of its limit
         owners = {
-            "EXHAUSTIVE_MAX_VERTICES": {("core.py", "_lex_blocks")},
-            "_MAX_SEARCH_WORK": {("core.py", "_backtracking_search")},
-            "_MAX_VERTICES": {("core.py", "_backtracking_search")},
+            "EXHAUSTIVE_MAX_VERTICES": {("cover.py", "_lex_blocks")},
+            "_MAX_SEARCH_WORK": {("pairsearch.py", "_backtracking_search")},
+            "_MAX_VERTICES": {("pairsearch.py", "_backtracking_search")},
             "_MAX_AUDIT_COST": {("core.py", "lower_bound_audit")},
             "_MAX_DRAWS": {("montecarlo.py", "estimate_property_o_rate")},
             "_MAX_SPACE_BITS": {("search.py", "_check_space")},
             "_MAX_MASK_BYTES": {
-                ("core.py", "_coverage_masks"),
+                ("cover.py", "_coverage_masks"),
                 # the mask memo's size
-                ("core.py", "<module>"),
+                ("cover.py", "<module>"),
             },
             "_MAX_EDGES": {
                 ("constructions.py", "general_construction"),
@@ -916,12 +955,12 @@ class TestCoverageKernel:
         assert len(masks) == len(oriented) == math.comb(n, k)
         consistent = reference_masks(n, [e for row in oriented for e in row])
         for row, edges in zip(masks, oriented):
-            assert row == [core._memo_edge_mask(n, e) for e in edges]
+            assert row == [cover._memo_edge_mask(n, e) for e in edges]
             assert row == [full ^ consistent[e] for e in edges]
 
     def test_block_walk_matches_reference(self, monkeypatch):
         # with 4-vertex blocks the walk runs on every graph with n > 4
-        monkeypatch.setattr(core, "_BLOCK_VERTICES", 4)
+        monkeypatch.setattr(cover, "_BLOCK_VERTICES", 4)
         rng = random.Random(1703)
         graphs = [OrientedHypergraph(2, 6, ())]
         for _ in range(40):
@@ -945,9 +984,9 @@ class TestCoverageKernel:
         # 300 random (8,6) tournaments touch over 16,000 distinct masks on at
         # most 8 vertices; the memo keeps at most _MAX_MASK_BYTES of them,
         # and a verdict decided again after eviction is the same
-        memo = core._memo_edge_mask
+        memo = cover._memo_edge_mask
         cap = memo.cache_info().maxsize
-        assert cap * (math.factorial(8) // 8) <= core._MAX_MASK_BYTES
+        assert cap * (math.factorial(8) // 8) <= cover._MAX_MASK_BYTES
         memo.cache_clear()
         graphs = [random_tournament(8, 6, value_at(3, t)) for t in range(300)]
         first = check_property_o(graphs[0], EXHAUSTIVE)
@@ -958,13 +997,13 @@ class TestCoverageKernel:
         assert check_property_o(graphs[0], EXHAUSTIVE) == first
 
     def test_padded_claim1_block_walk(self, monkeypatch):
-        kernel = core._edge_mask
+        kernel = cover._edge_mask
 
         def bounded_kernel(j, ranks):
             assert j <= 9, "mask wider than 9! bits"
             return kernel(j, ranks)
 
-        monkeypatch.setattr(core, "_edge_mask", bounded_kernel)
+        monkeypatch.setattr(cover, "_edge_mask", bounded_kernel)
         graph = ten_edge_3graph()
         padded = OrientedHypergraph(graph.k, 11, graph.edges)
         cert = check_property_o(padded, method="exhaustive")
@@ -983,7 +1022,7 @@ class TestCoverageKernel:
     def test_no_cached_mask_is_wider_than_8_factorial_bits(self):
         # the (10,2) census masks recurse on 9 vertices without caching them
         _coverage_masks(10, 2)
-        memo = core._memo_edge_mask
+        memo = cover._memo_edge_mask
         keys = [(r,) for r in range(9)] + list(itertools.permutations(range(9), 2))
         try:
             for ranks in keys:

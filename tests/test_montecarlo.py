@@ -13,7 +13,8 @@ from propertyo import (
     prove_vertex_lower_bound,
     random_tournament,
 )
-from propertyo.core import _memo_edge_mask, colex_subsets, unrank_permutation
+from propertyo.core import colex_subsets, unrank_permutation
+from propertyo.cover import _memo_edge_mask
 from propertyo import montecarlo
 from propertyo.montecarlo import mix64, value_at
 

@@ -26,14 +26,15 @@ from propertyo import (
     merged_ten_edge_3graph,
     prove_vertex_lower_bound,
 )
-from propertyo import core, search
+from propertyo import cover, search
 from propertyo.search import (
     _census_unit,
     _cover_reach,
     _leader_prefixes,
     _tournament_from_counter,
 )
-from propertyo.core import _coverage_masks, oriented_subsets
+from propertyo.core import oriented_subsets
+from propertyo.cover import _coverage_masks
 
 
 def violating_order_for_counter(n, k, counter):
@@ -105,7 +106,7 @@ class TestCensusEngine:
                 try:
                     search._check_space(n, k)
                     table_bytes = math.perm(n, k) * math.factorial(n) // 8
-                    fits = table_bytes <= core._MAX_MASK_BYTES
+                    fits = table_bytes <= cover._MAX_MASK_BYTES
                 except BudgetExceededError:
                     fits = False
                 if not fits:
@@ -454,7 +455,7 @@ class TestVertexLowerBound:
         def no_mask(j, ranks):
             raise AssertionError("mask built")
 
-        monkeypatch.setattr(core, "_edge_mask", no_mask)
+        monkeypatch.setattr(cover, "_edge_mask", no_mask)
 
     def test_mask_budget_refusal(self, no_masks):
         # 2^55 tournaments fit the space budget, but the 110 uncovered-order
@@ -518,12 +519,12 @@ class TestEdgeMinimality:
         # the full graph keeps its real verdict; each reduced graph gets the
         # identity order, which edge (0, 2, 5) or (0, 1, 2) is consistent with
         graph = merged_ten_edge_3graph()
-        real = core._exhaustive_search
+        real = cover._exhaustive_search
 
         def kernel(g):
             return real(g) if g == graph else (tuple(range(g.n)), 1)
 
-        monkeypatch.setattr(core, "_exhaustive_search", kernel)
+        monkeypatch.setattr(cover, "_exhaustive_search", kernel)
         with pytest.raises(InternalError, match="consistent with reported"):
             edge_minimality(graph)
 
